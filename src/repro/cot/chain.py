@@ -14,25 +14,18 @@ Options cover every inference protocol in the evaluation:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.cot.incontext import incontext_logit_shift
 from repro.cot.rationale import Rationale
-from repro.deprecation import warn_deprecated
-from repro.errors import DeadlineExceededError, ModelError
+from repro.errors import ModelError
 from repro.facs.descriptions import FacialDescription
-from repro.model.foundation import STRESSED, UNSTRESSED, FoundationModel
-from repro.model.generation import GREEDY, GenerationConfig
+from repro.model.foundation import STRESSED, FoundationModel
+from repro.model.generation import GenerationConfig
 from repro.model.session import DialogueSession
-from repro.nn.tensorops import sigmoid
-from repro.observability.tracing import span
 from repro.reliability.deadlines import Deadline
 from repro.rng import derive_seed
 from repro.training.verification import verification_score
 from repro.video.frame import Video
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -134,61 +127,11 @@ class StressChainPipeline:
             layer's ``deadline_ms`` sheds *queued* requests; this is
             the serial analogue for offline sweeps.)
         """
+        from repro.serving.executor import predict_uncached
+
         deadline = (Deadline.after_ms(deadline_ms)
                     if deadline_ms is not None else None)
-        start = time.perf_counter()
-        session = DialogueSession()
-
-        description: FacialDescription | None = None
-        if self.use_chain:
-            with span("chain.describe", refine=self.test_time_refine):
-                description = self.model.describe(
-                    video, GREEDY, session=session
-                )
-                if self.test_time_refine:
-                    description = self._refine_description(video, description)
-            _check_deadline(deadline, "Describe")
-
-        with span("chain.assess", use_chain=self.use_chain):
-            logit = self.model.assess_logit(video, description)
-            if self.retriever is not None and description is not None:
-                examples = self.retriever.retrieve(video, description)
-                shift = incontext_logit_shift(description, examples)
-                # In-context evidence sways the model where it is unsure;
-                # a confident assessment barely moves (the gating mirrors
-                # how prompt examples influence a real LFM's decision).
-                confidence = abs(
-                    2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
-                logit += shift * (1.0 - confidence)
-            prob = float(sigmoid(np.array(logit))[()])
-            label = STRESSED if logit > 0 else UNSTRESSED
-            session.record(
-                _assess_instruction(self.use_chain),
-                "Stressed" if label == STRESSED else "Unstressed",
-            )
-
-        rationale = Rationale(())
-        if explain:
-            _check_deadline(deadline, "Assess")
-            with span("chain.highlight"):
-                highlight_desc = description
-                if highlight_desc is None:
-                    # w/o Chain still answers I3; it reads its greedy AU
-                    # estimate off the video when asked to point at cues.
-                    highlight_desc = self.model.describe(video, GREEDY)
-                rationale = Rationale(self.model.highlight(
-                    video, highlight_desc, label, GREEDY, session=session,
-                ))
-
-        elapsed = time.perf_counter() - start
-        return ChainResult(
-            description=description,
-            label=label,
-            prob_stressed=prob,
-            rationale=rationale,
-            session=session,
-            elapsed_seconds=elapsed,
-        )
+        return predict_uncached(self, video, explain, deadline)
 
     def predict_many(self, videos: list[Video], *, batch_size: int = 32,
                      caches=None) -> list[ChainResult]:
@@ -225,21 +168,6 @@ class StressChainPipeline:
                     raise outcome
                 results.append(outcome)
         return results
-
-    # -- deprecated aliases (kept for one release cycle) ----------------
-
-    def run(self, video: Video) -> ChainResult:
-        """Deprecated alias of :meth:`predict`."""
-        warn_deprecated("StressChainPipeline.run",
-                        "StressChainPipeline.predict")
-        return self.predict(video)
-
-    def run_many(self, videos: list[Video], batch_size: int = 32,
-                 caches=None) -> list[ChainResult]:
-        """Deprecated alias of :meth:`predict_many`."""
-        warn_deprecated("StressChainPipeline.run_many",
-                        "StressChainPipeline.predict_many")
-        return self.predict_many(videos, batch_size=batch_size, caches=caches)
 
     # ------------------------------------------------------------------
 
@@ -282,19 +210,3 @@ class StressChainPipeline:
 #: the documented way to reach the chain pipeline (the historical
 #: ``StressChainPipeline`` name remains valid -- it is the same class).
 StressPipeline = StressChainPipeline
-
-
-def _check_deadline(deadline: Deadline | None, stage: str) -> None:
-    if deadline is not None and deadline.expired():
-        raise DeadlineExceededError(
-            f"predict deadline expired after the {stage} stage; "
-            "no further model work was spent")
-
-
-def _assess_instruction(use_chain: bool):
-    from repro.model.instructions import (
-        ASSESS_INSTRUCTION,
-        DIRECT_ASSESS_INSTRUCTION,
-    )
-
-    return ASSESS_INSTRUCTION if use_chain else DIRECT_ASSESS_INSTRUCTION

@@ -150,10 +150,9 @@ class FoundationModel(Module):
 
         This is the shared state of the whole reasoning chain: the
         Describe, Assess, and Highlight heads all read the same
-        embedding, so computing it once per request (the serving
-        executor does) saves two of the three trunk passes a serial
-        :meth:`~repro.cot.chain.StressChainPipeline.predict` performs
-        -- bitwise-identically, because the per-head math is unchanged.
+        embedding, so the chain computes it once per run and passes it
+        to each stage method as ``embed`` -- bitwise-identically,
+        because the per-head math is unchanged.
         """
         # The model.forward fault site: one check per trunk pass, the
         # unit of work every served request spends.
@@ -166,19 +165,24 @@ class FoundationModel(Module):
     # Describe (instruction I1)
     # ------------------------------------------------------------------
 
-    def au_logits_from_embed(self, embed: np.ndarray) -> np.ndarray:
-        """Per-AU description logits from a precomputed embedding."""
+    def au_logits(self, video: Video,
+                  embed: np.ndarray | None = None) -> np.ndarray:
+        """Per-AU description logits, shape (12,).
+
+        ``embed`` is the video's :meth:`embed_video` when the caller
+        already holds it (the stage methods below take it the same
+        way, so a chain run pays for one trunk pass).
+        """
+        if embed is None:
+            embed = self.embed_video(video)
         return self.au_head.forward(embed)[0]
 
-    def au_logits(self, video: Video) -> np.ndarray:
-        """Per-AU description logits, shape (12,)."""
-        return self.au_logits_from_embed(self.embed_video(video))
-
     def describe(self, video: Video, config: GenerationConfig | None = None,
-                 session: DialogueSession | None = None) -> FacialDescription:
+                 session: DialogueSession | None = None,
+                 embed: np.ndarray | None = None) -> FacialDescription:
         """Sample a facial-action description (the Describe step)."""
         config = config or GenerationConfig()
-        outcome = sample_bernoulli_set(self.au_logits(video), config)
+        outcome = sample_bernoulli_set(self.au_logits(video, embed), config)
         description = FacialDescription.from_vector(outcome)
         if session is not None:
             session.record(DESCRIBE_INSTRUCTION, description.render())
@@ -245,22 +249,18 @@ class FoundationModel(Module):
         return self._assess_input_from_embed(self._embed(features),
                                              description)
 
-    def assess_logit_from_embed(
-            self, embed: np.ndarray,
-            description: FacialDescription | None) -> float:
-        """Raw stress logit from a precomputed embedding."""
+    def assess_logit(self, video: Video,
+                     description: FacialDescription | None,
+                     embed: np.ndarray | None = None) -> float:
+        """Raw stress logit; ``description=None`` is the paper's
+        "w/o Chain" direct query."""
+        if embed is None:
+            embed = self.embed_video(video)
         return float(
             self.assess_head.forward(
                 self._assess_input_from_embed(embed, description)
             )[0, 0]
         )
-
-    def assess_logit(self, video: Video,
-                     description: FacialDescription | None) -> float:
-        """Raw stress logit; ``description=None`` is the paper's
-        "w/o Chain" direct query."""
-        return self.assess_logit_from_embed(self.embed_video(video),
-                                            description)
 
     def au_logits_from_frames(self, expressive: np.ndarray,
                               neutral: np.ndarray) -> np.ndarray:
@@ -427,14 +427,20 @@ class FoundationModel(Module):
         return self.highlight_scores_from_embed(self.embed_video(video),
                                                 description, assessment)
 
-    def highlight_from_embed(self, embed: np.ndarray,
-                             description: FacialDescription,
-                             assessment: int,
-                             config: GenerationConfig | None = None,
-                             top_k: int | None = None,
-                             session: DialogueSession | None = None,
-                             ) -> tuple[int, ...]:
-        """:meth:`highlight` from a precomputed embedding."""
+    def highlight(self, video: Video, description: FacialDescription,
+                  assessment: int,
+                  config: GenerationConfig | None = None,
+                  top_k: int | None = None,
+                  session: DialogueSession | None = None,
+                  embed: np.ndarray | None = None) -> tuple[int, ...]:
+        """The Highlight step: an importance-ordered tuple of AU ids.
+
+        ``assessment`` is accepted for interface fidelity with
+        ``p_F(R | A, E, V, I3)``; the score pathway conditions on the
+        same video evidence that produced the assessment.
+        """
+        if embed is None:
+            embed = self.embed_video(video)
         if assessment not in (STRESSED, UNSTRESSED):
             raise ModelError(f"assessment must be 0 or 1, got {assessment}")
         if not description.au_ids:
@@ -448,22 +454,6 @@ class FoundationModel(Module):
         if session is not None:
             session.record(HIGHLIGHT_INSTRUCTION, _render_rationale(rationale))
         return rationale
-
-    def highlight(self, video: Video, description: FacialDescription,
-                  assessment: int,
-                  config: GenerationConfig | None = None,
-                  top_k: int | None = None,
-                  session: DialogueSession | None = None) -> tuple[int, ...]:
-        """The Highlight step: an importance-ordered tuple of AU ids.
-
-        ``assessment`` is accepted for interface fidelity with
-        ``p_F(R | A, E, V, I3)``; the score pathway conditions on the
-        same video evidence that produced the assessment.
-        """
-        return self.highlight_from_embed(self.embed_video(video),
-                                         description, assessment,
-                                         config=config, top_k=top_k,
-                                         session=session)
 
     def reflect_rationale(self, video: Video, description: FacialDescription,
                           assessment: int, config: GenerationConfig,

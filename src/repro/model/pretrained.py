@@ -73,12 +73,12 @@ class OffTheShelfModel(FoundationModel):
         scope = f"{kind}:{video.video_id}:{video.spec.seed}:{query_seed}"
         return make_rng(self._noise_seed, scope).standard_normal(size)
 
-    def au_logits(self, video: Video) -> np.ndarray:
-        logits = super().au_logits(video)
+    def au_logits(self, video: Video, embed=None) -> np.ndarray:
+        logits = super().au_logits(video, embed)
         noise = self._query_noise("describe", video, logits.size)
         return logits + self.profile.describe_noise * noise
 
-    def describe(self, video: Video, config=None, session=None):
+    def describe(self, video: Video, config=None, session=None, embed=None):
         """Each API query re-draws its noise: re-asking an off-the-shelf
         model to describe the same video yields a differently-wrong
         answer, which is exactly what the paper's test-time
@@ -89,7 +89,7 @@ class OffTheShelfModel(FoundationModel):
         from repro.model.instructions import DESCRIBE_INSTRUCTION
 
         config = config or GenerationConfig()
-        logits = FoundationModel.au_logits(self, video)
+        logits = FoundationModel.au_logits(self, video, embed)
         logits = logits + self.profile.describe_noise * self._query_noise(
             "describe", video, logits.size, query_seed=config.seed
         )
@@ -127,8 +127,8 @@ class OffTheShelfModel(FoundationModel):
             sample_bernoulli_set(logits, reflect_config)
         )
 
-    def assess_logit(self, video, description) -> float:
-        logit = super().assess_logit(video, description)
+    def assess_logit(self, video, description, embed=None) -> float:
+        logit = super().assess_logit(video, description, embed)
         noise = float(self._query_noise("assess", video, 1)[0])
         return logit + self.profile.assess_noise * noise
 

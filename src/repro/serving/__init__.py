@@ -7,9 +7,9 @@ Public surface:
   bounded-queue backpressure, graceful shutdown, and counters;
 - :class:`SerialDispatcher` -- the global-lock baseline;
 - :class:`MicroBatcher` -- the reusable batching primitive;
-- :class:`ChainBatchExecutor` -- batch execution with the bitwise
-  serial-equivalence guarantee (also behind
-  :meth:`StressChainPipeline.run_many`);
+- :class:`ChainBatchExecutor` -- batch execution over the one chain
+  core that serial :meth:`StressChainPipeline.predict` also runs (also
+  behind :meth:`StressChainPipeline.predict_many`);
 - :class:`StageCaches` / :class:`LRUCache` and
   :func:`video_content_hash` -- the content-addressed caches;
 - :class:`ServiceStats` / :class:`ServiceStatsSnapshot`;

@@ -5,26 +5,27 @@ many clients, and the ``use_chain``/retriever pipeline variants share
 their Describe work -- so the service keeps one bounded LRU cache per
 chain stage, keyed by a *content hash* of the video:
 
-- the **describe cache** stores the greedy description (plus its
-  rendered text and, when test-time refinement is on, the refined
-  description);
+- the **describe cache** stores the greedy description and its
+  rendered text (and, when test-time refinement is on, the refined
+  description under a key that includes the video id);
 - the **assess cache** stores the final assessment ``(logit, prob,
   label)`` per ``(content, description)`` pair;
 - the **highlight cache** stores the rationale ordering and its
   rendered text per ``(content, description, label)``.
 
-Every cached value was produced by exactly the serial
-:meth:`~repro.cot.chain.StressChainPipeline.predict` operations, and
-all three steps are deterministic under greedy decoding, so replaying
-a cached value is bitwise-identical to recomputing it.
+Every cached value was produced by the one chain core that serial
+:meth:`~repro.cot.chain.StressChainPipeline.predict` also runs (over
+:data:`NULL_CACHES`, which hold nothing), and all three steps are
+deterministic under greedy decoding, so replaying a cached value is
+bitwise-identical to recomputing it.
 
 The content hash digests the :class:`~repro.video.frame.VideoSpec`
 rather than rendered pixels: rendering is fully deterministic given
 the spec (including its render seed), so the spec *is* the content in
 latent form, and hashing ~1 KB of latent state instead of ~150 KB of
 pixels keeps the cache-hit path far cheaper than a model call.  Keys
-are memoized per ``(video_id, render seed)``, the same globally-unique
-pair the model's feature cache relies on.
+are memoized per ``(video_id, render seed)`` by :class:`ContentKeyMemo`,
+the one memo both the stage caches and the replica pool's router use.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.facs.descriptions import FacialDescription
+from repro.observability import profiling
 from repro.reliability.faults import fault_point
 from repro.video.frame import Video
 
@@ -116,6 +118,41 @@ class LRUCache:
                               size=len(self._data), capacity=self.capacity)
 
 
+class _StageCache(LRUCache):
+    """A chain-stage LRU cache: each lookup's hit or miss is also
+    counted on the current span (the ``serve.stage_cache_*`` profiling
+    counters)."""
+
+    def get(self, key: Any) -> Any | None:
+        value = super().get(key)
+        profiling.count(profiling.STAGE_CACHE_MISS if value is None
+                        else profiling.STAGE_CACHE_HIT)
+        return value
+
+
+class _NullCache:
+    """A stage cache that holds nothing: every ``get`` misses and
+    ``put`` drops the value -- no lock, no counter, no fault site."""
+
+    __slots__ = ()
+
+    def get(self, key: Any) -> None:
+        return None
+
+    def put(self, key: Any, value: Any) -> None:
+        return None
+
+
+class _NullStageCaches:
+    __slots__ = ()
+    describe = assess = highlight = _NullCache()
+
+
+#: The stage caches of serial ``predict``: the chain core runs over
+#: these without a content key, so it hashes and looks up nothing.
+NULL_CACHES = _NullStageCaches()
+
+
 # ----------------------------------------------------------------------
 # Content keys
 # ----------------------------------------------------------------------
@@ -149,16 +186,12 @@ def video_content_hash(video: Video) -> str:
 class DescribeEntry:
     """Cached output of the Describe stage for one video content.
 
-    ``description`` is the greedy draw the serial path records in the
-    dialogue session; ``rendered`` is its text.  ``refined`` carries
-    the test-time-refined description when the pipeline refines (the
-    refinement draw is seeded by ``video_id``, so refined entries are
-    cached under a key that includes it).
+    ``description`` is the greedy draw the chain records in the
+    dialogue session; ``rendered`` is its text.
     """
 
     description: FacialDescription
     rendered: str
-    refined: FacialDescription | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,38 +212,54 @@ class HighlightEntry:
     rendered: str | None
 
 
+class ContentKeyMemo:
+    """Memoized :func:`video_content_hash`.
+
+    The memo key is ``(video_id, render seed)`` -- the repo-wide
+    contract (see :meth:`FoundationModel.features`) is that this pair
+    is globally unique per rendered content.  Every content-key memo in
+    the serving layer is one of these, so the policy lives here alone.
+    """
+
+    def __init__(self, capacity: int = 8192):
+        self._memo = LRUCache(capacity)
+
+    def __call__(self, video: Video) -> str:
+        memo_key = (video.video_id, video.spec.seed)
+        key = self._memo.get(memo_key)
+        if key is None:
+            key = video_content_hash(video)
+            self._memo.put(memo_key, key)
+        return key
+
+    def clear(self) -> None:
+        self._memo.clear()
+
+
 class StageCaches:
-    """The per-stage caches one service (or ``run_many`` call) owns,
-    plus the content-key memo that makes repeated lookups cheap."""
+    """The per-stage caches one service (or ``predict_many`` call)
+    owns, plus the content-key memo that makes repeated lookups
+    cheap."""
 
     def __init__(self, describe_capacity: int = 2048,
                  assess_capacity: int = 4096,
                  highlight_capacity: int = 4096,
                  key_memo_capacity: int = 8192):
-        self.describe = LRUCache(describe_capacity)
-        self.assess = LRUCache(assess_capacity)
-        self.highlight = LRUCache(highlight_capacity)
-        self._key_memo = LRUCache(key_memo_capacity)
+        self.describe = _StageCache(describe_capacity)
+        self.assess = _StageCache(assess_capacity)
+        self.highlight = _StageCache(highlight_capacity)
+        self._content_key = ContentKeyMemo(key_memo_capacity)
 
     def content_key(self, video: Video) -> str:
-        """Memoized :func:`video_content_hash`.
-
-        The memo key is ``(video_id, render seed)`` -- the repo-wide
-        contract (see :meth:`FoundationModel.features`) is that this
-        pair is globally unique per rendered content.
-        """
-        memo_key = (video.video_id, video.spec.seed)
-        key = self._key_memo.get(memo_key)
-        if key is None:
-            key = video_content_hash(video)
-            self._key_memo.put(memo_key, key)
-        return key
+        """The video's content hash, memoized (see
+        :class:`ContentKeyMemo`)."""
+        return self._content_key(video)
 
     def clear(self) -> None:
         self.describe.clear()
         self.assess.clear()
         self.highlight.clear()
-        self._key_memo.clear()
+        self._content_key.clear()
 
     def stats(self) -> dict[str, CacheStats]:
         return {

@@ -1,51 +1,68 @@
-"""Batched execution of the reasoning chain.
+"""The reasoning chain's one implementation, and its batch executor.
 
-:class:`ChainBatchExecutor` turns a batch of videos into one
-:class:`~repro.cot.chain.ChainResult` per request while guaranteeing
-**bitwise equivalence** with serial
-:meth:`~repro.cot.chain.StressChainPipeline.predict`.  The guarantee
-is structural, not numerical luck:
+:func:`_run_core` is the only code in the library that runs the
+paper's Describe -> Assess -> Highlight chain.  It stages every step
+through a set of stage caches, and two callers share it:
 
-- Per-request math runs through the model's ``*_from_embed`` entry
-  points, which perform exactly the serial path's single-row matmuls
-  (stacked GEMMs are *not* row-wise bitwise-reproducible under BLAS,
-  so the executor never routes request math through them; the
+- serial :meth:`~repro.cot.chain.StressChainPipeline.predict` runs it
+  over :data:`~repro.serving.cache.NULL_CACHES` (see
+  :func:`predict_uncached`): no content hash, no LRU lookup, and one
+  trunk pass per call;
+- :class:`ChainBatchExecutor` runs it once per unique content of a
+  batch over the per-stage LRU caches, so served results are
+  **bitwise-identical** to serial ``predict`` by construction.
+
+The guarantee is structural, not numerical luck:
+
+- Per-request math runs through the model's own stage methods
+  (``describe``, ``assess_logit``, ``highlight``), so a model subclass
+  that overrides one -- the off-the-shelf proxies add per-query noise
+  -- is served exactly as it predicts.  Those methods run single-row
+  matmuls (stacked GEMMs are *not* row-wise bitwise-reproducible under
+  BLAS, so the core never routes request math through them; the
   ``*_from_frames_batch`` engine remains the explainers' workhorse).
-- The shared trunk embedding is computed once per unique video and
-  reused by the Describe/Assess/Highlight heads -- the serial path
-  computes the identical value three times.
+- The trunk embedding is computed once per chain run and passed to
+  each stage method as ``embed``.
 - Duplicate requests in one batch are computed once and fanned out;
   across batches the per-stage LRU caches replay stage outputs that
   greedy decoding makes deterministic.
 
 Every request gets its *own* :class:`DialogueSession`, rebuilt from
-the stage outputs in exactly the serial recording order, so concurrent
+the stage outputs in the chain's recording order, so concurrent
 requests can never interleave dialogue state (the mutable-state hazard
 DESIGN.md section 10 discusses).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cot.chain import ChainResult, StressChainPipeline
+from repro.cot.incontext import incontext_logit_shift
 from repro.cot.rationale import Rationale
+from repro.errors import DeadlineExceededError
 from repro.facs.descriptions import FacialDescription
-from repro.model.foundation import STRESSED, UNSTRESSED
-from repro.model.generation import GREEDY, sample_bernoulli_set
+from repro.model.foundation import STRESSED, UNSTRESSED, _render_rationale
+from repro.model.generation import GREEDY
 from repro.model.instructions import (
+    ASSESS_INSTRUCTION,
     DESCRIBE_INSTRUCTION,
+    DIRECT_ASSESS_INSTRUCTION,
     HIGHLIGHT_INSTRUCTION,
 )
 from repro.model.session import DialogueSession
 from repro.nn.tensorops import sigmoid
-from repro.observability import profiling
 from repro.observability.tracing import span
+from repro.reliability.deadlines import Deadline
 from repro.reliability.faults import fault_point
 from repro.serving.cache import (
+    NULL_CACHES,
     AssessEntry,
+    CacheStats,
     DescribeEntry,
     HighlightEntry,
     StageCaches,
@@ -68,38 +85,31 @@ class _ChainCore:
     elapsed_seconds: float
 
 
+def predict_uncached(pipeline, video: Video, explain: bool,
+                     deadline: Deadline | None) -> ChainResult:
+    """Serial :meth:`StressChainPipeline.predict`: the chain core over
+    :data:`NULL_CACHES`, so nothing is hashed, looked up, or stored."""
+    return _materialize(pipeline, _run_core(
+        pipeline, video, None, NULL_CACHES, explain, deadline))
+
+
 class ChainBatchExecutor:
     """Runs chain requests in batches against one pipeline.
 
     The executor is written for single-threaded use (the micro-batcher
-    worker, or an offline ``run_many`` loop); the caches it reads are
-    individually thread-safe, but model access is expected to be
+    worker, or an offline ``predict_many`` loop); the caches it reads
+    are individually thread-safe, but model access is expected to be
     serialized by the caller.
+
+    Its public methods are the whole interface a
+    :class:`~repro.serving.service.StressService` uses, so a process
+    replica's pipe executor (:mod:`repro.serving.pool`) can stand in
+    for it by forwarding each call to a child that owns the real one.
     """
 
     def __init__(self, pipeline, caches: StageCaches | None = None):
-        from repro.cot.chain import StressChainPipeline
-
-        if not isinstance(pipeline, StressChainPipeline):
-            raise TypeError(
-                f"expected a StressChainPipeline, got {type(pipeline).__name__}")
-        self.pipeline = pipeline
+        self.pipeline = _checked_pipeline(pipeline)
         self.caches = caches if caches is not None else StageCaches()
-
-    def replace_pipeline(self, pipeline) -> None:
-        """Point the executor at a different pipeline (hot-swap).
-
-        The caller owns synchronization: the service swaps under its
-        swap lock so no batch is mid-execution, and it must also clear
-        the stage caches -- cached stage outputs are only valid for
-        the weights that produced them.
-        """
-        from repro.cot.chain import StressChainPipeline
-
-        if not isinstance(pipeline, StressChainPipeline):
-            raise TypeError(
-                f"expected a StressChainPipeline, got {type(pipeline).__name__}")
-        self.pipeline = pipeline
 
     # ------------------------------------------------------------------
 
@@ -112,6 +122,7 @@ class ChainBatchExecutor:
         contents actually computed (batch occupancy minus in-flight
         duplicates).
         """
+        pipeline = self.pipeline
         outcomes: list[object] = [None] * len(videos)
         groups: dict[str, list[int]] = {}
         with span("serve.execute_batch", size=len(videos)) as sp:
@@ -130,16 +141,17 @@ class ChainBatchExecutor:
                     # requests of that group (a transient, retryable
                     # error), never the whole batch.
                     fault_point("serve.execute")
-                    core = self._run_core(videos[indices[0]], key)
+                    core = _run_core(pipeline, videos[indices[0]], key,
+                                     self.caches)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     for i in indices:
                         outcomes[i] = exc
                     continue
                 for i in indices:
-                    outcomes[i] = self._materialize(core)
+                    outcomes[i] = _materialize(pipeline, core)
         return outcomes, len(groups)
 
-    def run_cached(self, video: Video):
+    def run_cached(self, video: Video) -> ChainResult | None:
         """Cache-only chain run: a :class:`ChainResult` assembled from
         the stage caches without touching the model, or ``None`` when
         any stage misses.
@@ -147,7 +159,7 @@ class ChainBatchExecutor:
         This is the circuit breaker's degraded mode: while the breaker
         is open the service can still answer requests whose Describe,
         Assess, *and* Highlight outputs are all cached (they were each
-        produced by the exact serial math, so the values are the
+        produced by the chain core, so the values are the
         bitwise-normal response), flagged ``degraded=True``.  Only
         supported for the plain pipeline configuration -- test-time
         refinement and retrieval key their caches on per-request state,
@@ -158,181 +170,231 @@ class ChainBatchExecutor:
             return None
         start = time.perf_counter()
         key = self.caches.content_key(video)
-        description = None
-        greedy_render = None
-        if pipeline.use_chain:
-            describe = self.caches.describe.get(key)
-            if describe is None:
-                return None
-            description = describe.description
-            greedy_render = describe.rendered
+        describe = self.caches.describe.get(key)
+        if describe is None:
+            return None
+        description = describe.description if pipeline.use_chain else None
         assess = self.caches.assess.get(
-            (key, description.au_ids if description is not None else None,
-             None))
+            _assess_key(pipeline, key, video, description))
         if assess is None:
             return None
-        highlight_desc = description
-        if highlight_desc is None:
-            describe = self.caches.describe.get(key)
-            if describe is None:
-                return None
-            highlight_desc = describe.description
         highlight = self.caches.highlight.get(
-            (key, highlight_desc.au_ids, assess.label))
+            _highlight_key(key, describe.description, assess.label))
         if highlight is None:
             return None
         core = _ChainCore(
             description=description,
-            greedy_render=greedy_render,
+            greedy_render=describe.rendered if pipeline.use_chain else None,
             label=assess.label,
             prob=assess.prob,
             rationale=highlight.rationale,
             rationale_render=highlight.rendered,
             elapsed_seconds=time.perf_counter() - start,
         )
-        return self._materialize(core, degraded=True)
+        return _materialize(pipeline, core, degraded=True)
 
-    # ------------------------------------------------------------------
+    def swap(self, source) -> None:
+        """Serve ``source`` from now on: a pipeline, or the path of a
+        saved pipeline archive (loaded here, so a child process never
+        receives weights over its pipe).
 
-    def _run_core(self, video: Video, key: str) -> _ChainCore:
-        """One chain run, staged through the caches.
-
-        Mirrors :meth:`StressChainPipeline.predict` line for line; any
-        edit there must be reflected here (the serving equivalence
-        suite enforces this).
+        Also clears the stage caches -- cached stage outputs are only
+        valid for the weights that produced them.  The caller owns
+        synchronization: the service swaps under its swap lock, so no
+        batch is mid-execution.
         """
-        pipeline = self.pipeline
-        model = pipeline.model
-        caches = self.caches
-        start = time.perf_counter()
+        if isinstance(source, (str, os.PathLike)):
+            from repro.model.persistence import load_pipeline
 
-        embed: np.ndarray | None = None
+            source = load_pipeline(source)
+        self.pipeline = _checked_pipeline(source)
+        self.caches.clear()
 
-        def get_embed() -> np.ndarray:
-            nonlocal embed
-            if embed is None:
-                embed = model.embed_video(video)
-            return embed
+    def cache_stats(self) -> dict[str, CacheStats]:
+        return self.caches.stats()
 
-        def get_describe() -> DescribeEntry:
-            entry = caches.describe.get(key)
-            if entry is None:
-                profiling.count(profiling.STAGE_CACHE_MISS)
-                logits = model.au_logits_from_embed(get_embed())
-                description = FacialDescription.from_vector(
-                    sample_bernoulli_set(logits, GREEDY))
-                entry = DescribeEntry(description=description,
-                                      rendered=description.render())
-                caches.describe.put(key, entry)
-            else:
-                profiling.count(profiling.STAGE_CACHE_HIT)
-            return entry
+    def fingerprint(self) -> str:
+        """The served model's fingerprint (equal fingerprints imply
+        bitwise-equal forward passes)."""
+        return self.pipeline.model.fingerprint()
 
-        # --- Describe ------------------------------------------------
-        description: FacialDescription | None = None
-        greedy_render: str | None = None
-        if pipeline.use_chain:
-            with span("chain.describe", refine=pipeline.test_time_refine):
-                entry = get_describe()
-                greedy_render = entry.rendered
-                description = entry.description
-                if pipeline.test_time_refine:
-                    # The refinement redraw is seeded by video_id, so its
-                    # cache key must carry the id alongside the content.
-                    refine_key = (key, video.video_id, "refined")
-                    refined = caches.describe.get(refine_key)
-                    if refined is None:
-                        refined = pipeline._refine_description(
-                            video, description)
-                        caches.describe.put(refine_key, refined)
-                    description = refined
+    def close(self) -> None:
+        """Nothing to release in process; a pipe executor stops its
+        child here."""
 
-        # --- Assess --------------------------------------------------
-        # Retrieval derives its sampling seed from video_id, so the
-        # assess key includes the id whenever a retriever is attached.
-        assess_key = (
-            key,
-            description.au_ids if description is not None else None,
-            video.video_id if pipeline.retriever is not None else None,
-        )
-        with span("chain.assess", use_chain=pipeline.use_chain):
-            assess = caches.assess.get(assess_key)
-            if assess is None:
-                profiling.count(profiling.STAGE_CACHE_MISS)
-                logit = model.assess_logit_from_embed(get_embed(), description)
-                if pipeline.retriever is not None and description is not None:
-                    from repro.cot.incontext import incontext_logit_shift
 
-                    examples = pipeline.retriever.retrieve(video, description)
-                    shift = incontext_logit_shift(description, examples)
-                    confidence = abs(
-                        2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
-                    logit += shift * (1.0 - confidence)
-                prob = float(sigmoid(np.array(logit))[()])
-                label = STRESSED if logit > 0 else UNSTRESSED
-                assess = AssessEntry(logit=logit, prob=prob, label=label)
-                caches.assess.put(assess_key, assess)
-            else:
-                profiling.count(profiling.STAGE_CACHE_HIT)
+# ----------------------------------------------------------------------
+# The chain core
+# ----------------------------------------------------------------------
 
-        # --- Highlight -----------------------------------------------
+
+def _run_core(pipeline, video: Video, key: str | None, caches,
+              explain: bool = True,
+              deadline: Deadline | None = None) -> _ChainCore:
+    """One chain run, staged through ``caches``.
+
+    ``explain=False`` skips the Highlight stage (an empty rationale and
+    no I3 turn); ``deadline`` is checked after Describe and before
+    Highlight, so an exhausted budget raises
+    :class:`~repro.errors.DeadlineExceededError` instead of spending
+    further model time.
+    """
+    model = pipeline.model
+    start = time.perf_counter()
+
+    embed: np.ndarray | None = None
+
+    def get_embed() -> np.ndarray:
+        nonlocal embed
+        if embed is None:
+            embed = model.embed_video(video)
+        return embed
+
+    def get_describe() -> DescribeEntry:
+        entry = caches.describe.get(key)
+        if entry is None:
+            description = model.describe(video, GREEDY, embed=get_embed())
+            entry = DescribeEntry(description=description,
+                                  rendered=description.render())
+            caches.describe.put(key, entry)
+        return entry
+
+    # --- Describe ----------------------------------------------------
+    description: FacialDescription | None = None
+    greedy_render: str | None = None
+    if pipeline.use_chain:
+        with span("chain.describe", refine=pipeline.test_time_refine):
+            entry = get_describe()
+            greedy_render = entry.rendered
+            description = entry.description
+            if pipeline.test_time_refine:
+                refine_key = _refine_key(key, video)
+                refined = caches.describe.get(refine_key)
+                if refined is None:
+                    refined = pipeline._refine_description(video, description)
+                    caches.describe.put(refine_key, refined)
+                description = refined
+        _check_deadline(deadline, "Describe")
+
+    # --- Assess ------------------------------------------------------
+    assess_key = _assess_key(pipeline, key, video, description)
+    with span("chain.assess", use_chain=pipeline.use_chain):
+        assess = caches.assess.get(assess_key)
+        if assess is None:
+            logit = model.assess_logit(video, description, embed=get_embed())
+            if pipeline.retriever is not None and description is not None:
+                examples = pipeline.retriever.retrieve(video, description)
+                shift = incontext_logit_shift(description, examples)
+                # In-context evidence sways the model where it is
+                # unsure; a confident assessment barely moves (the
+                # gating mirrors how prompt examples influence a real
+                # LFM's decision).
+                confidence = abs(
+                    2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
+                logit += shift * (1.0 - confidence)
+            prob = float(sigmoid(np.array(logit))[()])
+            label = STRESSED if logit > 0 else UNSTRESSED
+            assess = AssessEntry(logit=logit, prob=prob, label=label)
+            caches.assess.put(assess_key, assess)
+
+    # --- Highlight ---------------------------------------------------
+    rationale: tuple[int, ...] = ()
+    rationale_render: str | None = None
+    if explain:
+        _check_deadline(deadline, "Assess")
         with span("chain.highlight"):
-            highlight_desc = description
-            if highlight_desc is None:
-                highlight_desc = get_describe().description
-            highlight_key = (key, highlight_desc.au_ids, assess.label)
+            # w/o Chain still answers I3; it reads its greedy AU
+            # estimate off the video when asked to point at cues.
+            highlight_desc = (description if description is not None
+                              else get_describe().description)
+            highlight_key = _highlight_key(key, highlight_desc, assess.label)
             highlight = caches.highlight.get(highlight_key)
             if highlight is None:
-                profiling.count(profiling.STAGE_CACHE_MISS)
-                rationale = model.highlight_from_embed(
-                    get_embed(), highlight_desc, assess.label, GREEDY)
-                rendered = (_render_rationale(rationale)
-                            if highlight_desc.au_ids else None)
-                highlight = HighlightEntry(rationale=rationale,
-                                           rendered=rendered)
+                rationale = model.highlight(
+                    video, highlight_desc, assess.label, GREEDY,
+                    embed=get_embed())
+                # The I3 turn is recorded only when the description
+                # names at least one action unit.
+                highlight = HighlightEntry(
+                    rationale=rationale,
+                    rendered=(_render_rationale(rationale)
+                              if highlight_desc.au_ids else None))
                 caches.highlight.put(highlight_key, highlight)
-            else:
-                profiling.count(profiling.STAGE_CACHE_HIT)
+            rationale = highlight.rationale
+            rationale_render = highlight.rendered
 
-        return _ChainCore(
-            description=description,
-            greedy_render=greedy_render,
-            label=assess.label,
-            prob=assess.prob,
-            rationale=highlight.rationale,
-            rationale_render=highlight.rendered,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
-    def _materialize(self, core: _ChainCore, degraded: bool = False):
-        """A fresh :class:`ChainResult` (with its own session) from a
-        chain core -- one per request, also for deduplicated ones."""
-        from repro.cot.chain import ChainResult, _assess_instruction
-
-        pipeline = self.pipeline
-        session = DialogueSession()
-        if pipeline.use_chain:
-            session.record(DESCRIBE_INSTRUCTION, core.greedy_render)
-        session.record(
-            _assess_instruction(pipeline.use_chain),
-            "Stressed" if core.label == STRESSED else "Unstressed",
-        )
-        if core.rationale_render is not None:
-            # The serial highlight step records only when the
-            # description names at least one action unit.
-            session.record(HIGHLIGHT_INSTRUCTION, core.rationale_render)
-        return ChainResult(
-            description=core.description,
-            label=core.label,
-            prob_stressed=core.prob,
-            rationale=Rationale(core.rationale),
-            session=session,
-            elapsed_seconds=core.elapsed_seconds,
-            degraded=degraded,
-        )
+    return _ChainCore(
+        description=description,
+        greedy_render=greedy_render,
+        label=assess.label,
+        prob=assess.prob,
+        rationale=rationale,
+        rationale_render=rationale_render,
+        elapsed_seconds=time.perf_counter() - start,
+    )
 
 
-def _render_rationale(rationale: tuple[int, ...]) -> str:
-    from repro.model.foundation import _render_rationale as render
+def _materialize(pipeline, core: _ChainCore,
+                 degraded: bool = False) -> ChainResult:
+    """A fresh :class:`ChainResult` (with its own session) from a
+    chain core -- one per request, also for deduplicated ones."""
+    session = DialogueSession()
+    if pipeline.use_chain:
+        session.record(DESCRIBE_INSTRUCTION, core.greedy_render)
+        session.record(ASSESS_INSTRUCTION, _answer(core.label))
+    else:
+        session.record(DIRECT_ASSESS_INSTRUCTION, _answer(core.label))
+    if core.rationale_render is not None:
+        session.record(HIGHLIGHT_INSTRUCTION, core.rationale_render)
+    return ChainResult(
+        description=core.description,
+        label=core.label,
+        prob_stressed=core.prob,
+        rationale=Rationale(core.rationale),
+        session=session,
+        elapsed_seconds=core.elapsed_seconds,
+        degraded=degraded,
+    )
 
-    return render(rationale)
+
+# -- stage-cache keys: the one place they are built ---------------------
+
+
+def _assess_key(pipeline, key, video: Video,
+                description: FacialDescription | None) -> tuple:
+    # Retrieval derives its sampling seed from video_id, so the assess
+    # key includes the id whenever a retriever is attached.
+    return (key,
+            description.au_ids if description is not None else None,
+            video.video_id if pipeline.retriever is not None else None)
+
+
+def _highlight_key(key, description: FacialDescription, label: int) -> tuple:
+    return (key, description.au_ids, label)
+
+
+def _refine_key(key, video: Video) -> tuple:
+    # The refinement redraw is seeded by video_id, so its key carries
+    # the id alongside the content.
+    return (key, video.video_id, "refined")
+
+
+# ----------------------------------------------------------------------
+
+
+def _answer(label: int) -> str:
+    return "Stressed" if label == STRESSED else "Unstressed"
+
+
+def _check_deadline(deadline: Deadline | None, stage: str) -> None:
+    if deadline is not None and deadline.expired():
+        raise DeadlineExceededError(
+            f"predict deadline expired after the {stage} stage; "
+            "no further model work was spent")
+
+
+def _checked_pipeline(pipeline) -> StressChainPipeline:
+    if not isinstance(pipeline, StressChainPipeline):
+        raise TypeError(
+            f"expected a StressChainPipeline, got {type(pipeline).__name__}")
+    return pipeline

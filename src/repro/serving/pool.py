@@ -12,12 +12,15 @@ worker, stage caches, and circuit breaker:
   caches stay hot -- random routing would shred the hit rate across
   replicas.  Adding or removing a replica remaps only the ring arcs it
   owns, not the whole keyspace.
-- **Two replica backends.**  ``"thread"`` replicas are full
-  :class:`StressService` instances over per-replica pipeline clones;
-  ``"process"`` replicas fork a child that runs the batch executor and
-  speak a tiny pickled command protocol over a pipe (POSIX only --
-  mirrors :mod:`repro.evaluation.parallel`'s fork backend, and falls
-  back to threads the same way).  Defaults come from
+- **Two replica backends, one batch path.**  Every replica is a
+  :class:`StressService`.  A ``"thread"`` replica's service runs its
+  executor in process over a per-replica pipeline clone; a
+  ``"process"`` replica's service runs over a pipe executor that
+  forwards each executor call to a forked child owning the real
+  executor and stage caches (POSIX only -- mirrors
+  :mod:`repro.evaluation.parallel`'s fork backend, and falls back to
+  threads the same way).  Retry, degraded mode, and cache stats are
+  therefore the same on both backends.  Defaults come from
   ``REPRO_POOL_REPLICAS`` / ``REPRO_POOL_BACKEND`` via
   :func:`repro.config.settings`.
 - **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` loads a version
@@ -44,7 +47,6 @@ from dataclasses import dataclass
 
 from repro.config import POOL_BACKEND_ENV, POOL_REPLICAS_ENV, settings
 from repro.errors import (
-    CircuitOpenError,
     ConfigError,
     DeploymentError,
     PoolError,
@@ -52,12 +54,16 @@ from repro.errors import (
 )
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
-from repro.reliability.breaker import CLOSED, OPEN, BreakerConfig, CircuitBreaker
-from repro.reliability.deadlines import Deadline
-from repro.serving.batcher import MicroBatcher
-from repro.serving.cache import LRUCache, StageCaches, video_content_hash
-from repro.serving.service import ServiceConfig, StressService
-from repro.serving.stats import ServiceStats, ServiceStatsSnapshot
+from repro.reliability.breaker import OPEN, BreakerConfig, CircuitBreaker
+# video_content_hash stays importable from here: perfbench's ledger
+# times the router's hashing under this module's name.
+from repro.serving.cache import (  # noqa: F401
+    ContentKeyMemo,
+    video_content_hash,
+)
+from repro.serving.executor import ChainBatchExecutor
+from repro.serving.service import ServiceConfig, StressService, _stage_caches
+from repro.serving.stats import ServiceStatsSnapshot
 from repro.video.frame import Video
 
 __all__ = [
@@ -176,200 +182,116 @@ class _HashRing:
 # ----------------------------------------------------------------------
 
 
-class _ThreadReplica:
-    """One replica backed by a full in-process :class:`StressService`."""
+class _Replica:
+    """One replica: a :class:`StressService` plus the deploy payload
+    its current weights came from (what a rollback re-installs).
 
-    backend = "thread"
+    Both backends are the same service -- one batch path with retry,
+    degraded mode, and cache stats.  A ``"process"`` replica's service
+    runs over a :class:`_PipeExecutor` instead of an in-process
+    :class:`~repro.serving.executor.ChainBatchExecutor`.
+    """
 
-    def __init__(self, index: int, pipeline, config: ServiceConfig):
-        self.index = index
-        self.payload = ("pipeline", pipeline, None)
-        self.service = StressService(pipeline, config)
-
-    def submit(self, video: Video, deadline_ms: float | None):
-        return self.service.submit(video, deadline_ms=deadline_ms)
-
-    def swap(self, payload) -> None:
-        kind, value, __ = payload
-        if kind == "path":
-            from repro.model.persistence import load_pipeline
-
-            pipeline = load_pipeline(value)
-        else:
-            pipeline = value
-        self.service.swap_pipeline(pipeline)
+    def __init__(self, service: StressService, payload):
+        self.service = service
         self.payload = payload
 
     @property
     def breaker(self) -> CircuitBreaker | None:
         return self.service.breaker
 
-    def fingerprint(self) -> str:
-        return self.service.pipeline.model.fingerprint()
-
-    def stats(self) -> ServiceStatsSnapshot:
-        return self.service.stats()
-
-    def close(self, drain: bool = True, timeout: float | None = None) -> bool:
-        return self.service.close(drain=drain, timeout=timeout)
+    def swap(self, payload) -> None:
+        """Install ``payload``'s weights: a registry artifact path (a
+        process replica's child loads it itself) or a pipeline."""
+        __, source, __ = payload
+        self.service.swap_pipeline(source)
+        self.payload = payload
 
 
-def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
-    """Child-process loop of one ``"process"`` replica.
+class _PipeExecutor:
+    """The executor interface of a :class:`StressService`, forwarded
+    over a pipe to a forked child.
 
-    Inherits ``pipeline`` through fork (nothing is pickled on the way
-    in), runs batches through its own executor + caches, and answers
-    ``("ok", result)`` / ``("error", exc)`` per command.  Swap
-    commands carry either a registry artifact *path* (the child
-    re-loads the archive itself -- weights never cross the pipe) or a
-    pickled pipeline (the rollback fallback for pools seeded from a
-    bare pipeline object).
-    """
-    from repro.serving.executor import ChainBatchExecutor
-
-    caches = StageCaches(
-        describe_capacity=config.describe_cache_capacity,
-        assess_capacity=config.assess_cache_capacity,
-        highlight_capacity=config.highlight_cache_capacity,
-    )
-    executor = ChainBatchExecutor(pipeline, caches)
-    while True:
-        try:
-            command, argument = conn.recv()
-        except EOFError:
-            return
-        try:
-            if command == "batch":
-                outcomes, unique = executor.run_batch(argument)
-                conn.send(("ok", (outcomes, unique)))
-            elif command == "swap":
-                kind, value = argument
-                if kind == "path":
-                    from repro.model.persistence import load_pipeline
-
-                    replacement = load_pipeline(value)
-                else:
-                    replacement = value
-                executor.replace_pipeline(replacement)
-                caches.clear()
-                conn.send(("ok", None))
-            elif command == "fingerprint":
-                conn.send(("ok", executor.pipeline.model.fingerprint()))
-            elif command == "close":
-                conn.send(("ok", None))
-                return
-            else:  # pragma: no cover - protocol guard
-                conn.send(("error", PoolError(
-                    f"unknown replica command {command!r}")))
-        except BaseException as exc:  # noqa: BLE001 - child must survive
-            conn.send(("error", exc))
-
-
-class _ProcessReplica:
-    """One replica backed by a forked child process.
-
-    The parent side keeps the request plumbing -- micro-batcher
-    (deadline shedding, bounded queue, stats) and circuit breaker --
-    and ships each collected batch over a pipe to the child, which
-    owns the pipeline, executor, and stage caches.  The pipe is
-    strictly request/response and guarded by a lock, so batch and swap
-    commands never interleave: a swap waits out the in-flight batch
-    exactly like :meth:`StressService.swap_pipeline` does.
+    The child inherits ``pipeline`` through fork (nothing is pickled on
+    the way in) and owns the real executor and stage caches; the
+    parent's service keeps the request plumbing -- micro-batcher,
+    retry, circuit breaker, stats.  The pipe is strictly
+    request/response and guarded by a lock, so calls never interleave.
     """
 
-    backend = "process"
-
-    def __init__(self, index: int, pipeline, config: ServiceConfig):
-        self.index = index
-        self.payload = ("pipeline", pipeline, None)
-        self.config = config
-        self._stats = ServiceStats()
-        self._breaker = (CircuitBreaker(config.breaker)
-                         if config.breaker is not None else None)
+    def __init__(self, pipeline, config: ServiceConfig, name: str):
         context = multiprocessing.get_context("fork")
         self._conn, child_conn = context.Pipe()
-        self._conn_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._process = context.Process(
             target=_process_replica_worker,
             args=(child_conn, pipeline, config),
-            name=f"pool-replica-{index}",
+            name=name,
             daemon=True,
         )
         self._process.start()
         child_conn.close()
-        self._batcher = MicroBatcher(
-            self._process_batch,
-            max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
-            max_queue_depth=config.max_queue_depth,
-            stats=self._stats,
-            name=f"pool-replica-{index}",
-        )
 
-    def _command(self, command: str, argument) -> object:
-        with self._conn_lock:
+    def _call(self, method: str, *args):
+        with self._lock:
             if not self._process.is_alive():
                 raise PoolError(
-                    f"replica {self.index} worker process has exited")
-            self._conn.send((command, argument))
+                    f"{self._process.name} worker process has exited")
+            self._conn.send((method, args))
             status, payload = self._conn.recv()
         if status == "error":
             raise payload
         return payload
 
-    def _process_batch(self, videos: list[Video]) -> list[object]:
-        if self._breaker is not None and not self._breaker.allow():
-            # No parent-side caches to degrade onto: fail fast -- but
-            # the shed batch still counts in this replica's stats,
-            # matching StressService._process_batch's breaker path.
-            self._stats.record_batch(size=len(videos), unique=len(videos))
-            return [CircuitOpenError(
-                "replica circuit breaker is open; retry after its "
-                "open window")] * len(videos)
+    def run_batch(self, videos: list[Video]) -> tuple[list[object], int]:
         try:
-            outcomes, unique = self._command("batch", videos)
-        except BaseException as exc:  # noqa: BLE001 - fail the batch
-            outcomes, unique = [exc] * len(videos), len(videos)
-        if self._breaker is not None:
-            for outcome in outcomes:
-                self._breaker.record(not isinstance(outcome, BaseException))
-        self._stats.record_batch(size=len(videos), unique=unique)
-        return outcomes
+            return self._call("run_batch", videos)
+        except Exception as exc:  # noqa: BLE001 - fail the batch
+            return [exc] * len(videos), len(videos)
 
-    def submit(self, video: Video, deadline_ms: float | None):
-        deadline = (Deadline.after_ms(deadline_ms)
-                    if deadline_ms is not None else None)
-        return self._batcher.submit(video, deadline=deadline)
+    def run_cached(self, video: Video):
+        return self._call("run_cached", video)
 
-    def swap(self, payload) -> None:
-        kind, value, __ = payload
-        self._command("swap", (kind, value))
-        self.payload = payload
+    def swap(self, source) -> None:
+        self._call("swap", source)
 
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        return self._breaker
+    def cache_stats(self) -> dict:
+        """The child's stage-cache stats; empty once it has exited."""
+        try:
+            return self._call("cache_stats")
+        except PoolError:
+            return {}
 
     def fingerprint(self) -> str:
-        return self._command("fingerprint", None)
+        return self._call("fingerprint")
 
-    def stats(self) -> ServiceStatsSnapshot:
-        breaker_state = (self._breaker.state
-                         if self._breaker is not None else CLOSED)
-        return self._stats.snapshot(breaker_state=breaker_state)
-
-    def close(self, drain: bool = True, timeout: float | None = None) -> bool:
-        drained = self._batcher.close(drain=drain, timeout=timeout)
+    def close(self, timeout: float = 5.0) -> None:
         try:
-            self._command("close", None)
+            self._call("close")
         except (PoolError, OSError, EOFError):
             pass
-        self._process.join(timeout if timeout is not None else 5.0)
+        self._process.join(timeout)
         if self._process.is_alive():  # pragma: no cover - hung child
             self._process.terminate()
-            drained = False
         self._conn.close()
-        return drained
+
+
+def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
+    """Child-process loop of one ``"process"`` replica: a dispatcher
+    over a :class:`ChainBatchExecutor`'s methods, answering
+    ``("ok", result)`` / ``("error", exc)`` per call until ``close``."""
+    executor = ChainBatchExecutor(pipeline, _stage_caches(config))
+    while True:
+        try:
+            method, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send(("ok", getattr(executor, method)(*args)))
+        except Exception as exc:  # noqa: BLE001 - child must survive
+            conn.send(("error", exc))
+        if method == "close":
+            return
 
 
 # ----------------------------------------------------------------------
@@ -437,28 +359,30 @@ class ReplicaPool:
         self.registry = registry
         self.version = version
         self._ring = _HashRing(self.num_replicas, vnodes=vnodes)
-        self._key_memo = LRUCache(8192)
+        self._content_key = ContentKeyMemo()
         self._routed = [0] * self.num_replicas
         self._routed_lock = threading.Lock()
         self._deploy_lock = threading.Lock()
         self._closed = False
         initial = self._initial_payload(registry, version)
-        replica_cls = (_ThreadReplica if self.backend == "thread"
-                       else _ProcessReplica)
-        self._replicas: list[_ThreadReplica | _ProcessReplica] = []
+        self._replicas: list[_Replica] = []
         for index in range(self.num_replicas):
-            source = (pipeline if self.backend == "process"
-                      or index == 0 else clone_pipeline(pipeline))
-            replica = replica_cls(index, source, self.config)
-            if initial is not None:
-                replica.payload = initial
-            # Without a versioned artifact the replica keeps the
-            # ("pipeline", ...) payload its constructor captured: its
-            # OWN copy.  One shared payload here would make a later
-            # rollback install the same mutable pipeline into every
-            # thread replica -- exactly the forward-state race
+            if self.backend == "process":
+                source = pipeline
+                service = StressService._over(
+                    _PipeExecutor(pipeline, self.config,
+                                  f"pool-replica-{index}"),
+                    self.config)
+            else:
+                source = pipeline if index == 0 else clone_pipeline(pipeline)
+                service = StressService(source, self.config)
+            # Without a versioned artifact the replica's payload is its
+            # OWN pipeline copy.  One shared payload here would make a
+            # later rollback install the same mutable pipeline into
+            # every thread replica -- exactly the forward-state race
             # clone_pipeline() exists to prevent.
-            self._replicas.append(replica)
+            self._replicas.append(
+                _Replica(service, initial or ("pipeline", source, None)))
         metrics = global_metrics()
         metrics.gauge("pool.replicas").set(self.num_replicas)
         self._m_requests = metrics.counter("pool.requests")
@@ -493,12 +417,7 @@ class ReplicaPool:
     def route(self, video: Video) -> int:
         """The replica index ``video`` shards to (pure function of its
         content hash -- repeats always land on the same replica)."""
-        memo_key = (video.video_id, video.spec.seed)
-        key = self._key_memo.get(memo_key)
-        if key is None:
-            key = video_content_hash(video)
-            self._key_memo.put(memo_key, key)
-        return self._ring.route(key)
+        return self._ring.route(self._content_key(video))
 
     def submit(self, video: Video, deadline_ms: float | None = None):
         """Route and enqueue one request; returns a
@@ -509,7 +428,8 @@ class ReplicaPool:
                 "replica pool is shut down; no new requests accepted")
         index = self.route(video)
         with span("pool.route", replica=index, backend=self.backend):
-            future = self._replicas[index].submit(video, deadline_ms)
+            future = self._replicas[index].service.submit(
+                video, deadline_ms=deadline_ms)
         with self._routed_lock:
             self._routed[index] += 1
         self._m_requests.inc()
@@ -527,7 +447,8 @@ class ReplicaPool:
         """Each replica's model fingerprint (asserts which weights a
         replica actually serves -- equal fingerprints imply bitwise-
         equal forward passes)."""
-        return [replica.fingerprint() for replica in self._replicas]
+        return [replica.service.executor.fingerprint()
+                for replica in self._replicas]
 
     def stats(self) -> PoolStatsSnapshot:
         with self._routed_lock:
@@ -537,7 +458,7 @@ class ReplicaPool:
             backend=self.backend,
             version=self.version,
             routed=routed,
-            replicas=tuple(r.stats() for r in self._replicas),
+            replicas=tuple(r.service.stats() for r in self._replicas),
         )
 
     # -- deploys -------------------------------------------------------
@@ -595,7 +516,8 @@ class ReplicaPool:
         self._closed = True
         drained = True
         for replica in self._replicas:
-            drained = replica.close(drain=drain, timeout=timeout) and drained
+            drained = (replica.service.close(drain=drain, timeout=timeout)
+                       and drained)
         return drained
 
     @property

@@ -119,24 +119,33 @@ class StressService:
     """Concurrent serving front-end over one chain pipeline."""
 
     def __init__(self, pipeline, config: ServiceConfig | None = None):
-        self.config = config or ServiceConfig()
-        self.caches = StageCaches(
-            describe_capacity=self.config.describe_cache_capacity,
-            assess_capacity=self.config.assess_cache_capacity,
-            highlight_capacity=self.config.highlight_cache_capacity,
-        )
-        self.executor = ChainBatchExecutor(pipeline, self.caches)
+        config = config or ServiceConfig()
+        self._setup(ChainBatchExecutor(pipeline, _stage_caches(config)),
+                    config)
+
+    @classmethod
+    def _over(cls, executor, config: ServiceConfig) -> "StressService":
+        """A service over a ready executor: anything with the
+        :class:`ChainBatchExecutor` methods, such as a process
+        replica's pipe executor."""
+        service = cls.__new__(cls)
+        service._setup(executor, config)
+        return service
+
+    def _setup(self, executor, config: ServiceConfig) -> None:
+        self.config = config
+        self.executor = executor
         # Held by the worker for the span of each batch's execution;
         # swap_pipeline() acquires it to wait out the in-flight batch.
         self._swap_lock = threading.Lock()
         self._stats = ServiceStats()
-        self._breaker = (CircuitBreaker(self.config.breaker)
-                         if self.config.breaker is not None else None)
+        self._breaker = (CircuitBreaker(config.breaker)
+                         if config.breaker is not None else None)
         self._batcher = MicroBatcher(
             self._process_batch,
-            max_batch_size=self.config.max_batch_size,
-            max_wait_ms=self.config.max_wait_ms,
-            max_queue_depth=self.config.max_queue_depth,
+            max_batch_size=config.max_batch_size,
+            max_wait_ms=config.max_wait_ms,
+            max_queue_depth=config.max_queue_depth,
             stats=self._stats,
             name="stress-service",
         )
@@ -144,6 +153,10 @@ class StressService:
     @property
     def pipeline(self):
         return self.executor.pipeline
+
+    @property
+    def caches(self) -> StageCaches:
+        return self.executor.caches
 
     @property
     def breaker(self) -> CircuitBreaker | None:
@@ -181,7 +194,7 @@ class StressService:
         """Current service counters (see :class:`ServiceStatsSnapshot`)."""
         breaker_state = (self._breaker.state
                          if self._breaker is not None else CLOSED)
-        return self._stats.snapshot(self.caches.stats(),
+        return self._stats.snapshot(self.executor.cache_stats(),
                                     breaker_state=breaker_state)
 
     def queue_depth(self) -> int:
@@ -191,15 +204,15 @@ class StressService:
         """Hot-swap the served pipeline without dropping requests.
 
         Blocks until the in-flight batch (if any) finishes, then
-        points the executor at ``pipeline`` and clears the stage
-        caches (cached stage outputs are only valid for the weights
-        that produced them).  Queued requests are untouched -- they
-        simply execute against the new pipeline once the swap
-        completes -- so a deploy fails zero in-flight requests.
+        points the executor at ``pipeline`` -- a pipeline, or the path
+        of a saved pipeline archive -- and clears the stage caches
+        (cached stage outputs are only valid for the weights that
+        produced them).  Queued requests are untouched -- they simply
+        execute against the new pipeline once the swap completes -- so
+        a deploy fails zero in-flight requests.
         """
         with self._swap_lock:
-            self.executor.replace_pipeline(pipeline)
-            self.caches.clear()
+            self.executor.swap(pipeline)
 
     @property
     def closed(self) -> bool:
@@ -214,7 +227,9 @@ class StressService:
         pending futures may remain unresolved (see
         :meth:`MicroBatcher.close`).
         """
-        return self._batcher.close(drain=drain, timeout=timeout)
+        drained = self._batcher.close(drain=drain, timeout=timeout)
+        self.executor.close()
+        return drained
 
     def __enter__(self) -> "StressService":
         return self
@@ -287,6 +302,14 @@ class StressService:
                     "circuit breaker is open and the request is not "
                     "fully cached; retry after the breaker's open window"))
         return outcomes
+
+
+def _stage_caches(config: ServiceConfig) -> StageCaches:
+    return StageCaches(
+        describe_capacity=config.describe_cache_capacity,
+        assess_capacity=config.assess_cache_capacity,
+        highlight_capacity=config.highlight_cache_capacity,
+    )
 
 
 class SerialDispatcher:

@@ -82,16 +82,6 @@ class ServiceStatsSnapshot:
         return hits / total if total else 0.0
 
 
-def _quantile(ordered: list[float], q: float) -> float:
-    """Nearest-rank quantile of an already-sorted sample.
-
-    Delegates to the registry-wide ceil rule: fractional ranks resolve
-    upward, so even-window medians pick the upper sample instead of
-    banker's-rounding down.
-    """
-    return nearest_rank_quantile(ordered, q)
-
-
 class ServiceStats:
     """Thread-safe accumulator for the serving counters.
 
@@ -226,15 +216,17 @@ class ServiceStats:
                 deduplicated=self._deduplicated,
                 batches=self._batches,
                 mean_batch_occupancy=occupancy,
-                latency_p50_s=_quantile(ordered, 0.50),
-                latency_p95_s=_quantile(ordered, 0.95),
+                latency_p50_s=nearest_rank_quantile(ordered, 0.50),
+                latency_p95_s=nearest_rank_quantile(ordered, 0.95),
                 cache=dict(cache or {}),
-                failed_latency_p50_s=_quantile(failed_ordered, 0.50),
-                failed_latency_p95_s=_quantile(failed_ordered, 0.95),
-                queue_wait_p50_s=_quantile(waits, 0.50),
-                queue_wait_p95_s=_quantile(waits, 0.95),
-                execute_p50_s=_quantile(executes, 0.50),
-                execute_p95_s=_quantile(executes, 0.95),
+                failed_latency_p50_s=nearest_rank_quantile(
+                    failed_ordered, 0.50),
+                failed_latency_p95_s=nearest_rank_quantile(
+                    failed_ordered, 0.95),
+                queue_wait_p50_s=nearest_rank_quantile(waits, 0.50),
+                queue_wait_p95_s=nearest_rank_quantile(waits, 0.95),
+                execute_p50_s=nearest_rank_quantile(executes, 0.50),
+                execute_p95_s=nearest_rank_quantile(executes, 0.95),
                 shed=self._shed,
                 degraded=self._degraded,
                 retries=self._retries,

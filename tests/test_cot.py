@@ -10,8 +10,9 @@ from repro.cot.incontext import (
     incontext_logit_shift,
 )
 from repro.cot.rationale import Rationale
-from repro.errors import ModelError
+from repro.errors import DeadlineExceededError, ModelError
 from repro.facs.descriptions import FacialDescription
+from repro.model.foundation import FoundationModel
 
 
 class TestPipeline:
@@ -61,6 +62,42 @@ class TestPipeline:
         )
         result = pipeline.predict(test[0].video)
         assert result.label in (0, 1)
+
+    @pytest.mark.parametrize("use_chain", [True, False])
+    def test_predict_runs_the_trunk_once(self, fresh_model, sample_video,
+                                         monkeypatch, use_chain):
+        """Describe, Assess and Highlight all read one trunk embedding
+        (w/o Chain too, where Highlight still needs a description)."""
+        calls = []
+        embed_video = FoundationModel.embed_video
+
+        def counted(model, video):
+            calls.append(video.video_id)
+            return embed_video(model, video)
+
+        monkeypatch.setattr(FoundationModel, "embed_video", counted)
+        result = StressChainPipeline(fresh_model, use_chain=use_chain).predict(
+            sample_video)
+        assert calls == [sample_video.video_id]
+        assert len(result.session) >= 1
+
+    def test_expired_deadline_raises_before_highlight(
+            self, fresh_model, sample_video, monkeypatch):
+        highlights = []
+        highlight = FoundationModel.highlight
+
+        def counted(model, *args, **kwargs):
+            highlights.append(args)
+            return highlight(model, *args, **kwargs)
+
+        monkeypatch.setattr(FoundationModel, "highlight", counted)
+        pipeline = StressChainPipeline(fresh_model)
+        with pytest.raises(DeadlineExceededError, match="Describe"):
+            pipeline.predict(sample_video, deadline_ms=0.0)
+        assert highlights == []
+        # An unbounded call on the same pipeline still completes.
+        assert pipeline.predict(sample_video).label in (0, 1)
+        assert len(highlights) == 1
 
 
 class TestRationale:

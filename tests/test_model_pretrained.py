@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cot.chain import StressChainPipeline
 from repro.errors import ModelError
+from repro.model.generation import GREEDY
 from repro.model.pretrained import available_vendors, load_offtheshelf
+from repro.nn.tensorops import sigmoid
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +65,26 @@ class TestFrozenBehaviour:
         labels = np.array([s.label for s in samples])
         majority = max((labels == 0).mean(), (labels == 1).mean())
         assert (predictions == labels).mean() > 0.55
+
+
+class TestChainOverProxy:
+    """The chain runs the proxy's own stage methods, so its per-query
+    noise reaches serial ``predict`` and the batch executor alike."""
+
+    @pytest.mark.parametrize("use_chain", [True, False])
+    def test_predict_many_matches_predict(self, gpt4o, micro_uvsd,
+                                          use_chain):
+        pipeline = StressChainPipeline(gpt4o, use_chain=use_chain)
+        videos = [sample.video for sample in list(micro_uvsd)[:6]]
+        for served, video in zip(pipeline.predict_many(videos), videos):
+            serial = pipeline.predict(video)
+            assert served.prob_stressed == serial.prob_stressed
+            assert served.rationale.au_ids == serial.rationale.au_ids
+            assert served.session.transcript() == serial.session.transcript()
+
+    def test_predict_carries_the_vendor_noise(self, gpt4o, sample_video):
+        result = StressChainPipeline(gpt4o).predict(sample_video)
+        description = gpt4o.describe(sample_video, GREEDY)
+        logit = gpt4o.assess_logit(sample_video, description)
+        assert result.description == description
+        assert result.prob_stressed == float(sigmoid(np.array(logit))[()])

@@ -34,6 +34,9 @@ from repro.errors import (
 )
 from repro.model.foundation import FoundationModel
 from repro.model.registry import ModelRegistry
+from repro.reliability.breaker import BreakerConfig
+from repro.reliability.faults import FaultPlan, FaultSpec, injected
+from repro.reliability.retry import RetryPolicy
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving.pool import (
@@ -93,6 +96,12 @@ def _assert_same_result(got: ChainResult, want: ChainResult) -> None:
     assert got.prob_stressed == want.prob_stressed
     assert tuple(got.rationale) == tuple(want.rationale)
     assert got.session.transcript() == want.session.transcript()
+
+
+def _open_breaker(pool: ReplicaPool, index: int = 0) -> None:
+    breaker = pool._replicas[index].breaker
+    for __ in range(breaker.config.window):
+        breaker.record(False)
 
 
 # ----------------------------------------------------------------------
@@ -390,21 +399,17 @@ class TestDeploy:
     def test_process_replica_counts_breaker_shed_batches(self):
         """Batches failed fast on an open breaker still show up in the
         replica's stats snapshot, matching the thread path."""
-        from repro.reliability.breaker import BreakerConfig
-        from repro.serving.pool import _ProcessReplica
-
-        replica = _ProcessReplica(0, _pipeline(),
-                                  ServiceConfig(breaker=BreakerConfig()))
-        try:
-            for __ in range(replica.breaker.config.window):
-                replica.breaker.record(False)
-            outcomes = replica._process_batch(_videos(3))
-            assert all(isinstance(o, CircuitOpenError) for o in outcomes)
-            snapshot = replica.stats()
-            assert snapshot.batches == 1
-            assert snapshot.mean_batch_occupancy == 3.0
-        finally:
-            replica.close()
+        config = ServiceConfig(breaker=BreakerConfig(), max_wait_ms=200.0)
+        with ReplicaPool(_pipeline(), num_replicas=1, backend="process",
+                         config=config) as pool:
+            _open_breaker(pool)
+            futures = [pool.submit(video) for video in _videos(3)]
+            for future in futures:
+                assert isinstance(future.exception(timeout=60),
+                                  CircuitOpenError)
+            snapshot = pool.stats().replicas[0]
+        assert snapshot.batches == 1
+        assert snapshot.mean_batch_occupancy == 3.0
 
     def test_deploy_needs_a_registry(self):
         with ReplicaPool(_pipeline(), num_replicas=1) as pool:
@@ -421,6 +426,56 @@ class TestDeploy:
 # ----------------------------------------------------------------------
 # Configuration and lifecycle
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestProcessBackend:
+    """A process replica is a StressService over a pipe executor, so it
+    has the thread backend's degraded mode, cache stats and retry."""
+
+    def test_open_breaker_serves_cached_clip_degraded(self):
+        video = _videos(1)[0]
+        want = _pipeline().predict(video)
+        with ReplicaPool(_pipeline(), num_replicas=1,
+                         backend="process") as pool:
+            pool.predict(video, timeout=60)  # fills the child's caches
+            _open_breaker(pool)
+            got = pool.predict(video, timeout=60)
+            assert got.degraded is True
+            _assert_same_result(got, want)
+            with pytest.raises(CircuitOpenError):
+                pool.predict(_videos(1, offset=50)[0], timeout=60)
+            assert pool.stats().replicas[0].degraded == 1
+
+    def test_stats_report_the_child_stage_caches(self):
+        videos = _videos(3)
+        with ReplicaPool(_pipeline(), num_replicas=1,
+                         backend="process") as pool:
+            for video in videos + videos:
+                pool.predict(video, timeout=60)
+            cache = pool.stats().replicas[0].cache
+        assert set(cache) == {"describe", "assess", "highlight"}
+        assert cache["describe"].size == 3
+        for stage in cache.values():
+            assert stage.hits >= 3 and stage.misses >= 3
+
+    def test_retry_policy_retries_a_transient_execute_fault(self):
+        video = _videos(1)[0]
+        want = _pipeline().predict(video)
+        config = ServiceConfig(retry_policy=RetryPolicy(
+            max_attempts=2, base_delay_ms=0.1, max_delay_ms=0.5))
+        # Armed before the pool forks, so the child inherits the plan:
+        # its first serve.execute faults and the retry succeeds.
+        plan = FaultPlan([FaultSpec(site="serve.execute", rate=1.0,
+                                    max_faults=1)], seed=1)
+        with injected(plan), ReplicaPool(_pipeline(), num_replicas=1,
+                                         backend="process",
+                                         config=config) as pool:
+            got = pool.predict(video, timeout=60)
+            snapshot = pool.stats().replicas[0]
+        _assert_same_result(got, want)
+        assert snapshot.retries == 1
+        assert snapshot.failed == 0
 
 
 class TestConfig:

@@ -8,40 +8,45 @@ import threading
 import pytest
 
 from repro.observability.metrics import MetricsRegistry, nearest_rank_quantile
-from repro.serving.stats import ServiceStats, _quantile
+from repro.serving.stats import ServiceStats
 
 
 class TestNearestRankQuantile:
     def test_empty_sample_is_zero(self):
-        assert _quantile([], 0.5) == 0.0
+        assert nearest_rank_quantile([], 0.5) == 0.0
 
     def test_single_sample_any_quantile(self):
         for q in (0.0, 0.5, 0.95, 1.0):
-            assert _quantile([3.5], q) == 3.5
+            assert nearest_rank_quantile([3.5], q) == 3.5
 
     def test_even_window_median_picks_upper(self):
         # The banker's-rounding bug: round(0.5) == 0 picked the lower
         # sample; the ceil rule resolves the .5 boundary upward.
-        assert _quantile([1.0, 2.0], 0.5) == 2.0
-        assert _quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
+        assert nearest_rank_quantile([1.0, 2.0], 0.5) == 2.0
+        assert nearest_rank_quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
 
     def test_odd_window_median_is_exact(self):
-        assert _quantile([1.0, 2.0, 3.0], 0.5) == 2.0
+        assert nearest_rank_quantile([1.0, 2.0, 3.0], 0.5) == 2.0
 
     def test_extremes(self):
         sample = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert _quantile(sample, 0.0) == 1.0
-        assert _quantile(sample, 1.0) == 5.0
+        assert nearest_rank_quantile(sample, 0.0) == 1.0
+        assert nearest_rank_quantile(sample, 1.0) == 5.0
 
     def test_p95_never_understates(self):
         # 20 samples: rank ceil(0.95 * 19) = 19 -> the maximum.
         sample = [float(i) for i in range(20)]
-        assert _quantile(sample, 0.95) == 19.0
+        assert nearest_rank_quantile(sample, 0.95) == 19.0
 
     def test_module_quantiles_agree(self):
+        """The service snapshot's quantiles use the registry-wide rule."""
         sample = [0.5, 1.5, 2.5, 3.5]
-        for q in (0.0, 0.25, 0.5, 0.75, 0.95, 1.0):
-            assert _quantile(sample, q) == nearest_rank_quantile(sample, q)
+        stats = ServiceStats(registry=MetricsRegistry())
+        for latency in sample:
+            stats.record_completion(latency, failed=False)
+        snap = stats.snapshot()
+        assert snap.latency_p50_s == nearest_rank_quantile(sample, 0.50)
+        assert snap.latency_p95_s == nearest_rank_quantile(sample, 0.95)
 
 
 class TestFailedLatencySeparation:
