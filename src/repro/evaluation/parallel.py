@@ -37,6 +37,7 @@ from typing import Any, TypeVar
 
 from repro.config import BACKEND_ENV, NUM_WORKERS_ENV, settings
 from repro.errors import ConfigError
+from repro.observability import tracing
 
 T = TypeVar("T")
 
@@ -138,7 +139,9 @@ def _fork_map(fn: Callable[[Any], T], items: list[Any],
                         pickle.dump(payload, handle)
                 finally:
                     # Never run parent cleanup (atexit, finally blocks
-                    # up-stack) inside the child.
+                    # up-stack) inside the child; write out its spans,
+                    # which only the skipped atexit close would.
+                    tracing.flush()
                     os._exit(status)
             workers.append((pid, path, share))
 

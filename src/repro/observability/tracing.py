@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import os
 import threading
 import time
 from typing import Any
@@ -65,6 +66,9 @@ class SpanExporter:
     def export(self, record: dict[str, Any]) -> None:  # pragma: no cover
         raise NotImplementedError
 
+    def flush(self) -> None:
+        """Write out anything buffered; default is a no-op."""
+
     def close(self) -> None:
         """Release any resources; default is a no-op."""
 
@@ -84,43 +88,43 @@ class ListExporter(SpanExporter):
 class JsonlExporter(SpanExporter):
     """Appends one JSON line per span to a file.
 
-    The file is opened in append mode and every record is written as a
-    single ``write`` call, so concurrent writers (threads, or forked
-    children inheriting the handle) emit whole lines.  Writes are
-    flushed every ``FLUSH_EVERY`` records rather than per record --
-    the per-span cost is one ``json.dumps`` plus a buffered write --
-    so readers of a live trace may lag by up to a flush interval;
-    :meth:`flush` or :meth:`close` drains the buffer.
+    Lines are buffered and written every ``FLUSH_EVERY`` records as a
+    single ``write`` call on an unbuffered append-mode handle, so
+    concurrent writers (threads, or forked children inheriting the
+    handle) never split a line.  Readers of a live trace may lag by up
+    to a flush interval; :meth:`flush` or :meth:`close` drains the
+    buffer, and a fork drains it first (see :func:`_before_fork`).
     """
 
     FLUSH_EVERY: int = 128
 
     def __init__(self, path: str):
         self.path = path
-        self._handle = open(path, "a", encoding="utf-8")
+        self._handle = open(path, "ab", buffering=0)
         self._lock = threading.Lock()
-        self._pending = 0
+        self._pending: list[str] = []
 
     def export(self, record: dict[str, Any]) -> None:
         line = json.dumps(record, separators=(",", ":"), default=str) + "\n"
         with self._lock:
-            self._handle.write(line)
-            self._pending += 1
-            if self._pending >= self.FLUSH_EVERY:
-                self._handle.flush()
-                self._pending = 0
+            self._pending.append(line)
+            if len(self._pending) >= self.FLUSH_EVERY:
+                self._write_pending()
+
+    def _write_pending(self) -> None:
+        """Write the buffered lines; the caller holds the lock."""
+        if self._pending and not self._handle.closed:
+            self._handle.write("".join(self._pending).encode("utf-8"))
+        self._pending.clear()
 
     def flush(self) -> None:
         with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-            self._pending = 0
+            self._write_pending()
 
     def close(self) -> None:
         with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
-            self._pending = 0
+            self._write_pending()
+            self._handle.close()
 
 
 def install_exporter(exporter: SpanExporter) -> SpanExporter | None:
@@ -153,6 +157,42 @@ def configure_from_env() -> bool:
         install_exporter(exporter)
         atexit.register(exporter.close)
     return enabled()
+
+
+def flush() -> None:
+    """Write out the active exporter's buffer.  A forked child calls
+    this before ``os._exit``, which skips the ``atexit`` close."""
+    exporter = _exporter
+    if exporter is not None:
+        exporter.flush()
+
+
+#: The JSONL exporter whose lock a fork in progress holds.
+_held_across_fork: JsonlExporter | None = None
+
+
+def _before_fork() -> None:
+    """Drain the active JSONL exporter and hold its lock across the
+    fork: the child then inherits neither buffered parent spans (it
+    would write them again) nor a lock another thread held."""
+    global _held_across_fork
+    exporter = _exporter
+    if isinstance(exporter, JsonlExporter):
+        exporter._lock.acquire()
+        exporter._write_pending()
+        _held_across_fork = exporter
+
+
+def _after_fork() -> None:
+    global _held_across_fork
+    if _held_across_fork is not None:
+        _held_across_fork._lock.release()
+        _held_across_fork = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_before_fork, after_in_parent=_after_fork,
+                        after_in_child=_after_fork)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.serving.pool import (
     Deployment,
     PoolStatsSnapshot,
     ReplicaPool,
-    clone_pipeline,
     resolve_pool_backend,
     resolve_pool_replicas,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ServiceStatsSnapshot",
     "StageCaches",
     "StressService",
-    "clone_pipeline",
     "resolve_pool_backend",
     "resolve_pool_replicas",
     "video_content_hash",

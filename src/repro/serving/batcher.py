@@ -26,10 +26,6 @@ batch-collection time (rather than at submit or inside the executor)
 is deliberate: it is the last instant before model time is spent, so
 the single worker thread never burns a forward pass for a caller that
 has stopped waiting (DESIGN.md section 12).
-
-Because every model call happens on the single worker thread, the
-batcher also *serializes* access to the (stateful-during-forward)
-foundation model -- see DESIGN.md section 10.
 """
 
 from __future__ import annotations
@@ -148,9 +144,7 @@ class MicroBatcher:
         complete, every pending future resolved) and ``False`` when it
         is still running at ``timeout`` -- in which case pending
         futures may still be unresolved and the caller should not
-        assume the drain finished.  (Previously this returned ``None``
-        either way, so a timed-out close was indistinguishable from a
-        clean one and hung futures had no signal.)
+        assume the drain finished.
         """
         with self._lock:
             if not self._closed:

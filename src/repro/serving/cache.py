@@ -243,12 +243,11 @@ class StageCaches:
 
     def __init__(self, describe_capacity: int = 2048,
                  assess_capacity: int = 4096,
-                 highlight_capacity: int = 4096,
-                 key_memo_capacity: int = 8192):
+                 highlight_capacity: int = 4096):
         self.describe = _StageCache(describe_capacity)
         self.assess = _StageCache(assess_capacity)
         self.highlight = _StageCache(highlight_capacity)
-        self._content_key = ContentKeyMemo(key_memo_capacity)
+        self._content_key = ContentKeyMemo()
 
     def content_key(self, video: Video) -> str:
         """The video's content hash, memoized (see

@@ -96,10 +96,10 @@ def predict_uncached(pipeline, video: Video, explain: bool,
 class ChainBatchExecutor:
     """Runs chain requests in batches against one pipeline.
 
-    The executor is written for single-threaded use (the micro-batcher
-    worker, or an offline ``predict_many`` loop); the caches it reads
-    are individually thread-safe, but model access is expected to be
-    serialized by the caller.
+    One thread drives an executor (the micro-batcher worker, or an
+    offline ``predict_many`` loop), but several executors may share
+    one pipeline: the chain core only reads weights, and the model's
+    feature cache fills through an atomic ``setdefault``.
 
     Its public methods are the whole interface a
     :class:`~repro.serving.service.StressService` uses, so a process

@@ -3,8 +3,8 @@
 One :class:`~repro.serving.service.StressService` serializes all model
 work on a single batcher thread (DESIGN.md section 10).  A
 :class:`ReplicaPool` shards that hot path across ``num_replicas``
-independent replicas, each owning its *own* pipeline copy, micro-batch
-worker, stage caches, and circuit breaker:
+replicas, each owning its own micro-batch worker, stage caches, and
+circuit breaker:
 
 - **Routing is consistent-hash on content.**  Every request is routed
   by its video content hash over a vnode hash ring, so one clip's
@@ -13,8 +13,9 @@ worker, stage caches, and circuit breaker:
   replicas.  Adding or removing a replica remaps only the ring arcs it
   owns, not the whole keyspace.
 - **Two replica backends, one batch path.**  Every replica is a
-  :class:`StressService`.  A ``"thread"`` replica's service runs its
-  executor in process over a per-replica pipeline clone; a
+  :class:`StressService`.  The ``"thread"`` replicas' services run
+  their executors in process over one shared pipeline (serving only
+  reads weights, so concurrent forward passes are safe); a
   ``"process"`` replica's service runs over a pipe executor that
   forwards each executor call to a forked child owning the real
   executor and stage caches (POSIX only -- mirrors
@@ -52,6 +53,7 @@ from repro.errors import (
     PoolError,
     ServiceClosedError,
 )
+from repro.observability import tracing
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
 from repro.reliability.breaker import OPEN, BreakerConfig, CircuitBreaker
@@ -71,7 +73,6 @@ __all__ = [
     "Deployment",
     "PoolStatsSnapshot",
     "ReplicaPool",
-    "clone_pipeline",
     "resolve_pool_backend",
     "resolve_pool_replicas",
 ]
@@ -115,39 +116,6 @@ def resolve_pool_replicas(num_replicas: int | None = None) -> int:
     return num_replicas
 
 
-def clone_pipeline(pipeline):
-    """An independent copy of ``pipeline`` computing bitwise-identical
-    results.
-
-    Each thread replica needs its *own* pipeline object: the
-    foundation model caches forward activations during a pass, so two
-    replica workers sharing one model would race on that state.  The
-    clone deep-copies the model (weights and feature cache) and
-    rebinds a shallow-copied retriever to it; the verification pool is
-    shared read-only.
-    """
-    import copy
-
-    from repro.cot.chain import StressChainPipeline
-
-    model = pipeline.model.clone()
-    retriever = pipeline.retriever
-    if retriever is not None:
-        retriever = copy.copy(retriever)
-        if hasattr(retriever, "model"):
-            retriever.model = model
-    return StressChainPipeline(
-        model,
-        use_chain=pipeline.use_chain,
-        retriever=retriever,
-        test_time_refine=pipeline.test_time_refine,
-        verification_pool=list(pipeline.verification_pool) or None,
-        refine_rounds=pipeline.refine_rounds,
-        num_verify_trials=pipeline.num_verify_trials,
-        seed=pipeline.seed,
-    )
-
-
 class _HashRing:
     """A consistent-hash ring over replica indices.
 
@@ -184,7 +152,8 @@ class _HashRing:
 
 class _Replica:
     """One replica: a :class:`StressService` plus the deploy payload
-    its current weights came from (what a rollback re-installs).
+    ``(source, version)`` its current weights came from (what a
+    rollback re-installs).
 
     Both backends are the same service -- one batch path with retry,
     degraded mode, and cache stats.  A ``"process"`` replica's service
@@ -201,10 +170,9 @@ class _Replica:
         return self.service.breaker
 
     def swap(self, payload) -> None:
-        """Install ``payload``'s weights: a registry artifact path (a
+        """Install ``payload``'s source: a registry artifact path (a
         process replica's child loads it itself) or a pipeline."""
-        __, source, __ = payload
-        self.service.swap_pipeline(source)
+        self.service.swap_pipeline(payload[0])
         self.payload = payload
 
 
@@ -281,17 +249,22 @@ def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
     over a :class:`ChainBatchExecutor`'s methods, answering
     ``("ok", result)`` / ``("error", exc)`` per call until ``close``."""
     executor = ChainBatchExecutor(pipeline, _stage_caches(config))
-    while True:
-        try:
-            method, args = conn.recv()
-        except EOFError:
-            return
-        try:
-            conn.send(("ok", getattr(executor, method)(*args)))
-        except Exception as exc:  # noqa: BLE001 - child must survive
-            conn.send(("error", exc))
-        if method == "close":
-            return
+    try:
+        while True:
+            try:
+                method, args = conn.recv()
+            except EOFError:
+                return
+            try:
+                conn.send(("ok", getattr(executor, method)(*args)))
+            except Exception as exc:  # noqa: BLE001 - child must survive
+                conn.send(("error", exc))
+            if method == "close":
+                return
+    finally:
+        # The child leaves through os._exit, which skips the atexit
+        # close that would write out its last spans.
+        tracing.flush()
 
 
 # ----------------------------------------------------------------------
@@ -301,18 +274,19 @@ def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
 
 @dataclass(frozen=True, slots=True)
 class PoolStatsSnapshot:
-    """A point-in-time view of the whole pool.
-
-    ``routed`` counts requests per replica (the routing histogram the
-    consistent-hash ring produced); ``replicas`` holds each replica's
-    own :class:`ServiceStatsSnapshot`.
-    """
+    """A point-in-time view of the whole pool: each replica's own
+    :class:`ServiceStatsSnapshot`, and the totals derived from them."""
 
     num_replicas: int
     backend: str
     version: str | None
-    routed: tuple[int, ...]
     replicas: tuple[ServiceStatsSnapshot, ...]
+
+    @property
+    def routed(self) -> tuple[int, ...]:
+        """Requests accepted per replica: the routing histogram the
+        consistent-hash ring produced."""
+        return tuple(replica.requests for replica in self.replicas)
 
     @property
     def requests(self) -> int:
@@ -325,9 +299,9 @@ class ReplicaPool:
     Parameters
     ----------
     pipeline:
-        The pipeline every replica starts from.  Thread replicas each
-        receive an independent :func:`clone_pipeline` copy; process
-        replicas inherit the object through fork.
+        The pipeline every replica starts from.  Thread replicas all
+        serve this object; process replicas inherit it through fork.
+        It must not be trained while the pool serves it.
     num_replicas:
         Replica count (default: ``REPRO_POOL_REPLICAS``, then 1).
     backend:
@@ -360,29 +334,22 @@ class ReplicaPool:
         self.version = version
         self._ring = _HashRing(self.num_replicas, vnodes=vnodes)
         self._content_key = ContentKeyMemo()
-        self._routed = [0] * self.num_replicas
-        self._routed_lock = threading.Lock()
         self._deploy_lock = threading.Lock()
         self._closed = False
-        initial = self._initial_payload(registry, version)
+        initial = (pipeline, version)
+        if (self.backend == "process" and registry is not None
+                and version is not None):
+            initial = self._payload(registry, version)
         self._replicas: list[_Replica] = []
         for index in range(self.num_replicas):
             if self.backend == "process":
-                source = pipeline
                 service = StressService._over(
                     _PipeExecutor(pipeline, self.config,
                                   f"pool-replica-{index}"),
                     self.config)
             else:
-                source = pipeline if index == 0 else clone_pipeline(pipeline)
-                service = StressService(source, self.config)
-            # Without a versioned artifact the replica's payload is its
-            # OWN pipeline copy.  One shared payload here would make a
-            # later rollback install the same mutable pipeline into
-            # every thread replica -- exactly the forward-state race
-            # clone_pipeline() exists to prevent.
-            self._replicas.append(
-                _Replica(service, initial or ("pipeline", source, None)))
+                service = StressService(pipeline, self.config)
+            self._replicas.append(_Replica(service, initial))
         metrics = global_metrics()
         metrics.gauge("pool.replicas").set(self.num_replicas)
         self._m_requests = metrics.counter("pool.requests")
@@ -403,14 +370,13 @@ class ReplicaPool:
         pipeline = registry.load(version)
         return cls(pipeline, registry=registry, version=version, **kwargs)
 
-    @staticmethod
-    def _initial_payload(registry, version):
-        """The shared versioned-artifact payload, or ``None`` for a
-        bare-pipeline pool (each replica then keeps its per-replica
-        pipeline payload)."""
-        if registry is not None and version is not None:
-            return ("path", registry.verified_artifact(version), version)
-        return None
+    def _payload(self, registry, version: str) -> tuple:
+        """The ``(source, version)`` payload that serves ``version``: a
+        process replica's child loads the verified artifact path
+        itself; thread replicas share one pipeline loaded here."""
+        if self.backend == "process":
+            return (registry.verified_artifact(version), version)
+        return (registry.load(version), version)
 
     # -- the hot path --------------------------------------------------
 
@@ -430,8 +396,6 @@ class ReplicaPool:
         with span("pool.route", replica=index, backend=self.backend):
             future = self._replicas[index].service.submit(
                 video, deadline_ms=deadline_ms)
-        with self._routed_lock:
-            self._routed[index] += 1
         self._m_requests.inc()
         self._m_routed[index].inc()
         return future
@@ -451,13 +415,10 @@ class ReplicaPool:
                 for replica in self._replicas]
 
     def stats(self) -> PoolStatsSnapshot:
-        with self._routed_lock:
-            routed = tuple(self._routed)
         return PoolStatsSnapshot(
             num_replicas=self.num_replicas,
             backend=self.backend,
             version=self.version,
-            routed=routed,
             replicas=tuple(r.service.stats() for r in self._replicas),
         )
 
@@ -488,8 +449,7 @@ class ReplicaPool:
         if not 0.0 < canary_fraction <= 1.0:
             raise ConfigError(
                 f"canary_fraction must be in (0, 1], got {canary_fraction}")
-        artifact = registry.verified_artifact(version)
-        payload = ("path", artifact, version)
+        payload = self._payload(registry, version)
         if canary_fraction >= 1.0:
             canary_count = self.num_replicas
         else:
@@ -603,7 +563,7 @@ class Deployment:
                 with span("pool.swap", replica=index, rollback=True):
                     self.pool._replicas[index].swap(payload)
         self.pool._m_rollbacks.inc()
-        previous_versions = {payload[2]
+        previous_versions = {payload[1]
                              for payload in self._previous.values()}
         if len(previous_versions) == 1:
             self.pool.version = next(iter(previous_versions))

@@ -36,9 +36,10 @@ Guarantees:
   broken executor;
 - ``close()`` drains in-flight work before returning and reports
   whether the drain actually completed;
-- all model access runs on the single batcher worker thread, which
-  serializes the foundation model's forward-pass state (DESIGN.md
-  sections 10 and 12).
+- the service only reads the pipeline's weights, so several services
+  (the thread replicas of a pool) may serve one pipeline object at
+  once -- which must not be trained while it serves (DESIGN.md
+  section 10).
 
 :class:`SerialDispatcher` is the no-batching baseline -- a global
 lock around ``pipeline.predict`` -- used by the throughput benchmark
@@ -72,14 +73,15 @@ class ServiceConfig:
     the backpressure limit; the ``*_cache_capacity`` fields size the
     per-stage LRU caches (0 disables a cache).
 
-    The reliability knobs all default *off* so the hot path stays
-    byte-for-byte the PR-3 serving loop unless a deployment opts in:
+    Deadlines, retry and the breaker default *off*, so the hot path
+    runs none of them unless a deployment opts in:
     ``default_deadline_ms`` attaches a deadline to every submit that
     does not bring its own; ``retry_policy`` retries transient
     per-request executor failures with seeded backoff; ``breaker``
-    trips on sustained failure, and ``degraded_mode`` lets an open
-    breaker serve cache-only hits (flagged ``degraded=True``) instead
-    of failing everything fast.
+    trips on sustained failure.  ``degraded_mode`` (on by default, and
+    only read once a breaker is open) lets an open breaker serve
+    cache-only hits (flagged ``degraded=True``) instead of failing
+    everything fast.
     """
 
     max_batch_size: int = 32
@@ -316,11 +318,11 @@ class SerialDispatcher:
     """The pre-serving baseline: concurrent callers are serialized
     through one global lock around ``pipeline.predict``.
 
-    This is the correct (and only safe) way to share a pipeline across
-    threads *without* the service -- the foundation model's layers
-    cache forward activations, so unserialized concurrent calls would
-    race on that state.  The throughput benchmark measures the service
-    against this dispatcher under identical client load.
+    The lock is the baseline's semantics -- one request at a time, no
+    batching -- not a safety requirement: unlocked concurrent
+    ``predict`` calls on one pipeline are also bitwise-serial.  The
+    throughput benchmark measures the service against this dispatcher
+    under identical client load.
 
     Interface parity with :class:`StressService` includes the context
     manager protocol, so benchmark and test harnesses can swap the two

@@ -5,12 +5,14 @@ bitwise)."""
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro.cot.chain import StressChainPipeline
+from repro.evaluation.parallel import parallel_map
 from repro.model.foundation import FoundationModel
 from repro.observability import profiling, tracing
 from repro.observability.metrics import MetricsRegistry, global_metrics
@@ -22,6 +24,7 @@ from repro.observability.tracing import (
     uninstall_exporter,
 )
 from repro.rng import make_rng
+from repro.serving import ReplicaPool
 from repro.training.self_refine import SelfRefineConfig
 from repro.training.trainer import train_stress_model
 
@@ -129,6 +132,59 @@ class TestSpans:
         finally:
             uninstall_exporter().close()
         assert json.loads(path.read_text())["name"] == "env.span"
+
+
+def _traced_child_work(item: int) -> int:
+    for step in range(100):
+        with span("fork.child", item=item, step=step):
+            pass
+    return item
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestForkSafeTraces:
+    def test_forked_children_write_every_span_exactly_once(
+            self, tmp_path, micro_split):
+        """A fork inherits neither the parent's unwritten buffer (its
+        spans would be written once per child) nor loses the child's
+        own tail (children leave through ``os._exit``) -- for the
+        fold map's bare forks and for a process replica pool alike."""
+        path = tmp_path / "fork-trace.jsonl"
+        install_exporter(JsonlExporter(str(path)))
+        videos = [sample.video for sample in micro_split[1][:4]]
+        try:
+            for index in range(5):
+                with span("fork.parent", index=index):
+                    pass
+            items = list(range(6))
+            assert parallel_map(_traced_child_work, items,
+                                backend="process", num_workers=2) == items
+            for index in range(5, 10):
+                with span("fork.parent", index=index):
+                    pass
+            pipeline = StressChainPipeline(
+                FoundationModel(make_rng(5, "fork-trace")))
+            with ReplicaPool(pipeline, num_replicas=2,
+                             backend="process") as pool:
+                for video in videos + videos:
+                    pool.predict(video, timeout=60)
+        finally:
+            uninstall_exporter().close()
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        parent = sorted(r["attrs"]["index"] for r in records
+                        if r["name"] == "fork.parent")
+        assert parent == list(range(10))
+        child = sorted((r["attrs"]["item"], r["attrs"]["step"])
+                       for r in records if r["name"] == "fork.child")
+        assert child == [(item, step) for item in items
+                         for step in range(100)]
+        # Each served request passes the child's Assess stage once (a
+        # cache hit still opens the span) and is routed once in the
+        # parent.
+        names = [r["name"] for r in records]
+        assert names.count("pool.route") == 2 * len(videos)
+        assert names.count("chain.assess") == 2 * len(videos)
 
 
 class TestMetricsRegistry:

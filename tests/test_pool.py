@@ -43,7 +43,6 @@ from repro.serving.pool import (
     DEFAULT_VNODES,
     ReplicaPool,
     _HashRing,
-    clone_pipeline,
     resolve_pool_backend,
     resolve_pool_replicas,
 )
@@ -153,14 +152,39 @@ class TestEquivalence:
             for video, want in zip(videos, reference):
                 _assert_same_result(pool.predict(video, timeout=60), want)
 
-    def test_clone_pipeline_is_independent_and_identical(self):
+    def test_thread_replicas_share_the_callers_pipeline(self):
+        """Every thread replica serves the caller's pipeline object, and
+        concurrent replicas over cold clips (each one a feature-cache
+        miss on the shared model) still match serial ``predict`` on a
+        separately built pipeline."""
+        videos = _videos(64, offset=200)
+        reference = _pipeline()
+        want = {v.video_id: reference.predict(v) for v in videos}
         pipeline = _pipeline()
-        clone = clone_pipeline(pipeline)
-        assert clone is not pipeline
-        assert clone.model is not pipeline.model
-        assert clone.model.fingerprint() == pipeline.model.fingerprint()
-        video = _videos(1)[0]
-        _assert_same_result(clone.predict(video), pipeline.predict(video))
+        failures: list[BaseException] = []
+
+        def client(pool: ReplicaPool, worklist: list[Video]) -> None:
+            try:
+                for video in worklist:
+                    _assert_same_result(pool.predict(video, timeout=60),
+                                        want[video.video_id])
+            except BaseException as exc:  # noqa: BLE001 - collected
+                failures.append(exc)
+
+        with ReplicaPool(pipeline, num_replicas=4, backend="thread") as pool:
+            assert all(replica.service.pipeline is pipeline
+                       for replica in pool._replicas)
+            threads = [threading.Thread(target=client,
+                                        args=(pool, videos[i::8]))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            routed = pool.stats().routed
+        assert failures == []
+        assert sum(routed) == len(videos)
+        assert all(count > 0 for count in routed)
 
 
 # ----------------------------------------------------------------------
@@ -364,23 +388,39 @@ class TestDeploy:
             assert set(pool.fingerprints()) == {v1}
             assert pool.version == "v1"
 
-    def test_rollback_keeps_thread_replica_pipelines_distinct(self, registry):
-        """A thread pool seeded from a bare pipeline rolls each replica
-        back to its OWN clone.  A shared payload would install one
-        mutable pipeline into every replica, and the concurrent workers
-        would then race on its forward/feature cache."""
+    def test_rollback_restores_each_thread_replica_pipeline(self, registry):
+        """A thread pool seeded from a bare pipeline rolls every replica
+        back to the pipeline it served before the deploy, and the
+        restored pool computes correct results."""
         with ReplicaPool(_pipeline(), num_replicas=3, backend="thread",
                          registry=registry) as pool:
-            before = [id(r.service.pipeline) for r in pool._replicas]
-            assert len(set(before)) == 3
+            before = [r.service.pipeline for r in pool._replicas]
             deployment = pool.deploy("v2")
             deployment.rollback()
-            after = [id(r.service.pipeline) for r in pool._replicas]
-            assert after == before
-            # And the restored pool still computes correct results.
-            video = _videos(1)[0]
+            after = [r.service.pipeline for r in pool._replicas]
+            assert all(a is b for a, b in zip(after, before))
+            assert pool.version is None
+            for video in _videos(3):
+                _assert_same_result(pool.predict(video, timeout=30),
+                                    _pipeline().predict(video))
+
+    def test_thread_deploy_shares_one_pipeline(self, registry):
+        """A deploy loads the version once and every thread replica
+        serves that one object; a rollback brings back the original."""
+        pipeline = registry.load("v1")
+        video = _videos(1)[0]
+        with ReplicaPool(pipeline, num_replicas=3, backend="thread",
+                         registry=registry, version="v1") as pool:
+            deployment = pool.deploy("v2")
+            deployed = {id(r.service.pipeline) for r in pool._replicas}
+            assert len(deployed) == 1
+            assert pool._replicas[0].service.pipeline is not pipeline
             _assert_same_result(pool.predict(video, timeout=30),
-                                _pipeline().predict(video))
+                                registry.load("v2").predict(video))
+            deployment.rollback()
+            assert all(r.service.pipeline is pipeline
+                       for r in pool._replicas)
+            assert pool.version == "v1"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_process_pool_deploy_and_rollback(self, registry):

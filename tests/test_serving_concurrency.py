@@ -7,12 +7,13 @@ timeout), no dropped or duplicated responses, every response bitwise
 identical to a serial run, and backpressure errors raised *only* when
 the queue genuinely exceeded ``max_queue_depth``.
 
-Also the regression for the latent mutable-state hazard: the
-foundation model's layers cache forward activations
-(``Linear.forward`` stores its input), so unserialized concurrent
-model calls would race.  The service serializes all model access on
-the batcher worker and hands out per-request sessions; the tests pin
-both properties.
+Also the model-level contract the thread replica pool and
+``evaluate_offtheshelf(backend="thread")`` rely on: unlocked
+concurrent ``pipeline.predict`` calls on one shared pipeline return
+bitwise-serial results, because inference only reads weights (the
+feature cache fills through an atomic ``setdefault``, and the input a
+``Linear`` layer keeps is read only by training's backward pass).
+Every response also gets its own dialogue session.
 """
 
 from __future__ import annotations
@@ -216,4 +217,50 @@ def test_serial_dispatcher_is_thread_safe_baseline(pipeline):
         thread.join(JOIN_TIMEOUT_S)
         assert not thread.is_alive()
     dispatcher.close()
+    assert not mismatches
+
+
+def test_unlocked_concurrent_predict_on_one_pipeline_is_serial_identical():
+    """8 threads call ``predict`` on one fresh pipeline with no lock;
+    every result is bitwise-equal to a serial run on a separately
+    built pipeline (the shared model's feature cache starts empty, so
+    threads race on its misses too)."""
+    videos = _videos(24, base_seed=600)
+    reference = StressChainPipeline(
+        FoundationModel(make_rng(47, "serving-concurrency")))
+    serial = {v.video_id: reference.predict(v) for v in videos}
+    shared = StressChainPipeline(
+        FoundationModel(make_rng(47, "serving-concurrency")))
+    num_threads = 8
+    start_barrier = threading.Barrier(num_threads)
+    mismatches: list[str] = []
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def client(thread_id: int) -> None:
+        rng = random.Random(thread_id)
+        start_barrier.wait()
+        try:
+            for video in rng.sample(videos, len(videos)):
+                result = shared.predict(video)
+                want = serial[video.video_id]
+                if (result.label != want.label
+                        or result.prob_stressed != want.prob_stressed
+                        or tuple(result.rationale) != tuple(want.rationale)
+                        or result.session.transcript()
+                        != want.session.transcript()):
+                    with lock:
+                        mismatches.append(video.video_id)
+        except BaseException as exc:  # noqa: BLE001 - collected below
+            with lock:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(i,))
+               for i in range(num_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(JOIN_TIMEOUT_S)
+        assert not thread.is_alive(), "client thread deadlocked"
+    assert not errors, f"unexpected predict failures: {errors[:3]}"
     assert not mismatches
