@@ -107,7 +107,7 @@ class FoundationModel(Module):
         self.highlight_assess = Parameter("highlight_assess",
                                           rng.normal(0.0, 0.12, NUM_AUS))
         self.frozen = False
-        self._feature_cache: dict[tuple[str, int], np.ndarray] = {}
+        self._feature_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Features / embedding
@@ -117,16 +117,18 @@ class FoundationModel(Module):
         """Patch features of a video's keyframe pair (cached: features
         are weight-independent).
 
-        The cache key includes the render seed: two datasets generated
-        with different root seeds reuse the same human-readable video
-        ids, but their render seeds are globally unique.
+        The cache key is the video's content hash
+        (:attr:`Video.content_hash`, memoised on the video), not its id:
+        two clips with the same id and render seed but different content
+        never share features, and datasets that reuse human-readable ids
+        cannot collide.
 
         Thread-safety: concurrent callers may both miss and render the
         same video; ``setdefault`` keeps exactly one array in the cache
         so every caller observes the same object (the duplicate render
         is wasted work, never wrong results).
         """
-        key = (video.video_id, video.spec.seed)
+        key = video.content_hash
         cached = self._feature_cache.get(key)
         if cached is None:
             if profiling.enabled():

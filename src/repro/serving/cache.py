@@ -30,20 +30,18 @@ the one memo both the stage caches and the replica pool's router use.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.facs.descriptions import FacialDescription
 from repro.observability import profiling
 from repro.reliability.faults import fault_point
-from repro.video.frame import Video
+# video_content_hash stays importable from here: perfbench's ledger
+# times the stage caches' hashing under this module's name.
+from repro.video.frame import Video, video_content_hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,35 +151,6 @@ class _NullStageCaches:
 NULL_CACHES = _NullStageCaches()
 
 
-# ----------------------------------------------------------------------
-# Content keys
-# ----------------------------------------------------------------------
-
-
-def video_content_hash(video: Video) -> str:
-    """Hex digest of everything that determines the video's pixels.
-
-    Digests the latent spec -- per-frame AU intensities, identity
-    embedding, capture parameters, render seed -- plus the renderer's
-    frame size.  Rendering is deterministic given exactly these inputs
-    (see :class:`~repro.video.frame.Video`), so equal digests imply
-    pixel-identical clips.
-    """
-    spec = video.spec
-    digest = hashlib.sha1()
-    au = np.ascontiguousarray(spec.au_intensities, dtype=np.float64)
-    digest.update(struct.pack("<qq", *au.shape))
-    digest.update(au.tobytes())
-    digest.update(
-        np.ascontiguousarray(spec.identity, dtype=np.float64).tobytes()
-    )
-    digest.update(struct.pack(
-        "<dddqq", spec.lighting, spec.noise_scale, spec.occlusion_rate,
-        spec.seed, video.frame_size,
-    ))
-    return digest.hexdigest()
-
-
 @dataclass(frozen=True, slots=True)
 class DescribeEntry:
     """Cached output of the Describe stage for one video content.
@@ -212,13 +181,19 @@ class HighlightEntry:
     rendered: str | None
 
 
+# ----------------------------------------------------------------------
+# Content keys
+# ----------------------------------------------------------------------
+
+
 class ContentKeyMemo:
     """Memoized :func:`video_content_hash`.
 
-    The memo key is ``(video_id, render seed)`` -- the repo-wide
-    contract (see :meth:`FoundationModel.features`) is that this pair
-    is globally unique per rendered content.  Every content-key memo in
-    the serving layer is one of these, so the policy lives here alone.
+    The memo key is the caller-supplied ``(video_id, render seed)``, so
+    callers must not reuse that pair for different content (the model's
+    feature cache does not rely on it: it keys on the content hash).
+    Every content-key memo in the serving layer is one of these, so the
+    policy lives here alone.
     """
 
     def __init__(self, capacity: int = 8192):

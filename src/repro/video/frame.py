@@ -11,7 +11,9 @@ still works on genuine pixel arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import struct
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -133,6 +135,11 @@ class Video:
     def frame_size(self) -> int:
         return self._renderer.frame_size
 
+    @cached_property
+    def content_hash(self) -> str:
+        """:func:`video_content_hash` of this clip, computed once."""
+        return video_content_hash(self)
+
     # -- rendering -----------------------------------------------------
 
     def frame(self, index: int) -> np.ndarray:
@@ -188,3 +195,27 @@ class Video:
             f"Video(id={self.video_id!r}, subject={self.subject_id!r}, "
             f"frames={self.num_frames})"
         )
+
+
+def video_content_hash(video: Video) -> str:
+    """Hex digest of everything that determines the video's pixels.
+
+    Digests the latent spec -- per-frame AU intensities, identity
+    embedding, capture parameters, render seed -- plus the renderer's
+    frame size.  Rendering is deterministic given exactly these inputs
+    (see :class:`Video`), so equal digests imply pixel-identical clips.
+    The ``video_id`` is not part of the content.
+    """
+    spec = video.spec
+    digest = hashlib.sha1()
+    au = np.ascontiguousarray(spec.au_intensities, dtype=np.float64)
+    digest.update(struct.pack("<qq", *au.shape))
+    digest.update(au.tobytes())
+    digest.update(
+        np.ascontiguousarray(spec.identity, dtype=np.float64).tobytes()
+    )
+    digest.update(struct.pack(
+        "<dddqq", spec.lighting, spec.noise_scale, spec.occlusion_rate,
+        spec.seed, video.frame_size,
+    ))
+    return digest.hexdigest()

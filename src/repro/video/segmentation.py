@@ -8,6 +8,12 @@ k-means in a joint (intensity, row, col) feature space with cluster
 centres initialised on a regular grid and a restricted 2S x 2S search
 window, followed by a connectivity-enforcement pass that absorbs
 orphaned fragments into their largest neighbour.
+
+Both passes run as whole-array NumPy/SciPy operations, yet return the
+label map of the plain per-pixel loops bit for bit (the loops are kept
+as the test oracle in ``tests/slic_reference.py``): see
+:func:`slic_segments` and :func:`_enforce_connectivity` for why each
+step is exact.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ def slic_segments(
     Parameters
     ----------
     image:
-        ``(H, W)`` array in ``[0, 1]``.
+        Finite ``(H, W)`` array in ``[0, 1]``.
     num_segments:
         Target number of superpixels (the paper uses 64).
     compactness:
@@ -49,12 +55,23 @@ def slic_segments(
     Returns
     -------
     numpy.ndarray
-        ``(H, W)`` int array of contiguous segment labels in
-        ``[0, num_labels)``; ``num_labels <= num_segments``.
+        ``(H, W)`` int64 array of segment labels, contiguous in
+        ``[0, num_labels)``; every segment is one 4-connected
+        component.  ``num_labels`` is near ``num_segments`` but may
+        exceed it: connectivity enforcement splits a cluster whose
+        pixels fall apart into separate regions.
+
+    Raises
+    ------
+    ExplainerError
+        If the image is not 2-D or holds NaN or inf, or if
+        ``num_segments`` is not in ``[1, H * W]``.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ExplainerError(f"slic expects a 2-D image, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise ExplainerError("slic expects a finite image (found NaN or inf)")
     height, width = image.shape
     if num_segments < 1:
         raise ExplainerError("num_segments must be positive")
@@ -69,37 +86,52 @@ def slic_segments(
 
     step = max(1.0, np.sqrt(height * width / k))
     spatial_weight = compactness / step
+    weight_sq = spatial_weight**2
 
-    rows, cols = np.mgrid[0:height, 0:width].astype(np.float64)
+    row_coords = np.arange(height, dtype=np.float64)
+    col_coords = np.arange(width, dtype=np.float64)
+    flat_image = image.ravel()
+    flat_rows = np.repeat(row_coords, width)
+    flat_cols = np.tile(col_coords, height)
     labels = np.zeros((height, width), dtype=np.int64)
-    best_dist = np.full((height, width), np.inf)
+    flat_labels = labels.ravel()
+    best_dist = np.empty((height, width))
 
     for _ in range(num_iters):
         best_dist.fill(np.inf)
-        for ci in range(k):
-            r, c = centers_pos[ci]
-            r0 = max(0, int(r - 2 * step))
-            r1 = min(height, int(r + 2 * step) + 1)
-            c0 = max(0, int(c - 2 * step))
-            c1 = min(width, int(c + 2 * step) + 1)
-            window_val = image[r0:r1, c0:c1]
-            window_rows = rows[r0:r1, c0:c1]
-            window_cols = cols[r0:r1, c0:c1]
-            dist = (window_val - centers_val[ci]) ** 2 + (
-                spatial_weight**2
-            ) * ((window_rows - r) ** 2 + (window_cols - c) ** 2)
+        # Each centre searches a 2S window around itself; the spatial
+        # term is the outer sum of its 1-D row and column terms.
+        row_sq = (row_coords - centers_pos[:, :1]) ** 2
+        col_sq = (col_coords - centers_pos[:, 1:]) ** 2
+        low = np.maximum(0, (centers_pos - 2 * step).astype(int))
+        high = np.minimum((height, width), (centers_pos + 2 * step).astype(int) + 1)
+        windows = zip(low.tolist(), high.tolist())
+        # Centres claim pixels in index order and a pixel moves only on
+        # a strictly smaller distance, so the lowest-index centre wins
+        # a tie.
+        for ci, ((r0, c0), (r1, c1)) in enumerate(windows):
+            spatial = row_sq[ci, r0:r1, None] + col_sq[ci, c0:c1]
+            dist = (image[r0:r1, c0:c1] - centers_val[ci]) ** 2 + (
+                weight_sq * spatial
+            )
             window_best = best_dist[r0:r1, c0:c1]
             better = dist < window_best
-            window_best[better] = dist[better]
-            labels[r0:r1, c0:c1][better] = ci
-        # Update centres from current assignment.
-        for ci in range(k):
-            mask = labels == ci
-            if not mask.any():
-                continue
-            centers_pos[ci, 0] = rows[mask].mean()
-            centers_pos[ci, 1] = cols[mask].mean()
-            centers_val[ci] = image[mask].mean()
+            np.copyto(window_best, dist, where=better)
+            np.copyto(labels[r0:r1, c0:c1], ci, where=better)
+        # Update centres from current assignment; an empty cluster
+        # keeps its centre.  Coordinates are integers, so their sums
+        # are exact in any order; the intensity mean is taken over the
+        # cluster's pixels in raster order (the stable sort keeps it).
+        counts = np.bincount(flat_labels, minlength=k)
+        present = counts > 0
+        for axis, coords in enumerate((flat_rows, flat_cols)):
+            sums = np.bincount(flat_labels, weights=coords, minlength=k)
+            centers_pos[present, axis] = sums[present] / counts[present]
+        by_cluster = flat_image[np.argsort(flat_labels, kind="stable")]
+        starts = np.cumsum(counts) - counts
+        for ci in np.flatnonzero(present):
+            members = by_cluster[starts[ci]:starts[ci] + counts[ci]]
+            centers_val[ci] = members.mean()
 
     return _enforce_connectivity(labels)
 
@@ -107,31 +139,27 @@ def slic_segments(
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     """Relabel so every segment is a single 4-connected component and
     labels are contiguous starting at 0."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     height, width = labels.shape
-    component = -np.ones_like(labels)
-    next_label = 0
-    # Flood-fill each connected component of equal original label.
-    for start_r in range(height):
-        for start_c in range(width):
-            if component[start_r, start_c] != -1:
-                continue
-            original = labels[start_r, start_c]
-            stack = [(start_r, start_c)]
-            component[start_r, start_c] = next_label
-            pixels = [(start_r, start_c)]
-            while stack:
-                r, c = stack.pop()
-                for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if (
-                        0 <= nr < height
-                        and 0 <= nc < width
-                        and component[nr, nc] == -1
-                        and labels[nr, nc] == original
-                    ):
-                        component[nr, nc] = next_label
-                        stack.append((nr, nc))
-                        pixels.append((nr, nc))
-            next_label += 1
+    # Connected components of equal original label, over the graph of
+    # equal-label 4-neighbour pairs, numbered by first raster
+    # occurrence (the order a raster-scan flood fill finds them).
+    index = np.arange(labels.size).reshape(height, width)
+    same_down = labels[:-1, :] == labels[1:, :]
+    same_right = labels[:, :-1] == labels[:, 1:]
+    heads = np.concatenate((index[:-1, :][same_down], index[:, :-1][same_right]))
+    tails = np.concatenate((index[1:, :][same_down], index[:, 1:][same_right]))
+    graph = coo_matrix(
+        (np.ones(heads.size, dtype=np.int8), (heads, tails)),
+        shape=(labels.size, labels.size),
+    )
+    next_label, found = connected_components(graph, directed=False)
+    __, first_pixel = np.unique(found, return_index=True)
+    rank = np.empty(next_label, dtype=np.int64)
+    rank[np.argsort(first_pixel)] = np.arange(next_label)
+    component = rank[found].reshape(height, width)
     # Absorb tiny fragments into a neighbouring component.
     min_size = max(4, labels.size // (next_label * 4) if next_label else 4)
     sizes = np.bincount(component.ravel(), minlength=next_label)
@@ -145,11 +173,8 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
             sizes[neighbour] += sizes[label]
             sizes[label] = 0
     # Make labels contiguous.
-    unique = np.unique(component)
-    remap = {old: new for new, old in enumerate(unique)}
-    flat = component.ravel()
-    remapped = np.array([remap[v] for v in flat], dtype=np.int64)
-    return remapped.reshape(labels.shape)
+    __, contiguous = np.unique(component, return_inverse=True)
+    return contiguous.reshape(labels.shape).astype(np.int64, copy=False)
 
 
 def _dominant_neighbour(component: np.ndarray, mask: np.ndarray) -> int | None:

@@ -1,5 +1,6 @@
 """Tests for the FoundationModel simulator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 
 from repro.errors import ModelError
 from repro.facs.descriptions import FacialDescription
+from repro.model.features import video_features
 from repro.model.foundation import STRESSED, UNSTRESSED, FoundationModel
 from repro.model.generation import GenerationConfig
 from repro.model.session import DialogueSession
 from repro.rng import make_rng
+from repro.video import frame
+from repro.video.frame import Video, video_content_hash
 
 
 class TestDescribe:
@@ -189,3 +193,34 @@ class TestHousekeeping:
         features_a = fresh_model.features(a[0].video)
         features_b = fresh_model.features(b[0].video)
         assert not np.array_equal(features_a, features_b)
+
+    def test_feature_cache_keys_on_content_not_id_and_seed(
+        self, fresh_model, sample_video
+    ):
+        """Regression: two specs with the same id and render seed but
+        different AU curves must not share cached features."""
+        curves = sample_video.spec.au_intensities.copy()
+        curves[:, 0] = 0.9
+        other = Video(dataclasses.replace(sample_video.spec,
+                                          au_intensities=curves))
+        assert other.video_id == sample_video.video_id
+        assert other.spec.seed == sample_video.spec.seed
+        first = fresh_model.features(sample_video)
+        features = fresh_model.features(other)
+        assert np.array_equal(features, video_features(other, fresh_model.grid))
+        assert not np.array_equal(features, first)
+
+    def test_feature_cache_hashes_each_video_once(
+        self, fresh_model, sample_video, monkeypatch
+    ):
+        calls = []
+
+        def counting_hash(video):
+            calls.append(video)
+            return video_content_hash(video)
+
+        monkeypatch.setattr(frame, "video_content_hash", counting_hash)
+        video = Video(sample_video.spec)
+        for _ in range(3):
+            fresh_model.features(video)
+        assert calls == [video]
