@@ -113,7 +113,7 @@ def bench_pool(quick: bool) -> dict:
     content = _content_pool(8 if quick else 16)
     pipeline = StressChainPipeline(
         FoundationModel(make_rng(0, "bench-pool-model")))
-    config = ServiceConfig(max_batch_size=64, max_wait_ms=0.2)
+    config = ServiceConfig(max_batch_size=64)
 
     # Serial reference + warm model-side caches (frame render, patch
     # features), so the timed runs compare dispatch strategies rather

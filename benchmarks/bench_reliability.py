@@ -157,8 +157,8 @@ def bench_deadline(pool: list[Video], requests: int) -> dict:
     pipeline = StressChainPipeline(model)
 
     def run(deadline_ms: float | None) -> float:
-        service = StressService(pipeline, ServiceConfig(
-            max_batch_size=8, max_wait_ms=0.0))
+        service = StressService(pipeline,
+                                ServiceConfig(max_batch_size=8))
         for video in pool:  # warm stage caches
             service.predict(video)
 

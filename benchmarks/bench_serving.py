@@ -119,8 +119,8 @@ def bench_serving(quick: bool) -> dict:
                                       requests_per_client, reference)
         serial.close()
 
-        service = StressService(pipeline, ServiceConfig(
-            max_batch_size=64, max_wait_ms=0.2))
+        service = StressService(pipeline,
+                                ServiceConfig(max_batch_size=64))
         # steady-state: one pass over the pool warms the stage caches
         for video in pool:
             service.predict(video)

@@ -1,11 +1,11 @@
 """The dynamic micro-batcher.
 
-One daemon worker thread drains a bounded request queue in batches:
-a batch closes as soon as it holds ``max_batch_size`` requests *or*
-the oldest queued request has waited ``max_wait_ms`` -- whichever
-comes first.  Under burst load batches fill instantly (no added
-latency); under trickle load a request waits at most ``max_wait_ms``
-for company.
+One daemon worker thread drains a bounded request queue in batches.
+The batcher is work-conserving: as soon as the worker is free, it
+takes whatever is queued, up to ``max_batch_size``, and runs it.  It
+never waits for company -- a lone request on an idle worker starts at
+once, and under load batches still fill because requests queue while
+the previous batch executes.
 
 The queue is bounded: a submit past ``max_queue_depth`` is rejected
 immediately with :class:`~repro.errors.ServiceOverloadedError`
@@ -60,37 +60,35 @@ class _Pending:
 class MicroBatcher:
     """Coalesces concurrent submissions into batches.
 
+    The worker takes what is queued, up to ``max_batch_size``, the
+    moment it is free; there is no batching timer.
+
     Parameters
     ----------
     on_batch:
         Callback receiving the list of batched items; must return one
         outcome per item, in order.  An outcome that is an exception
         instance fails that item's future; anything else resolves it.
-    max_batch_size / max_wait_ms / max_queue_depth:
-        The flush and backpressure knobs described in the module
-        docstring.
+    max_batch_size / max_queue_depth:
+        The largest batch the worker takes from the queue, and the
+        backpressure limit, as described in the module docstring.
     stats:
         Optional :class:`ServiceStats` fed with per-request latencies
         and rejection counts.
     """
 
     def __init__(self, on_batch: Callable[[list[Any]], Sequence[Any]],
-                 max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                 max_queue_depth: int = 256,
+                 max_batch_size: int = 32, max_queue_depth: int = 256,
                  stats: ServiceStats | None = None,
                  name: str = "micro-batcher"):
         if max_batch_size < 1:
             raise ConfigError(
                 f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ConfigError(
-                f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}")
         self._on_batch = on_batch
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_ms / 1000.0
         self.max_queue_depth = max_queue_depth
         self._stats = stats
         self._queue: deque[_Pending] = deque()
@@ -162,34 +160,29 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def _collect_batch(self) -> list[_Pending]:
-        """Block until a batch is ready (or the batcher is done).
+        """Block until work is queued (or the batcher is done), then
+        take up to ``max_batch_size`` requests from the queue head.
 
-        Returns an empty list only when closed with an empty queue.
+        Returns an empty list when there is nothing to execute: closed
+        with an empty queue, or closed with ``drain=False``, in which
+        case every queued request is failed instead.
         """
         with self._lock:
             while not self._queue and not self._closed:
                 self._wakeup.wait()
-            if not self._queue:
-                return []
-            if self._closed and not self._drain_on_close:
-                failed = list(self._queue)
-                self._queue.clear()
-                for pending in failed:
-                    pending.future.set_exception(
-                        ServiceClosedError("service shut down before "
-                                           "this request was processed"))
-                return []
-            deadline = self._queue[0].enqueued_at + self.max_wait_s
-            while (len(self._queue) < self.max_batch_size
-                   and not self._closed):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._wakeup.wait(timeout=remaining)
-            batch = []
-            while self._queue and len(batch) < self.max_batch_size:
-                batch.append(self._queue.popleft())
-            return batch
+            if not self._closed or self._drain_on_close:
+                size = min(len(self._queue), self.max_batch_size)
+                return [self._queue.popleft() for __ in range(size)]
+            abandoned = list(self._queue)
+            self._queue.clear()
+        # Failed outside the lock: set_exception runs done-callbacks
+        # synchronously, and one that re-enters the batcher (submit,
+        # queue_depth, closed) would otherwise deadlock the worker.
+        for pending in abandoned:
+            pending.future.set_exception(
+                ServiceClosedError("service shut down before "
+                                   "this request was processed"))
+        return []
 
     def _shed_expired(self, batch: list[_Pending]) -> list[_Pending]:
         """Fail already-expired requests; return the still-live rest.

@@ -68,10 +68,11 @@ from repro.video.frame import Video
 class ServiceConfig:
     """Knobs of one :class:`StressService`.
 
-    ``max_batch_size`` / ``max_wait_ms`` shape the micro-batches
-    (flush on whichever bound is hit first); ``max_queue_depth`` is
-    the backpressure limit; the ``*_cache_capacity`` fields size the
-    per-stage LRU caches (0 disables a cache).
+    ``max_batch_size`` caps the micro-batches: the worker takes what
+    is queued, up to ``max_batch_size``, as soon as it is free, with
+    no batching timer; ``max_queue_depth`` is the backpressure limit;
+    the ``*_cache_capacity`` fields size the per-stage LRU caches (0
+    disables a cache).
 
     Deadlines, retry and the breaker default *off*, so the hot path
     runs none of them unless a deployment opts in:
@@ -85,7 +86,6 @@ class ServiceConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     max_queue_depth: int = 256
     describe_cache_capacity: int = 2048
     assess_cache_capacity: int = 4096
@@ -99,9 +99,6 @@ class ServiceConfig:
         if self.max_batch_size < 1:
             raise ConfigError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0:
-            raise ConfigError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
@@ -146,7 +143,6 @@ class StressService:
         self._batcher = MicroBatcher(
             self._process_batch,
             max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
             max_queue_depth=config.max_queue_depth,
             stats=self._stats,
             name="stress-service",

@@ -160,7 +160,7 @@ def test_served_results_match_golden():
     model = FoundationModel(make_rng(123, "golden-model"))
     videos = _golden_videos()
     for variant, pipeline in _pipelines(model, _pool()).items():
-        with StressService(pipeline, ServiceConfig(max_wait_ms=0.5)) as service:
+        with StressService(pipeline, ServiceConfig()) as service:
             for video in videos:
                 result = service.predict(video, timeout=30)
                 want = recorded[f"{variant}/{video.video_id}"]

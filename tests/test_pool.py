@@ -308,9 +308,8 @@ class TestDeploy:
         """Deploy mid-load: every already-submitted and every
         subsequent request resolves; none fails."""
         videos = _videos(24)
-        with ReplicaPool.from_registry(registry, "v1", num_replicas=2,
-                                       config=ServiceConfig(
-                                           max_wait_ms=5.0)) as pool:
+        with ReplicaPool.from_registry(registry, "v1",
+                                       num_replicas=2) as pool:
             first = [pool.submit(video) for video in videos]
             deployment = pool.deploy("v2")
             second = [pool.submit(video) for video in videos]
@@ -439,17 +438,33 @@ class TestDeploy:
     def test_process_replica_counts_breaker_shed_batches(self):
         """Batches failed fast on an open breaker still show up in the
         replica's stats snapshot, matching the thread path."""
-        config = ServiceConfig(breaker=BreakerConfig(), max_wait_ms=200.0)
+        config = ServiceConfig(breaker=BreakerConfig())
         with ReplicaPool(_pipeline(), num_replicas=1, backend="process",
                          config=config) as pool:
             _open_breaker(pool)
-            futures = [pool.submit(video) for video in _videos(3)]
+            # Hold the worker on a first batch so the next three
+            # requests queue behind it and leave as one batch.
+            batcher = pool._replicas[0].service._batcher
+            process_batch = batcher._on_batch
+            busy, release = threading.Event(), threading.Event()
+
+            def gated(items):
+                busy.set()
+                release.wait(60)
+                return process_batch(items)
+
+            batcher._on_batch = gated
+            videos = _videos(4)
+            futures = [pool.submit(videos[0])]
+            assert busy.wait(60)
+            futures += [pool.submit(video) for video in videos[1:]]
+            release.set()
             for future in futures:
                 assert isinstance(future.exception(timeout=60),
                                   CircuitOpenError)
             snapshot = pool.stats().replicas[0]
-        assert snapshot.batches == 1
-        assert snapshot.mean_batch_occupancy == 3.0
+        assert snapshot.batches == 2
+        assert snapshot.mean_batch_occupancy == 2.0
 
     def test_deploy_needs_a_registry(self):
         with ReplicaPool(_pipeline(), num_replicas=1) as pool:

@@ -71,7 +71,7 @@ class TestConcurrentChaos:
                       delay_ms=0.2),
         ], seed=1234)
         config = ServiceConfig(
-            max_batch_size=4, max_wait_ms=1.0,
+            max_batch_size=4,
             retry_policy=RetryPolicy(max_attempts=2, base_delay_ms=0.1,
                                      max_delay_ms=0.5, seed=5),
         )
@@ -128,11 +128,10 @@ class TestConcurrentChaos:
 
     def test_shed_requests_spend_no_executor_work(self, pipeline,
                                                   video_pool):
-        config = ServiceConfig(max_batch_size=8, max_wait_ms=5.0)
-        with StressService(pipeline, config) as service:
+        with StressService(pipeline) as service:
             with pytest.raises(DeadlineExceededError):
-                # 10us of budget cannot survive the 5ms batching wait.
-                service.predict(video_pool[0], timeout=10, deadline_ms=0.01)
+                # A zero budget has always expired by shed time.
+                service.predict(video_pool[0], timeout=10, deadline_ms=0)
             snapshot = service.stats()
         assert snapshot.shed == 1
         assert snapshot.completed == 0 and snapshot.failed == 0
@@ -183,7 +182,7 @@ class TestBreakerChaos:
         breaker = dict(window=4, failure_threshold=0.6, min_volume=2,
                        open_duration_s=60.0, half_open_probes=2)
         breaker.update(breaker_overrides)
-        return ServiceConfig(max_batch_size=1, max_wait_ms=0.5,
+        return ServiceConfig(max_batch_size=1,
                              breaker=BreakerConfig(**breaker))
 
     def test_open_breaker_serves_cached_degraded(self, pipeline, video_pool):

@@ -83,8 +83,7 @@ def test_stress_no_drops_no_duplicates_serial_identical(pipeline):
                 assert key not in results, "duplicated response delivery"
                 results[key] = (video.video_id, result)
 
-    config = ServiceConfig(max_batch_size=8, max_wait_ms=1.0,
-                           max_queue_depth=256)
+    config = ServiceConfig(max_batch_size=8, max_queue_depth=256)
     with StressService(pipeline, config) as service:
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(num_threads)]
@@ -121,7 +120,7 @@ def test_backpressure_only_past_queue_depth(pipeline):
     release = threading.Event()
     worker_busy = threading.Event()
 
-    config = ServiceConfig(max_batch_size=1, max_wait_ms=0, max_queue_depth=3)
+    config = ServiceConfig(max_batch_size=1, max_queue_depth=3)
     service = StressService(pipeline, config)
     real_run_batch = service.executor.run_batch
 
@@ -170,7 +169,7 @@ def test_concurrent_requests_do_not_interleave_sessions(pipeline):
             with lock:
                 collected.append((video.video_id, result.session))
 
-    with StressService(pipeline, ServiceConfig(max_wait_ms=1.0)) as service:
+    with StressService(pipeline) as service:
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(5)]
         for thread in threads:

@@ -99,7 +99,7 @@ def test_served_matches_serial_per_variant(variant, model, pool):
     pipeline = _make_pipeline(variant, model, pool)
     videos = _videos(5, base_seed=40)
     serial = [pipeline.predict(video) for video in videos]
-    with StressService(pipeline, ServiceConfig(max_wait_ms=0.5)) as service:
+    with StressService(pipeline, ServiceConfig()) as service:
         # cold caches, then a warm second pass over the same contents
         for pass_name in ("cold", "warm"):
             for video, want in zip(videos, serial):
@@ -117,7 +117,7 @@ def test_duplicate_heavy_mix(variant, model, pool):
     serial = {v.video_id: pipeline.predict(v) for v in videos}
     mix = [videos[i] for i in (0, 1, 0, 2, 1, 0, 2, 2, 1, 0)]
     with StressService(
-        pipeline, ServiceConfig(max_batch_size=16, max_wait_ms=25),
+        pipeline, ServiceConfig(max_batch_size=16),
     ) as service:
         futures = [service.submit(video) for video in mix]
         for video, future in zip(mix, futures):

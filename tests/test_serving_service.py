@@ -25,6 +25,7 @@ from repro.serving import (
     LRUCache,
     MicroBatcher,
     ServiceConfig,
+    ServiceStats,
     StageCaches,
     StressService,
     video_content_hash,
@@ -99,33 +100,38 @@ class TestContentHash:
 
 class TestMicroBatcher:
     def test_flush_on_batch_size(self):
+        """Work queued behind a busy worker leaves in FIFO batches of
+        at most ``max_batch_size``: 40 items at size 32 are 32 then 8."""
         seen = []
-        gate = threading.Event()
+        busy, release = threading.Event(), threading.Event()
 
         def on_batch(items):
             seen.append(list(items))
-            gate.wait(5)
+            busy.set()
+            release.wait(5)
             return items
 
-        batcher = MicroBatcher(on_batch, max_batch_size=3,
-                               max_wait_ms=10_000, max_queue_depth=16)
-        futures = [batcher.submit(i) for i in range(3)]
-        # the batch is full, so it must flush long before max_wait_ms
-        deadline = time.monotonic() + 5
-        while not seen and time.monotonic() < deadline:
-            time.sleep(0.001)
-        gate.set()
-        assert [f.result(5) for f in futures] == [0, 1, 2]
-        assert seen and len(seen[0]) == 3
+        batcher = MicroBatcher(on_batch, max_batch_size=32,
+                               max_queue_depth=64)
+        held = batcher.submit("held")
+        assert busy.wait(5)                 # batch 1 holds the worker
+        futures = [batcher.submit(i) for i in range(40)]
+        release.set()
+        assert held.result(5) == "held"
+        assert [f.result(5) for f in futures] == list(range(40))
+        assert seen == [["held"], list(range(32)), list(range(32, 40))]
         batcher.close()
 
-    def test_flush_on_max_wait(self):
+    def test_lone_request_starts_at_once(self):
+        """An idle worker takes a lone request immediately: there is
+        no batching timer to wait out for company."""
+        stats = ServiceStats()
         batcher = MicroBatcher(lambda items: items, max_batch_size=64,
-                               max_wait_ms=5, max_queue_depth=16)
-        start = time.monotonic()
-        assert batcher.submit("solo").result(5) == "solo"
-        assert time.monotonic() - start < 2.0
-        batcher.close()
+                               stats=stats)
+        for i in range(20):
+            assert batcher.submit(i).result(5) == i
+        assert batcher.close(timeout=5) is True
+        assert stats.snapshot().queue_wait_p50_s < 1e-3
 
     def test_backpressure_rejects_past_queue_depth(self):
         release = threading.Event()
@@ -136,7 +142,7 @@ class TestMicroBatcher:
             release.wait(5)
             return items
 
-        batcher = MicroBatcher(on_batch, max_batch_size=1, max_wait_ms=0,
+        batcher = MicroBatcher(on_batch, max_batch_size=1,
                                max_queue_depth=2)
         first = batcher.submit("busy")     # worker picks this up...
         assert started.wait(5)
@@ -156,7 +162,7 @@ class TestMicroBatcher:
             processed.extend(items)
             return items
 
-        batcher = MicroBatcher(on_batch, max_batch_size=2, max_wait_ms=1,
+        batcher = MicroBatcher(on_batch, max_batch_size=2,
                                max_queue_depth=64)
         futures = [batcher.submit(i) for i in range(10)]
         batcher.close(drain=True)
@@ -174,7 +180,7 @@ class TestMicroBatcher:
             release.wait(5)
             return items
 
-        batcher = MicroBatcher(on_batch, max_batch_size=1, max_wait_ms=0,
+        batcher = MicroBatcher(on_batch, max_batch_size=1,
                                max_queue_depth=8)
         running = batcher.submit("running")
         assert started.wait(5)
@@ -189,7 +195,7 @@ class TestMicroBatcher:
         def on_batch(items):
             raise RuntimeError("executor blew up")
 
-        batcher = MicroBatcher(on_batch, max_batch_size=4, max_wait_ms=1,
+        batcher = MicroBatcher(on_batch, max_batch_size=4,
                                max_queue_depth=8)
         future = batcher.submit("doomed")
         with pytest.raises(RuntimeError, match="blew up"):
@@ -202,8 +208,7 @@ class TestMicroBatcher:
         batcher.close()
 
     def test_config_validation(self):
-        for kwargs in ({"max_batch_size": 0}, {"max_wait_ms": -1},
-                       {"max_queue_depth": 0}):
+        for kwargs in ({"max_batch_size": 0}, {"max_queue_depth": 0}):
             with pytest.raises(ConfigError):
                 MicroBatcher(lambda items: items, **kwargs)
 
@@ -213,8 +218,6 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             ServiceConfig(max_batch_size=0)
         with pytest.raises(ConfigError):
-            ServiceConfig(max_wait_ms=-0.5)
-        with pytest.raises(ConfigError):
             ServiceConfig(max_queue_depth=0)
         with pytest.raises(ConfigError):
             ServiceConfig(assess_cache_capacity=-1)
@@ -223,7 +226,7 @@ class TestServiceConfig:
 class TestStressService:
     def test_predict_and_stats_counters(self, pipeline):
         videos = [_video("stats-a", 21), _video("stats-b", 22)]
-        with StressService(pipeline, ServiceConfig(max_wait_ms=0.5)) as svc:
+        with StressService(pipeline) as svc:
             for __ in range(3):
                 for video in videos:
                     result = svc.predict(video, timeout=30)
@@ -244,12 +247,27 @@ class TestStressService:
 
     def test_in_flight_duplicates_deduplicated(self, pipeline):
         video = _video("dup", 31)
-        config = ServiceConfig(max_batch_size=8, max_wait_ms=50,
+        config = ServiceConfig(max_batch_size=8,
                                describe_cache_capacity=0,
                                assess_cache_capacity=0,
                                highlight_cache_capacity=0)
         with StressService(pipeline, config) as svc:
+            # Hold the worker on a first request so the eight copies
+            # queue behind it and leave together as one batch.
+            busy, release = threading.Event(), threading.Event()
+            real_run_batch = svc.executor.run_batch
+
+            def gated_run_batch(videos):
+                busy.set()
+                release.wait(30)
+                return real_run_batch(videos)
+
+            svc.executor.run_batch = gated_run_batch
+            held = svc.submit(_video("dup-held", 32))
+            assert busy.wait(30)
             futures = [svc.submit(video) for __ in range(8)]
+            release.set()
+            held.result(30)
             results = [f.result(30) for f in futures]
             stats = svc.stats()
         reference = pipeline.predict(video)
@@ -257,8 +275,9 @@ class TestStressService:
             assert result.prob_stressed == reference.prob_stressed
             assert result.session is not results[0].session or \
                 result is results[0]
-        # at least one batch carried >1 request for the same content
-        assert stats.deduplicated >= 1
+        # the batch of eight copies computed the content once
+        assert stats.batches == 2
+        assert stats.deduplicated == 7
 
     def test_submit_after_close_raises(self, pipeline):
         svc = StressService(pipeline)

@@ -35,15 +35,14 @@ class BlockingBatch:
 
 class TestCloseReturnValue:
     def test_clean_drain_returns_true(self):
-        batcher = MicroBatcher(lambda items: [i * 2 for i in items],
-                               max_wait_ms=1.0)
+        batcher = MicroBatcher(lambda items: [i * 2 for i in items])
         future = batcher.submit(21)
         assert batcher.close(timeout=5) is True
         assert future.result(timeout=0) == 42
 
     def test_timed_out_close_returns_false_then_true(self):
         blocker = BlockingBatch()
-        batcher = MicroBatcher(blocker, max_wait_ms=0.0)
+        batcher = MicroBatcher(blocker)
         future = batcher.submit(1)
         assert blocker.started.wait(timeout=5)
         # Worker is parked inside on_batch: a short-timeout close must
@@ -63,7 +62,7 @@ class TestCloseReturnValue:
 class TestDrainFalseRace:
     def test_mid_flight_batch_finishes_queued_work_fails(self):
         blocker = BlockingBatch()
-        batcher = MicroBatcher(blocker, max_batch_size=1, max_wait_ms=0.0)
+        batcher = MicroBatcher(blocker, max_batch_size=1)
         in_flight = batcher.submit(1)
         assert blocker.started.wait(timeout=5)
         queued = [batcher.submit(2), batcher.submit(3)]
@@ -82,6 +81,28 @@ class TestDrainFalseRace:
         # on_batch never saw the abandoned items.
         assert blocker.batches == [[1]]
 
+    def test_reentrant_callback_on_failed_future(self):
+        """A done-callback on an abandoned future may re-enter the
+        batcher: the worker fails those futures outside its lock."""
+        blocker = BlockingBatch()
+        batcher = MicroBatcher(blocker, max_batch_size=1)
+        in_flight = batcher.submit(1)
+        assert blocker.started.wait(timeout=5)
+        queued = batcher.submit(2)
+        seen = []
+        queued.add_done_callback(
+            lambda future: seen.append((batcher.queue_depth(),
+                                        batcher.closed)))
+
+        assert batcher.close(drain=False, timeout=0.05) is False
+        blocker.release.set()
+        assert batcher.close(drain=False, timeout=3) is True
+
+        assert in_flight.result(timeout=0) == 2
+        with pytest.raises(ServiceClosedError):
+            queued.result(timeout=0)
+        assert seen == [(0, True)]
+
     def test_submit_after_close_rejected(self):
         batcher = MicroBatcher(lambda items: list(items))
         batcher.close(timeout=5)
@@ -93,7 +114,7 @@ class TestConcurrentClose:
     def test_concurrent_submitters_and_closers(self):
         batcher = MicroBatcher(
             lambda items: [time.sleep(0.0005) or i * 2 for i in items],
-            max_batch_size=4, max_wait_ms=0.5, max_queue_depth=64)
+            max_batch_size=4, max_queue_depth=64)
         futures, futures_lock = [], threading.Lock()
         stop_submitting = threading.Event()
 
@@ -142,7 +163,7 @@ class TestWorkerSurvival:
                 raise KeyboardInterrupt("operator ctrl-C mid-batch")
             return [i * 2 for i in items]
 
-        batcher = MicroBatcher(fragile, max_batch_size=2, max_wait_ms=0.0)
+        batcher = MicroBatcher(fragile, max_batch_size=2)
         first = batcher.submit(1)
         assert isinstance(first.exception(timeout=5), KeyboardInterrupt)
         # The worker survived: the next request is served normally.
