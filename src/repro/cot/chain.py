@@ -70,6 +70,9 @@ class StressChainPipeline:
         ``verification_pool``.
     verification_pool:
         Videos used to draw verification negatives from.
+    num_verify_trials:
+        Verification trials per candidate description; must be
+        positive.
     seed:
         Scopes all sampling inside the pipeline.
     """
@@ -88,6 +91,10 @@ class StressChainPipeline:
         if test_time_refine and not verification_pool:
             raise ModelError(
                 "test_time_refine needs a verification_pool of videos"
+            )
+        if num_verify_trials < 1:
+            raise ModelError(
+                f"num_verify_trials must be positive, got {num_verify_trials}"
             )
         self.model = model
         self.use_chain = use_chain

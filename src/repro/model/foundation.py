@@ -19,6 +19,9 @@ Qwen-VL.  Architecture:
 Training contract: every ``*_forward`` method must be immediately
 followed by its matching ``backward_*`` call (layers cache one forward
 activation), which is how all trainers in :mod:`repro.training` use it.
+The trunk trains only in Stage 1 (:meth:`backward_description_batch`);
+every other ``backward_*`` stops at the heads, because no later
+optimiser steps the trunk.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.model.generation import (
     bernoulli_set_logprob,
     plackett_luce_logprob,
     plackett_luce_logprob_grad,
+    sample_bernoulli,
     sample_bernoulli_set,
     sample_plackett_luce,
 )
@@ -198,10 +202,11 @@ class FoundationModel(Module):
 
     def backward_description(self, grad_logits: np.ndarray) -> None:
         """Backprop a gradient w.r.t. the AU logits of the *last*
-        ``au_logits``/``describe`` forward."""
+        ``au_logits``/``describe`` forward into the AU head only: the
+        trunk trains only in Stage 1 (:meth:`backward_description_batch`),
+        and description DPO never steps it."""
         self._check_trainable()
-        grad = self.au_head.backward(np.atleast_2d(grad_logits))
-        self.trunk.backward(grad)
+        self.au_head.backward(np.atleast_2d(grad_logits))
 
     def reflect_description(
         self,
@@ -279,12 +284,17 @@ class FoundationModel(Module):
         This is the black-box function the post-hoc explainers and the
         deletion metric query -- perturbing the frame changes what the
         model "sees", hence what it describes, hence its assessment.
+        Describe and Assess share one feature extraction and one trunk
+        pass; the result equals :meth:`au_logits_from_frames` followed
+        by :meth:`assess_logit_from_frames` bitwise.
         """
-        logits = self.au_logits_from_frames(expressive, neutral)
+        embed = self._embed(self.frame_pair_features(expressive, neutral))
+        logits = self.au_head.forward(embed)[0]
         description = FacialDescription.from_vector(
             (logits > 0).astype(np.float64)
         )
-        logit = self.assess_logit_from_frames(expressive, neutral, description)
+        logit = self.assess_head.forward(
+            self._assess_input_from_embed(embed, description))[0, 0]
         return float(sigmoid(np.array(logit))[()])
 
     def assess_logit_from_frames(self, expressive: np.ndarray,
@@ -351,30 +361,20 @@ class FoundationModel(Module):
         """The Assess step: returns ``(label, p_stressed)``.
 
         Greedy decoding thresholds the probability at 0.5; positive
-        temperature draws the label from the tempered Bernoulli, which
-        is what the paper's K-seed helpfulness scoring repeats.
+        temperature draws the label from the tempered Bernoulli
+        (:func:`~repro.model.generation.sample_bernoulli`), which is
+        what the paper's K-seed helpfulness scoring repeats.
         """
         config = config or GREEDY
         logit = self.assess_logit(video, description)
         prob = float(sigmoid(np.array(logit))[()])
-        if config.temperature == 0.0:
-            label = STRESSED if logit > 0 else UNSTRESSED
-        else:
-            rng = np.random.default_rng(config.seed)
-            tempered = float(sigmoid(np.array(logit / config.temperature))[()])
-            label = STRESSED if rng.random() < tempered else UNSTRESSED
+        label = sample_bernoulli(logit, config)
         if session is not None:
             instruction = (ASSESS_INSTRUCTION if description is not None
                            else DIRECT_ASSESS_INSTRUCTION)
             session.record(instruction,
                            "Stressed" if label == STRESSED else "Unstressed")
         return label, prob
-
-    def backward_assess(self, grad_logit: float) -> None:
-        """Backprop through the *last* assess forward."""
-        self._check_trainable()
-        grad = self.assess_head.backward(np.array([[grad_logit]]))
-        self.trunk.backward(grad[:, : self.embed_dim])
 
     def assess_au_weights(self) -> np.ndarray:
         """The assessment head's weight on each described AU -- the
@@ -510,7 +510,12 @@ class FoundationModel(Module):
                            rationale: tuple[int, ...], assessment: int,
                            grad_scale: float) -> None:
         """Accumulate ``grad_scale * d logprob(R)/d params`` for the
-        highlight pathway (re-runs its forward internally)."""
+        highlight pathway (re-runs its forward internally).
+
+        The gradient stops at the highlight parameters: the trunk
+        trains only in Stage 1 (:meth:`backward_description_batch`),
+        and rationale DPO never steps it.
+        """
         self._check_trainable()
         direction = 1.0 if assessment == STRESSED else -1.0
         active = list(description.au_ids)
@@ -527,8 +532,7 @@ class FoundationModel(Module):
         grad_full[active_idx] = grad_scale * grad_active
         self.highlight_bias.grad += grad_full
         self.highlight_assess.grad += direction * grad_full
-        grad_embed = self.highlight_proj.backward(grad_full[np.newaxis, :])
-        self.trunk.backward(grad_embed)
+        self.highlight_proj.backward(grad_full[np.newaxis, :])
 
     # ------------------------------------------------------------------
     # Batched training hooks (used by repro.training)
@@ -543,7 +547,9 @@ class FoundationModel(Module):
         return self.au_head.forward(self.trunk.forward(features))
 
     def backward_description_batch(self, grad_logits: np.ndarray) -> None:
-        """Backprop through the last :meth:`au_logits_batch` call."""
+        """Backprop through the last :meth:`au_logits_batch` call, into
+        the AU head and the trunk: Stage 1, the one stage that trains
+        the trunk."""
         self._check_trainable()
         self.trunk.backward(self.au_head.backward(grad_logits))
 
@@ -556,32 +562,43 @@ class FoundationModel(Module):
         )[:, 0]
 
     def backward_assess_batch(self, grad_logits: np.ndarray) -> None:
-        """Backprop through the last :meth:`assess_logits_batch` call."""
+        """Backprop through the last :meth:`assess_logits_batch` call
+        into the assessment head only: the trunk trains only in Stage 1
+        (:meth:`backward_description_batch`), and assessment tuning
+        never steps it."""
         self._check_trainable()
-        grad = self.assess_head.backward(grad_logits[:, np.newaxis])
-        self.trunk.backward(grad[:, : self.embed_dim])
+        self.assess_head.backward(grad_logits[:, np.newaxis])
 
     # ------------------------------------------------------------------
     # Self-verification (Figure 4)
     # ------------------------------------------------------------------
 
     def verify(self, description: FacialDescription, videos: list[Video],
-               config: GenerationConfig, session: DialogueSession) -> int:
+               config: GenerationConfig, session: DialogueSession,
+               au_logits: list[np.ndarray] | None = None) -> int:
         """Pick which of ``videos`` the description refers to.
 
         Must run in a fresh session (the paper's no-cheating rule).
         The match score of each candidate is the log-likelihood of the
         described AU set under that video's AU posterior; positive
         temperature adds Gumbel noise so repeated verification with
-        different seeds measures confidence.
+        different seeds measures confidence.  ``au_logits`` holds each
+        candidate's :meth:`au_logits` when the caller already has them
+        (self-verification reads a whole pool's logits once per pass).
         """
         session.require_fresh("self-verification")
         if len(videos) < 2:
             raise ModelError("verification needs at least 2 candidate videos")
+        if au_logits is None:
+            au_logits = [self.au_logits(video) for video in videos]
+        elif len(au_logits) != len(videos):
+            raise ModelError(
+                f"need one logit vector per candidate ({len(videos)}), "
+                f"got {len(au_logits)}"
+            )
         desc_vec = description.to_vector()
         scores = np.array([
-            bernoulli_set_logprob(self.au_logits(video), desc_vec)
-            for video in videos
+            bernoulli_set_logprob(logits, desc_vec) for logits in au_logits
         ])
         if config.temperature == 0.0:
             choice = int(np.argmax(scores))

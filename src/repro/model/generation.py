@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GenerationError
-from repro.nn.tensorops import log_sigmoid, softmax
+from repro.nn.tensorops import log_sigmoid, sigmoid, softmax
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +53,20 @@ def sample_bernoulli_set(logits: np.ndarray,
     rng = np.random.default_rng(config.seed)
     probs = 1.0 / (1.0 + np.exp(-logits / config.temperature))
     return (rng.random(logits.shape) < probs).astype(np.float64)
+
+
+def sample_bernoulli(logit: float, config: GenerationConfig) -> int:
+    """Draw one binary outcome from Bernoulli(sigmoid(logit / T)).
+
+    Greedy decoding thresholds the logit at zero.  This is the Assess
+    step's label draw; K-seed helpfulness scoring makes K draws, one
+    per seed, from a single logit.
+    """
+    if config.temperature == 0.0:
+        return int(logit > 0)
+    rng = np.random.default_rng(config.seed)
+    prob = float(sigmoid(np.array(logit / config.temperature))[()])
+    return int(rng.random() < prob)
 
 
 def bernoulli_set_logprob(logits: np.ndarray, outcome: np.ndarray) -> float:

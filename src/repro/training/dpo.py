@@ -82,24 +82,32 @@ class DPOTrainer:
         if not preferences:
             return []
         optimizer = Adam(self.model.au_head.parameters(), lr=self.lr)
+        # The reference is frozen: score each pair under it once.
+        references = [self._description_reference(pref)
+                      for pref in preferences]
         curve = []
         for _ in range(epochs):
             optimizer.zero_grad()
             total = 0.0
-            for pref in preferences:
-                total += self._description_pair_step(pref, len(preferences))
+            for pref, (ref_w, ref_l) in zip(preferences, references):
+                total += self._description_pair_step(
+                    pref, ref_w, ref_l, len(preferences))
             optimizer.step()
             curve.append(total / len(preferences))
         return curve
 
+    def _description_reference(
+            self, pref: DescriptionPreference) -> tuple[float, float]:
+        """Reference log-probabilities of the winner and the loser."""
+        ref_logits = self.reference.au_logits(pref.video)
+        return (_bernoulli_logprob(ref_logits, pref.winner.to_vector()),
+                _bernoulli_logprob(ref_logits, pref.loser.to_vector()))
+
     def _description_pair_step(self, pref: DescriptionPreference,
+                               ref_w: float, ref_l: float,
                                num_pairs: int) -> float:
         winner_vec = pref.winner.to_vector()
         loser_vec = pref.loser.to_vector()
-        ref_logits = self.reference.au_logits(pref.video)
-        ref_w = _bernoulli_logprob(ref_logits, winner_vec)
-        ref_l = _bernoulli_logprob(ref_logits, loser_vec)
-
         logits = self.model.au_logits(pref.video)
         pol_w = _bernoulli_logprob(logits, winner_vec)
         pol_l = _bernoulli_logprob(logits, loser_vec)
@@ -124,26 +132,34 @@ class DPOTrainer:
             + [self.model.highlight_bias, self.model.highlight_assess],
             lr=self.lr,
         )
+        # The reference is frozen: score each pair under it once.
+        references = [self._rationale_reference(pref)
+                      for pref in preferences]
         curve = []
         for _ in range(epochs):
             optimizer.zero_grad()
             total = 0.0
-            for pref in preferences:
-                total += self._rationale_pair_step(pref, len(preferences))
+            for pref, (ref_w, ref_l) in zip(preferences, references):
+                total += self._rationale_pair_step(
+                    pref, ref_w, ref_l, len(preferences))
             optimizer.step()
             curve.append(total / len(preferences))
         return curve
 
+    def _rationale_reference(
+            self, pref: RationalePreference) -> tuple[float, float]:
+        """Reference log-probabilities of the winner and the loser."""
+        return tuple(
+            self.reference.rationale_logprob(
+                pref.video, pref.description, rationale, pref.assessment)
+            for rationale in (pref.winner, pref.loser)
+        )
+
     def _rationale_pair_step(self, pref: RationalePreference,
+                             ref_w: float, ref_l: float,
                              num_pairs: int) -> float:
         if pref.winner == pref.loser:
             return 0.0
-        ref_w = self.reference.rationale_logprob(
-            pref.video, pref.description, pref.winner, pref.assessment
-        )
-        ref_l = self.reference.rationale_logprob(
-            pref.video, pref.description, pref.loser, pref.assessment
-        )
         pol_w = self.model.rationale_logprob(
             pref.video, pref.description, pref.winner, pref.assessment
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.facs.descriptions import FacialDescription
 from repro.model.foundation import FoundationModel
-from repro.model.generation import GenerationConfig
+from repro.model.generation import GenerationConfig, sample_bernoulli
 from repro.rng import derive_seed
 from repro.video.frame import Video
 
@@ -27,15 +27,21 @@ def helpfulness_score(
     num_trials: int = 5,
     seed: int = 0,
 ) -> float:
-    """Fraction of K tempered assessments that hit the true label."""
+    """Fraction of K tempered assessments that hit the true label.
+
+    The K assessments differ only in their seed, so they share one
+    stress logit: it is computed once and the K labels are drawn from
+    it, exactly as K :meth:`FoundationModel.assess` calls would draw
+    them.
+    """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
+    logit = model.assess_logit(video, description)
     hits = 0
     for trial in range(num_trials):
         config = GenerationConfig(
             temperature=ASSESS_TEMPERATURE,
             seed=derive_seed(seed, f"helpfulness:{video.video_id}:{trial}"),
         )
-        label, __ = model.assess(video, description, config)
-        hits += int(label == true_label)
+        hits += int(sample_bernoulli(logit, config) == true_label)
     return hits / num_trials

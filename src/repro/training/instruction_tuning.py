@@ -67,6 +67,9 @@ def train_describe(
             model.backward_description_batch(grad)
             optimizer.step()
             curve.append(loss)
+        # The last step consumed these gradients, and no later stage
+        # steps the trunk: leave none behind.
+        optimizer.zero_grad()
         sp.set("final_loss", curve[-1])
     global_metrics().gauge("training.describe_loss").set(curve[-1])
     return curve
@@ -83,15 +86,13 @@ def train_assess(
     feature_noise: float = 0.2,
     patch_dropout: float = 0.14,
     seed: int = 0,
-    train_au_pathway: bool = False,
 ) -> list[float]:
     """Fit the assessment head on (V, E, A) triples (Eq. 4).
 
     ``descriptions[i]`` may be ``None`` (the "w/o Chain" variant, which
-    assesses from the video alone).  By default only the assessment
-    head is optimized so assessment tuning cannot erode the Describe
-    ability acquired in Stage 1; ``train_au_pathway=True`` also adapts
-    the shared trunk.
+    assesses from the video alone).  Only the assessment head is
+    optimized, so assessment tuning cannot erode the Describe ability
+    acquired in Stage 1 (the one stage that trains the trunk).
 
     Three regularizers keep the head faithful to how a large VLM
     behaves: a small weight decay keeps probabilities calibrated
@@ -110,7 +111,7 @@ def train_assess(
               num_samples=len(videos)) as sp:
         curve = _train_assess_epochs(
             model, videos, descriptions, labels, epochs, lr, weight_decay,
-            feature_noise, patch_dropout, seed, train_au_pathway,
+            feature_noise, patch_dropout, seed,
         )
         sp.set("final_loss", curve[-1])
     global_metrics().gauge("training.assess_loss").set(curve[-1])
@@ -128,7 +129,6 @@ def _train_assess_epochs(
     feature_noise: float,
     patch_dropout: float,
     seed: int,
-    train_au_pathway: bool,
 ) -> list[float]:
     num_aus = model.au_head.bias.value.shape[0]
     features = model.features_matrix(videos)
@@ -137,10 +137,8 @@ def _train_assess_epochs(
         for desc in descriptions
     ])
     labels = np.asarray(labels, dtype=np.float64)
-    params = model.assess_head.parameters()
-    if train_au_pathway:
-        params = params + model.trunk.parameters()
-    optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
+    optimizer = Adam(model.assess_head.parameters(), lr=lr,
+                     weight_decay=weight_decay)
     noise_rng = make_rng(seed, "assess-feature-noise")
     num_patches = features.shape[1] // 2
     # Class-balanced sample weights (mean 1): the paper reports macro

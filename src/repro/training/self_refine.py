@@ -53,7 +53,7 @@ from repro.training.faithfulness import rationale_flip_count
 from repro.training.helpfulness import helpfulness_score
 from repro.training.instruction_tuning import train_assess, train_describe
 from repro.training.reflection import propose_description, propose_rationales
-from repro.training.verification import verification_score
+from repro.training.verification import VerificationPool, verification_score
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,14 @@ class SelfRefineTrainer:
         train_data: StressDataset,
     ) -> tuple[list[FacialDescription | None],
                list[DescriptionPreference], int]:
-        """The do-while reflection loop of Algorithm 1 (lines 4-9)."""
+        """The do-while reflection loop of Algorithm 1 (lines 4-9).
+
+        The loop is inference only (the DPO update on its pairs runs
+        after it returns), so one :class:`VerificationPool` serves the
+        whole pass and every pool video's AU logits are computed once.
+        """
         config = self.config
-        pool = [s.video for s in train_data]
+        pool = VerificationPool(self.model, [s.video for s in train_data])
         refined = list(descriptions)
         pairs: list[DescriptionPreference] = []
         total_rounds = 0

@@ -53,6 +53,15 @@ class TestPipeline:
         with pytest.raises(ModelError):
             StressChainPipeline(model, test_time_refine=True)
 
+    def test_zero_verify_trials_rejected(self, trained):
+        model, __, train, __ = trained
+        with pytest.raises(ModelError, match="num_verify_trials"):
+            StressChainPipeline(
+                model, test_time_refine=True,
+                verification_pool=[s.video for s in list(train)[:20]],
+                num_verify_trials=0,
+            )
+
     def test_test_time_refine_runs(self, trained):
         model, __, train, test = trained
         pipeline = StressChainPipeline(

@@ -84,6 +84,30 @@ class TestAssess:
         assert fresh_model.assess_logit_from_frames(fe, fl, description) == \
             pytest.approx(fresh_model.assess_logit(sample_video, description))
 
+    def test_chain_prob_extracts_features_once(self, fresh_model,
+                                               sample_video, monkeypatch):
+        """Describe and Assess share one feature extraction and trunk
+        pass, bitwise equal to running each from the frames."""
+        from repro.model import foundation
+
+        fe, fl = sample_video.keyframes
+        logits = fresh_model.au_logits_from_frames(fe, fl)
+        description = FacialDescription.from_vector(
+            (logits > 0).astype(np.float64))
+        logit = fresh_model.assess_logit_from_frames(fe, fl, description)
+        expected = 1.0 / (1.0 + math.exp(-logit))
+        calls = []
+        keyframe_features = foundation.keyframe_features
+
+        def counted(*args):
+            calls.append(args)
+            return keyframe_features(*args)
+
+        monkeypatch.setattr(foundation, "keyframe_features", counted)
+        prob = fresh_model.chain_prob_from_frames(fe, fl)
+        assert len(calls) == 1
+        assert prob == pytest.approx(expected, rel=0, abs=1e-15)
+
 
 class TestHighlight:
     def test_rationale_subset_of_description(self, fresh_model, sample_video):
@@ -153,6 +177,21 @@ class TestVerify:
         )
         assert 0 <= choice < 4
         assert len(session) == 1
+
+    def test_precomputed_logits_match(self, fresh_model, micro_uvsd):
+        videos = self._videos(micro_uvsd, 4)
+        logits = [fresh_model.au_logits(video) for video in videos]
+        for seed in range(5):
+            config = GenerationConfig(temperature=1.0, seed=seed)
+            assert fresh_model.verify(
+                FacialDescription((4, 12)), videos, config,
+                DialogueSession(), au_logits=logits,
+            ) == fresh_model.verify(
+                FacialDescription((4, 12)), videos, config, DialogueSession())
+        with pytest.raises(ModelError):
+            fresh_model.verify(FacialDescription((4,)), videos,
+                               GenerationConfig(), DialogueSession(),
+                               au_logits=logits[:3])
 
 
 class TestHousekeeping:

@@ -121,6 +121,36 @@ class TestDPOTrainer:
         for name, value in trainer.reference.state_dict().items():
             assert np.array_equal(value, ref_state[name])
 
+    def test_reference_scored_once_per_pair(self, dpo_setup, micro_uvsd):
+        """The frozen reference scores each pair once, not per epoch."""
+        model, video = dpo_setup
+        trainer = DPOTrainer(model, beta=0.5, lr=5e-2)
+        calls = []
+        reference = trainer.reference
+        for name in ("au_logits", "rationale_logprob"):
+            method = getattr(reference, name)
+
+            def counted(*args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
+
+            setattr(reference, name, counted)
+        videos = [video, micro_uvsd[1].video]
+        trainer.train_descriptions(
+            [DescriptionPreference(v, FacialDescription((1, 4)),
+                                   FacialDescription((6,)))
+             for v in videos],
+            epochs=4,
+        )
+        trainer.train_rationales(
+            [RationalePreference(v, FacialDescription((1, 4, 6)), STRESSED,
+                                 (4, 1, 6), (6, 1, 4))
+             for v in videos],
+            epochs=4,
+        )
+        assert calls.count("au_logits") == 2
+        assert calls.count("rationale_logprob") == 4
+
     def test_empty_preferences_noop(self, dpo_setup):
         model, __ = dpo_setup
         trainer = DPOTrainer(model)

@@ -1,18 +1,91 @@
 """Tests for the individual Algorithm-1 stages."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
 from repro.facs.descriptions import FacialDescription
 from repro.model.foundation import FoundationModel
-from repro.model.generation import GenerationConfig
-from repro.rng import make_rng
+from repro.model.generation import GenerationConfig, bernoulli_set_logprob
+from repro.nn.tensorops import sigmoid
+from repro.rng import derive_seed, make_rng
+from repro.training import self_refine
 from repro.training.faithfulness import rationale_flip_count
-from repro.training.helpfulness import helpfulness_score
+from repro.training.helpfulness import ASSESS_TEMPERATURE, helpfulness_score
 from repro.training.instruction_tuning import train_assess, train_describe
 from repro.training.reflection import propose_description, propose_rationales
-from repro.training.verification import verification_score
+from repro.training.self_refine import SelfRefineConfig, SelfRefineTrainer
+from repro.training.trainer import train_stress_model
+from repro.training.verification import (
+    VERIFY_TEMPERATURE,
+    VerificationPool,
+    verification_score,
+)
+
+
+def _helpfulness_per_trial(model, video, description, true_label,
+                           num_trials, seed):
+    """The per-trial loop helpfulness scoring ran before it shared one
+    logit across its K draws: one full tempered assessment per trial."""
+    hits = 0
+    for trial in range(num_trials):
+        trial_seed = derive_seed(seed, f"helpfulness:{video.video_id}:{trial}")
+        logit = model.assess_logit(video, description)
+        rng = np.random.default_rng(trial_seed)
+        tempered = float(sigmoid(np.array(logit / ASSESS_TEMPERATURE))[()])
+        label = 1 if rng.random() < tempered else 0
+        hits += int(label == true_label)
+    return hits / num_trials
+
+
+def _verification_per_trial(model, video, description, pool, num_trials,
+                            seed, num_negatives=3):
+    """The per-trial loop verification scoring ran before it read the
+    pool's logits through a memo: every shown video re-embedded."""
+    candidates_pool = [
+        v for v in pool
+        if v.subject_id != video.subject_id and v.video_id != video.video_id
+    ]
+    hits = 0
+    for trial in range(num_trials):
+        trial_seed = derive_seed(seed, f"verify:{video.video_id}:{trial}")
+        rng = make_rng(trial_seed, "negatives")
+        negatives = [
+            candidates_pool[i]
+            for i in rng.choice(len(candidates_pool), size=num_negatives,
+                                replace=False)
+        ]
+        candidates = negatives + [video]
+        order = rng.permutation(len(candidates))
+        shuffled = [candidates[i] for i in order]
+        target = int(np.where(order == len(candidates) - 1)[0][0])
+        desc_vec = description.to_vector()
+        scores = np.array([
+            bernoulli_set_logprob(model.au_logits(v), desc_vec)
+            for v in shuffled
+        ])
+        choice_rng = np.random.default_rng(trial_seed)
+        gumbel = -np.log(-np.log(choice_rng.random(scores.shape)))
+        choice = int(np.argmax(scores / VERIFY_TEMPERATURE + gumbel))
+        hits += int(choice == target)
+    return hits / num_trials
+
+
+def _scoring_triples(model, train):
+    """(video, description, seed) triples: true, sampled and unrelated
+    descriptions over several videos and seeds."""
+    triples = []
+    for index, sample in enumerate(list(train)[:6]):
+        truth = sample.true_description()
+        sampled = model.describe(
+            sample.video, GenerationConfig(temperature=1.0, seed=index))
+        unrelated = FacialDescription(tuple(
+            au for au in (1, 2, 4, 5, 6, 9, 12) if au not in truth.au_ids))
+        for seed, description in enumerate((truth, sampled, unrelated)):
+            triples.append((sample, description, 17 * index + seed))
+    return triples
 
 
 class TestInstructionTuning:
@@ -110,6 +183,50 @@ class TestScores:
             ))
         assert np.mean(true_scores) > np.mean(garbage_scores)
 
+    def test_verification_zero_trials_raises(self, trained):
+        model, __, train, __ = trained
+        sample = train[0]
+        pool = [s.video for s in train]
+        with pytest.raises(ValueError, match="num_trials must be positive"):
+            verification_score(model, sample.video,
+                               sample.true_description(), pool,
+                               num_trials=0)
+
+    def test_helpfulness_matches_per_trial_loop(self, trained):
+        model, __, train, __ = trained
+        for sample, description, seed in _scoring_triples(model, train):
+            for num_trials in (1, 5):
+                assert helpfulness_score(
+                    model, sample.video, description, sample.label,
+                    num_trials=num_trials, seed=seed,
+                ) == _helpfulness_per_trial(
+                    model, sample.video, description, sample.label,
+                    num_trials, seed,
+                )
+
+    def test_verification_matches_per_trial_loop(self, trained):
+        model, __, train, __ = trained
+        videos = [s.video for s in train]
+        # One pool shared by every call, as a refinement pass shares it.
+        shared = VerificationPool(model, videos)
+        for sample, description, seed in _scoring_triples(model, train):
+            expected = _verification_per_trial(
+                model, sample.video, description, videos, 5, seed)
+            for pool in (videos, shared):
+                assert verification_score(
+                    model, sample.video, description, pool,
+                    num_trials=5, seed=seed,
+                ) == expected
+
+    def test_verification_pool_of_another_model_rejected(self, trained,
+                                                         fresh_model):
+        model, __, train, __ = trained
+        sample = train[0]
+        pool = VerificationPool(fresh_model, [s.video for s in train])
+        with pytest.raises(TrainingError):
+            verification_score(model, sample.video,
+                               sample.true_description(), pool)
+
     def test_verification_needs_pool(self, trained):
         model, __, train, __ = trained
         sample = train[0]
@@ -182,3 +299,53 @@ class TestReflection:
         def mean_evidence(descs):
             return np.mean([d.to_vector() @ weights for d in descs])
         assert mean_evidence(guided) >= mean_evidence(unguided) - 0.2
+
+
+class TestFrozenForwardReuse:
+    def test_refine_pass_embeds_each_pool_video_once(self, micro_split,
+                                                     monkeypatch):
+        """One description-refinement pass computes the AU logits of
+        each distinct pool video at most once, however many trials and
+        candidates verification scores."""
+        train, __ = micro_split
+        model = FoundationModel(make_rng(11, "refine-memo"))
+        trainer = SelfRefineTrainer(
+            model, SelfRefineConfig(num_trials=3, refine_sample_limit=12,
+                                    seed=5))
+        samples = list(train)
+        descriptions = [
+            model.describe(s.video, GenerationConfig(temperature=1.0, seed=i))
+            for i, s in enumerate(samples)
+        ]
+
+        # Reflection reads the logits of its own video; a fixed
+        # candidate keeps every counted call inside scoring.
+        def propose(model, video, previous, round_index, *args, **kwargs):
+            return FacialDescription((1, 2, 4)[:round_index + 1])
+
+        monkeypatch.setattr(self_refine, "propose_description", propose)
+        calls = Counter()
+        au_logits = FoundationModel.au_logits
+
+        def counted(self, video, embed=None):
+            calls[video.content_hash] += 1
+            return au_logits(self, video, embed)
+
+        monkeypatch.setattr(FoundationModel, "au_logits", counted)
+        trainer._refine_descriptions(samples, descriptions, train)
+        assert calls
+        assert set(calls) <= {s.video.content_hash for s in train}
+        assert max(calls.values()) == 1
+
+    def test_training_leaves_no_trunk_gradient(self, micro_split,
+                                               instruction_pairs,
+                                               micro_config):
+        """Only Stage 1 steps the trunk; no later stage backprops into it."""
+        train, __ = micro_split
+        model, report = train_stress_model(train, instruction_pairs,
+                                           micro_config)
+        # Every stage ran, description and rationale DPO included.
+        assert report.describe_curve and report.assess_curve_final
+        assert report.dpo_description_curve and report.dpo_rationale_curve
+        for param in model.trunk.parameters():
+            assert not param.grad.any(), param.name
