@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import tempfile
 import traceback
 from collections.abc import Callable, Sequence
@@ -120,11 +121,14 @@ def _fork_map(fn: Callable[[Any], T], items: list[Any],
     """
     shares = [list(range(w, len(items), num_workers))
               for w in range(num_workers)]
+    paths: list[str] = []
     workers: list[tuple[int, str, list[int]]] = []
+    reaped: set[int] = set()
     try:
         for share in shares:
             fd, path = tempfile.mkstemp(prefix="repro-fork-", suffix=".pkl")
             os.close(fd)
+            paths.append(path)
             pid = os.fork()
             if pid == 0:  # child
                 status = 1
@@ -149,6 +153,7 @@ def _fork_map(fn: Callable[[Any], T], items: list[Any],
         failures: list[str] = []
         for pid, path, share in workers:
             __, status = os.waitpid(pid, 0)
+            reaped.add(pid)
             try:
                 with open(path, "rb") as handle:
                     ok, payload = pickle.load(handle)
@@ -169,7 +174,17 @@ def _fork_map(fn: Callable[[Any], T], items: list[Any],
             )
         return results  # type: ignore[return-value]
     finally:
-        for __, path, __ in workers:
+        # A later fork failed or the wait was interrupted: stop and reap
+        # every child still running, so none is left behind or writes
+        # its file after the unlink below.
+        for pid, __, __ in workers:
+            if pid not in reaped:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except OSError:  # already gone
+                    pass
+        for path in paths:
             try:
                 os.unlink(path)
             except OSError:

@@ -20,13 +20,16 @@ from repro.facs.descriptions import FacialDescription
 from repro.model.foundation import FoundationModel
 from repro.video.frame import Video
 
+#: SLIC superpixels per keyframe in the flip-count protocol (§IV-H).
+FLIP_COUNT_SEGMENTS: int = 64
+
 
 def rationale_flip_count(
     model: FoundationModel,
     video: Video,
     description: FacialDescription,
     rationale: tuple[int, ...],
-    num_segments: int = 64,
+    num_segments: int = FLIP_COUNT_SEGMENTS,
     fill: float = 0.5,
 ) -> int:
     """Number of highlighted facial parts that must be removed (in

@@ -7,6 +7,10 @@ Describe -> Assess -> Highlight reasoning chain."
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.datasets.instruction import InstructionPair
@@ -40,6 +44,8 @@ def train_describe(
     """
     if not pairs:
         raise TrainingError("instruction tuning needs at least one pair")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be positive, got {epochs}")
     with span("train.describe_tuning", epochs=epochs,
               num_pairs=len(pairs)) as sp:
         features = model.features_matrix([pair.video for pair in pairs])
@@ -48,25 +54,16 @@ def train_describe(
             model.trunk.parameters() + model.au_head.parameters(), lr=lr
         )
         noise_rng = make_rng(seed, "describe-feature-noise")
-        num_patches = features.shape[1] // 2
         curve: list[float] = []
-        for _ in range(epochs):
-            optimizer.zero_grad()
-            inputs = features
-            if feature_noise > 0:
-                inputs = features + noise_rng.normal(0.0, feature_noise,
-                                                     features.shape)
-            if patch_dropout > 0:
-                keep = noise_rng.random((inputs.shape[0], num_patches)) >= patch_dropout
-                if inputs is features:
-                    inputs = features.copy()
-                inputs[:, :num_patches] *= keep
-                inputs[:, num_patches:] *= keep
-            logits = model.au_logits_batch(inputs)
-            loss, grad = description_nll(logits, targets)
-            model.backward_description_batch(grad)
-            optimizer.step()
-            curve.append(loss)
+        with _augmented_epochs(features, epochs, feature_noise,
+                               patch_dropout, noise_rng) as epoch_inputs:
+            for inputs in epoch_inputs:
+                optimizer.zero_grad()
+                logits = model.au_logits_batch(inputs)
+                loss, grad = description_nll(logits, targets)
+                model.backward_description_batch(grad)
+                optimizer.step()
+                curve.append(loss)
         # The last step consumed these gradients, and no later stage
         # steps the trunk: leave none behind.
         optimizer.zero_grad()
@@ -107,6 +104,8 @@ def train_assess(
         raise TrainingError("videos, descriptions and labels must align")
     if not videos:
         raise TrainingError("assessment tuning needs at least one sample")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be positive, got {epochs}")
     with span("train.assess_tuning", epochs=epochs,
               num_samples=len(videos)) as sp:
         curve = _train_assess_epochs(
@@ -140,7 +139,6 @@ def _train_assess_epochs(
     optimizer = Adam(model.assess_head.parameters(), lr=lr,
                      weight_decay=weight_decay)
     noise_rng = make_rng(seed, "assess-feature-noise")
-    num_patches = features.shape[1] // 2
     # Class-balanced sample weights (mean 1): the paper reports macro
     # metrics, and RSL is 70/30 imbalanced -- an unweighted fit would
     # sacrifice stressed-class recall for accuracy.
@@ -151,24 +149,69 @@ def _train_assess_epochs(
     else:
         weights = np.ones_like(labels)
     curve: list[float] = []
-    for _ in range(epochs):
-        optimizer.zero_grad()
-        inputs = features
-        if feature_noise > 0:
-            inputs = features + noise_rng.normal(0.0, feature_noise,
-                                                 features.shape)
-        if patch_dropout > 0:
-            # Zero both channels of dropped patches, emulating a
-            # blanked segment in pixel space.
-            keep = noise_rng.random((inputs.shape[0], num_patches)) >= patch_dropout
-            if inputs is features:
-                inputs = features.copy()
-            inputs[:, :num_patches] *= keep
-            inputs[:, num_patches:] *= keep
-        logits = model.assess_logits_batch(inputs, desc_vectors)
-        loss, grad = description_nll(logits[:, np.newaxis],
-                                     labels[:, np.newaxis])
-        model.backward_assess_batch(grad[:, 0] * weights)
-        optimizer.step()
-        curve.append(loss)
+    with _augmented_epochs(features, epochs, feature_noise, patch_dropout,
+                           noise_rng) as epoch_inputs:
+        for inputs in epoch_inputs:
+            optimizer.zero_grad()
+            logits = model.assess_logits_batch(inputs, desc_vectors)
+            loss, grad = description_nll(logits[:, np.newaxis],
+                                         labels[:, np.newaxis])
+            model.backward_assess_batch(grad[:, 0] * weights)
+            optimizer.step()
+            curve.append(loss)
     return curve
+
+
+@contextmanager
+def _augmented_epochs(
+    features: np.ndarray,
+    epochs: int,
+    feature_noise: float,
+    patch_dropout: float,
+    rng: np.random.Generator,
+) -> Iterator[Iterator[np.ndarray]]:
+    """Yields an iterator over ``epochs`` augmented copies of
+    ``features``: Gaussian feature noise, then patch dropout, which
+    zeroes both channels of a dropped patch (a blanked segment in
+    pixel space).
+
+    The draws run one epoch ahead on a single helper thread, so epoch
+    e+1's draw overlaps epoch e's forward and backward passes (numpy's
+    Generator fills release the GIL).  Only the helper draws from
+    ``rng``, with the same calls in the same order as a serial loop,
+    and never past the last epoch: the stream, and so every input, is
+    bitwise that of drawing in the loop.  The helper is joined on exit,
+    also when the loop body raises.
+    """
+    if feature_noise <= 0 and patch_dropout <= 0:
+        yield iter([features] * epochs)
+        return
+    num_patches = features.shape[1] // 2
+
+    def draw() -> tuple[np.ndarray | None, np.ndarray | None]:
+        noise = keep = None
+        if feature_noise > 0:
+            noise = rng.normal(0.0, feature_noise, features.shape)
+        if patch_dropout > 0:
+            keep = (rng.random((features.shape[0], num_patches))
+                    >= patch_dropout)
+        return noise, keep
+
+    def inputs(helper: ThreadPoolExecutor) -> Iterator[np.ndarray]:
+        pending = helper.submit(draw)
+        for epoch in range(epochs):
+            noise, keep = pending.result()
+            if epoch + 1 < epochs:
+                pending = helper.submit(draw)
+            if noise is not None:
+                augmented = features + noise
+            else:
+                augmented = features.copy()
+            if keep is not None:
+                augmented[:, :num_patches] *= keep
+                augmented[:, num_patches:] *= keep
+            yield augmented
+
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="augment") as helper:
+        yield inputs(helper)

@@ -25,6 +25,8 @@ Every ablation in the paper's Tables III-VI is a switch here:
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,11 +51,15 @@ from repro.training.dpo import (
     DPOTrainer,
     RationalePreference,
 )
-from repro.training.faithfulness import rationale_flip_count
+from repro.training.faithfulness import (
+    FLIP_COUNT_SEGMENTS,
+    rationale_flip_count,
+)
 from repro.training.helpfulness import helpfulness_score
 from repro.training.instruction_tuning import train_assess, train_describe
 from repro.training.reflection import propose_description, propose_rationales
 from repro.training.verification import VerificationPool, verification_score
+from repro.video.frame import Video
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,9 @@ class SelfRefineConfig:
             raise TrainingError("K and n must be positive")
         if self.max_reflection_rounds < 1:
             raise TrainingError("max_reflection_rounds must be positive")
+        if self.describe_epochs < 1 or self.assess_epochs < 1:
+            raise TrainingError(
+                "describe_epochs and assess_epochs must be positive")
 
 
 @dataclass
@@ -335,9 +344,18 @@ class SelfRefineTrainer:
         samples: list[Sample],
         descriptions: list[FacialDescription | None],
     ) -> list[RationalePreference]:
-        """Best/worst rationale selection (Algorithm 1 lines 11-14)."""
+        """Best/worst rationale selection (Algorithm 1 lines 11-14).
+
+        The pass is inference only (the DPO update on its pairs runs
+        after it returns), and every candidate's seed derives from its
+        sample, so it runs in phases without changing a result: each
+        sample's description, assessment and unique candidates; then
+        the SLIC maps the flip counts will read, on forked workers
+        (:func:`_prefetch_segmentations`); then the flip counts,
+        serially in sample order.
+        """
         config = self.config
-        pairs: list[RationalePreference] = []
+        to_rank = []
         limit = self._refine_limit(len(samples))
         for index in range(limit):
             sample = samples[index]
@@ -362,10 +380,15 @@ class SelfRefineTrainer:
                 use_reflection=config.use_reflection,
             )
             unique = list(dict.fromkeys(candidates))
-            if len(unique) < 2:
-                continue
+            if len(unique) >= 2:
+                to_rank.append((sample.video, description, assessment,
+                               unique))
+
+        _prefetch_segmentations([video for video, *__ in to_rank])
+        pairs: list[RationalePreference] = []
+        for video, description, assessment, unique in to_rank:
             flips = [
-                rationale_flip_count(self.model, sample.video, description,
+                rationale_flip_count(self.model, video, description,
                                      rationale)
                 for rationale in unique
             ]
@@ -373,7 +396,48 @@ class SelfRefineTrainer:
             worst = unique[int(np.argmax(flips))]
             if best != worst and min(flips) < max(flips):
                 pairs.append(RationalePreference(
-                    video=sample.video, description=description,
+                    video=video, description=description,
                     assessment=assessment, winner=best, loser=worst,
                 ))
         return pairs
+
+
+def _prefetch_segmentations(videos: list[Video],
+                            num_segments: int = FLIP_COUNT_SEGMENTS) -> int:
+    """Segment each distinct clip among ``videos`` whose map is not
+    cached yet on forked workers, and install the maps in the callers'
+    :class:`Video` objects; returns the number of maps computed.
+
+    A child computes ``Video.segmentation``, a pure function of the
+    clip's pixels, and equal content hashes imply equal pixels: an
+    installed map is bitwise the one the flip count would compute.
+    The parent installs it without calling ``Video.segmentation``, so
+    its only calls stay the flip counts', each now a cache hit.
+
+    Computes nothing, and never forks, when ``REPRO_NUM_WORKERS`` is 1,
+    when the platform has no ``os.fork``, when another thread is alive
+    (forking a multi-threaded process can deadlock the child), or when
+    fewer than two maps are missing: each map is then segmented
+    serially, on first use.
+    """
+    # Imported here: repro.evaluation's package init imports the chain
+    # pipeline, which imports this package.
+    from repro.evaluation.parallel import parallel_map, resolve_num_workers
+
+    workers = resolve_num_workers()
+    if (workers < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 0
+    pending: dict[str, list[Video]] = {}
+    for video in videos:
+        if not video.has_segmentation(num_segments):
+            pending.setdefault(video.content_hash, []).append(video)
+    clips = list(pending.values())
+    if len(clips) < 2:  # one map gains nothing from a worker
+        return 0
+    maps = parallel_map(lambda same: same[0].segmentation(num_segments),
+                        clips, backend="process", num_workers=workers)
+    for same, labels in zip(clips, maps):
+        for video in same:
+            video.install_segmentation(labels, num_segments)
+    return len(clips)

@@ -184,6 +184,21 @@ class Video:
             self._slic_cache[num_segments] = cached
         return cached
 
+    def has_segmentation(self, num_segments: int = 64) -> bool:
+        """Whether :meth:`segmentation` would answer from its cache."""
+        return num_segments in self._slic_cache
+
+    def install_segmentation(self, labels: np.ndarray,
+                             num_segments: int = 64) -> None:
+        """Cache a label map computed elsewhere, e.g. in a forked
+        worker, so :meth:`segmentation` returns it without segmenting.
+
+        ``labels`` must be :meth:`segmentation` of a clip with this
+        clip's :attr:`content_hash`: SLIC is a pure function of the
+        pixels, so that map is the one this clip would compute.
+        """
+        self._slic_cache[num_segments] = labels
+
     def drop_frame_cache(self) -> None:
         """Release cached pixel data (specs stay, frames re-render)."""
         self._frame_cache.clear()

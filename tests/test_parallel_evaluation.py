@@ -7,6 +7,7 @@ dataclass of floats, so plain ``==`` is exactly that assertion.
 """
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -106,6 +107,32 @@ class TestParallelMap:
 
         with pytest.raises(RuntimeError, match="bad item"):
             parallel_map(boom, range(4), backend="process", num_workers=2)
+
+    def test_failed_fork_reaps_started_children(self, monkeypatch,
+                                                tmp_path):
+        """A fork that fails after others succeeded leaves no child
+        unreaped and no result file behind."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        real_fork = os.fork
+        pids = []
+
+        def fork_once():
+            if pids:
+                raise OSError("injected fork failure")
+            pid = real_fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(os, "fork", fork_once)
+        with pytest.raises(OSError, match="injected"):
+            parallel_map(lambda x: x, range(4), backend="process",
+                         num_workers=2)
+        monkeypatch.undo()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+        assert not list(tmp_path.glob("repro-fork-*.pkl"))
 
 
 class TestConfigResolution:

@@ -24,6 +24,12 @@ class TestConfig:
         with pytest.raises(TrainingError):
             SelfRefineConfig(max_reflection_rounds=0)
 
+    @pytest.mark.parametrize("field", ["describe_epochs", "assess_epochs"])
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_nonpositive_tuning_epochs_raise(self, field, epochs):
+        with pytest.raises(TrainingError, match="epochs"):
+            SelfRefineConfig(**{field: epochs})
+
 
 class TestVariants:
     def test_all_paper_variants_registered(self):

@@ -1,20 +1,27 @@
 """Tests for the individual Algorithm-1 stages."""
 
+import dataclasses
+import os
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
+from repro.evaluation.parallel import NUM_WORKERS_ENV
 from repro.facs.descriptions import FacialDescription
 from repro.model.foundation import FoundationModel
 from repro.model.generation import GenerationConfig, bernoulli_set_logprob
+from repro.nn.optim import Adam
 from repro.nn.tensorops import sigmoid
 from repro.rng import derive_seed, make_rng
 from repro.training import self_refine
+from repro.training.dpo import DPOTrainer
 from repro.training.faithfulness import rationale_flip_count
 from repro.training.helpfulness import ASSESS_TEMPERATURE, helpfulness_score
 from repro.training.instruction_tuning import train_assess, train_describe
+from repro.training.losses import description_nll
 from repro.training.reflection import propose_description, propose_rationales
 from repro.training.self_refine import SelfRefineConfig, SelfRefineTrainer
 from repro.training.trainer import train_stress_model
@@ -23,6 +30,8 @@ from repro.training.verification import (
     VerificationPool,
     verification_score,
 )
+from repro.video import segmentation
+from repro.video.frame import Video
 
 
 def _helpfulness_per_trial(model, video, description, true_label,
@@ -71,6 +80,107 @@ def _verification_per_trial(model, video, description, pool, num_trials,
         choice = int(np.argmax(scores / VERIFY_TEMPERATURE + gumbel))
         hits += int(choice == target)
     return hits / num_trials
+
+
+def _train_describe_serial(model, pairs, epochs, lr=1e-2,
+                           feature_noise=0.15, patch_dropout=0.08, seed=0):
+    """Stage-1 tuning as it ran before its augmentation draws moved to
+    a helper thread: noise and dropout drawn inside the epoch loop."""
+    features = model.features_matrix([pair.video for pair in pairs])
+    targets = np.stack([pair.description.to_vector() for pair in pairs])
+    optimizer = Adam(model.trunk.parameters() + model.au_head.parameters(),
+                     lr=lr)
+    noise_rng = make_rng(seed, "describe-feature-noise")
+    num_patches = features.shape[1] // 2
+    curve = []
+    for _ in range(epochs):
+        optimizer.zero_grad()
+        inputs = features
+        if feature_noise > 0:
+            inputs = features + noise_rng.normal(0.0, feature_noise,
+                                                 features.shape)
+        if patch_dropout > 0:
+            keep = noise_rng.random((inputs.shape[0], num_patches)) >= patch_dropout
+            if inputs is features:
+                inputs = features.copy()
+            inputs[:, :num_patches] *= keep
+            inputs[:, num_patches:] *= keep
+        logits = model.au_logits_batch(inputs)
+        loss, grad = description_nll(logits, targets)
+        model.backward_description_batch(grad)
+        optimizer.step()
+        curve.append(loss)
+    optimizer.zero_grad()
+    return curve
+
+
+def _train_assess_serial(model, videos, descriptions, labels, epochs,
+                         lr=1e-2, weight_decay=0.01, feature_noise=0.2,
+                         patch_dropout=0.14, seed=0):
+    """Assessment tuning as it ran before its augmentation draws moved
+    to a helper thread."""
+    num_aus = model.au_head.bias.value.shape[0]
+    features = model.features_matrix(videos)
+    desc_vectors = np.stack([
+        desc.to_vector() if desc is not None else np.zeros(num_aus)
+        for desc in descriptions
+    ])
+    labels = np.asarray(labels, dtype=np.float64)
+    optimizer = Adam(model.assess_head.parameters(), lr=lr,
+                     weight_decay=weight_decay)
+    noise_rng = make_rng(seed, "assess-feature-noise")
+    num_patches = features.shape[1] // 2
+    positive_rate = float(labels.mean())
+    if 0.0 < positive_rate < 1.0:
+        weights = np.where(labels > 0.5, 0.5 / positive_rate,
+                           0.5 / (1.0 - positive_rate))
+    else:
+        weights = np.ones_like(labels)
+    curve = []
+    for _ in range(epochs):
+        optimizer.zero_grad()
+        inputs = features
+        if feature_noise > 0:
+            inputs = features + noise_rng.normal(0.0, feature_noise,
+                                                 features.shape)
+        if patch_dropout > 0:
+            keep = noise_rng.random((inputs.shape[0], num_patches)) >= patch_dropout
+            if inputs is features:
+                inputs = features.copy()
+            inputs[:, :num_patches] *= keep
+            inputs[:, num_patches:] *= keep
+        logits = model.assess_logits_batch(inputs, desc_vectors)
+        loss, grad = description_nll(logits[:, np.newaxis],
+                                     labels[:, np.newaxis])
+        model.backward_assess_batch(grad[:, 0] * weights)
+        optimizer.step()
+        curve.append(loss)
+    return curve
+
+
+#: (feature_noise, patch_dropout): both, either one, neither.
+AUGMENTATIONS = [(0.15, 0.08), (0.0, 0.08), (0.15, 0.0), (0.0, 0.0)]
+
+
+class _FailingBackwardModel(FoundationModel):
+    """Raises from the third backward pass of either tuning stage."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.backward_calls = 0
+
+    def _fail_on_third(self):
+        self.backward_calls += 1
+        if self.backward_calls == 3:
+            raise RuntimeError("injected backward failure")
+
+    def backward_description_batch(self, grad_logits):
+        self._fail_on_third()
+        super().backward_description_batch(grad_logits)
+
+    def backward_assess_batch(self, grad_logits):
+        self._fail_on_third()
+        super().backward_assess_batch(grad_logits)
 
 
 def _scoring_triples(model, train):
@@ -134,6 +244,83 @@ class TestInstructionTuning:
         model = FoundationModel(make_rng(6, "it6"))
         with pytest.raises(TrainingError):
             train_assess(model, [micro_uvsd[0].video], [], np.array([1.0]))
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_describe_nonpositive_epochs_raise(self, instruction_pairs,
+                                               epochs):
+        model = FoundationModel(make_rng(3, "it3"))
+        with pytest.raises(TrainingError, match="epochs"):
+            train_describe(model, instruction_pairs[:4], epochs=epochs)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_assess_nonpositive_epochs_raise(self, micro_uvsd, epochs):
+        model = FoundationModel(make_rng(6, "it6"))
+        sample = micro_uvsd[0]
+        with pytest.raises(TrainingError, match="epochs"):
+            train_assess(model, [sample.video], [None],
+                         np.array([float(sample.label)]), epochs=epochs)
+
+    @pytest.mark.parametrize("feature_noise,patch_dropout", AUGMENTATIONS)
+    def test_describe_matches_serial_oracle(self, instruction_pairs,
+                                            feature_noise, patch_dropout):
+        """Drawing one epoch ahead on a helper thread gives bitwise the
+        loss curve and weights of drawing inside the loop."""
+        pairs = instruction_pairs[:40]
+        kwargs = dict(epochs=12, feature_noise=feature_noise,
+                      patch_dropout=patch_dropout, seed=4)
+        oracle = FoundationModel(make_rng(7, "oracle"))
+        model = FoundationModel(make_rng(7, "oracle"))
+        want = _train_describe_serial(oracle, pairs, **kwargs)
+        got = train_describe(model, pairs, **kwargs)
+        assert got == want
+        assert model.fingerprint() == oracle.fingerprint()
+
+    @pytest.mark.parametrize("feature_noise,patch_dropout", AUGMENTATIONS)
+    def test_assess_matches_serial_oracle(self, micro_uvsd, feature_noise,
+                                          patch_dropout):
+        samples = list(micro_uvsd)[:40]
+        videos = [s.video for s in samples]
+        descriptions = [s.true_description() if i % 3 else None
+                        for i, s in enumerate(samples)]
+        labels = np.array([s.label for s in samples], dtype=float)
+        kwargs = dict(epochs=12, feature_noise=feature_noise,
+                      patch_dropout=patch_dropout, seed=5)
+        oracle = FoundationModel(make_rng(8, "oracle"))
+        model = FoundationModel(make_rng(8, "oracle"))
+        want = _train_assess_serial(oracle, videos, descriptions, labels,
+                                    **kwargs)
+        got = train_assess(model, videos, descriptions, labels, **kwargs)
+        assert got == want
+        assert model.fingerprint() == oracle.fingerprint()
+
+    def test_tuning_leaves_no_helper_thread(self, instruction_pairs,
+                                            micro_uvsd):
+        before = threading.active_count()
+        model = FoundationModel(make_rng(9, "threads"))
+        train_describe(model, instruction_pairs[:10], epochs=3)
+        assert threading.active_count() == before
+        samples = list(micro_uvsd)[:10]
+        train_assess(model, [s.video for s in samples], [None] * 10,
+                     np.array([s.label for s in samples], dtype=float),
+                     epochs=3)
+        assert threading.active_count() == before
+
+    def test_failed_step_joins_helper_thread(self, instruction_pairs,
+                                             micro_uvsd):
+        """A training step that raises propagates, and the augmentation
+        helper is joined all the same."""
+        before = threading.active_count()
+        model = _FailingBackwardModel(make_rng(10, "fails"))
+        with pytest.raises(RuntimeError, match="injected"):
+            train_describe(model, instruction_pairs[:10], epochs=6)
+        assert threading.active_count() == before
+        model = _FailingBackwardModel(make_rng(10, "fails"))
+        samples = list(micro_uvsd)[:10]
+        with pytest.raises(RuntimeError, match="injected"):
+            train_assess(model, [s.video for s in samples], [None] * 10,
+                         np.array([s.label for s in samples], dtype=float),
+                         epochs=6)
+        assert threading.active_count() == before
 
 
 class TestScores:
@@ -349,3 +536,126 @@ class TestFrozenForwardReuse:
         assert report.dpo_description_curve and report.dpo_rationale_curve
         for param in model.trunk.parameters():
             assert not param.grad.any(), param.name
+
+
+def _fresh_samples(samples):
+    """The samples over new :class:`Video` objects of the same specs:
+    same content, no cached frames or SLIC maps."""
+    return [dataclasses.replace(s, video=Video(s.video.spec))
+            for s in samples]
+
+
+class TestRationalePassSegmentation:
+    """The rationale pass segments its clips on forked workers and
+    installs the maps; no result depends on the worker count."""
+
+    @pytest.fixture()
+    def rationale_setup(self, trained):
+        model, __, train, __ = trained
+        config = SelfRefineConfig(num_rationale_candidates=3,
+                                  refine_sample_limit=14, seed=7)
+        return model, config, list(train)[:14]
+
+    def test_worker_count_does_not_change_results(self, rationale_setup,
+                                                  monkeypatch):
+        model, config, samples = rationale_setup
+        outcomes = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(NUM_WORKERS_ENV, workers)
+            clone = model.clone()
+            pairs = SelfRefineTrainer(clone, config)._refine_rationales(
+                _fresh_samples(samples), [None] * len(samples))
+            DPOTrainer(clone, beta=config.beta).train_rationales(pairs,
+                                                                epochs=3)
+            outcomes.append((
+                [(p.video.video_id, p.description, p.assessment, p.winner,
+                  p.loser) for p in pairs],
+                clone.fingerprint(),
+            ))
+        assert outcomes[0][0]
+        assert outcomes[0] == outcomes[1]
+
+    def test_exactly_the_needed_maps_are_installed(self, rationale_setup,
+                                                   monkeypatch):
+        """The parent segments nothing itself; it installs one map per
+        distinct flip-counted clip, each equal to ``slic_segments``,
+        before the first flip count reads it."""
+        model, config, samples = rationale_setup
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        assert threading.active_count() == 1, "a thread leaked into the test"
+        monkeypatch.setenv(NUM_WORKERS_ENV, "2")
+        samples = _fresh_samples(samples)
+        parent_slic = []
+        slic_segments = segmentation.slic_segments
+
+        def counted_slic(*args, **kwargs):
+            parent_slic.append(1)  # a forked child appends to its copy
+            return slic_segments(*args, **kwargs)
+
+        flip_counted = set()
+        flip_count = self_refine.rationale_flip_count
+
+        def checked_flip_count(model, video, *args, **kwargs):
+            assert video.has_segmentation(64)
+            flip_counted.add(video.content_hash)
+            return flip_count(model, video, *args, **kwargs)
+
+        computed = []
+        prefetch = self_refine._prefetch_segmentations
+
+        def recorded_prefetch(videos, *args, **kwargs):
+            computed.append(prefetch(videos, *args, **kwargs))
+            return computed[-1]
+
+        monkeypatch.setattr(segmentation, "slic_segments", counted_slic)
+        monkeypatch.setattr(self_refine, "rationale_flip_count",
+                            checked_flip_count)
+        monkeypatch.setattr(self_refine, "_prefetch_segmentations",
+                            recorded_prefetch)
+        SelfRefineTrainer(model, config)._refine_rationales(
+            samples, [None] * len(samples))
+        monkeypatch.undo()
+
+        assert len(flip_counted) >= 2
+        assert computed == [len(flip_counted)]
+        assert not parent_slic
+        for sample in samples:
+            video = sample.video
+            if video.content_hash in flip_counted:
+                expressive, __ = video.keyframes
+                want = segmentation.slic_segments(expressive, 64)
+                got = video.segmentation(64)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            else:
+                assert not video.has_segmentation(64)
+
+    @pytest.mark.parametrize("guard", ["second_thread", "one_worker"])
+    def test_serial_cases_never_fork(self, rationale_setup, monkeypatch,
+                                     guard):
+        model, config, samples = rationale_setup
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise AssertionError("the rationale pass forked")
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if guard == "second_thread":
+            monkeypatch.setenv(NUM_WORKERS_ENV, "2")
+            thread.start()
+        else:
+            monkeypatch.setenv(NUM_WORKERS_ENV, "1")
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        try:
+            pairs = SelfRefineTrainer(model, config)._refine_rationales(
+                _fresh_samples(samples), [None] * len(samples))
+        finally:
+            release.set()
+            if guard == "second_thread":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert pairs
+        assert not forks
