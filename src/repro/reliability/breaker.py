@@ -1,13 +1,16 @@
 """Sliding-window circuit breaker.
 
 The breaker guards the batch executor: every executed request outcome
-is recorded, and when the failure rate over the most recent ``window``
-outcomes crosses ``failure_threshold`` (with at least ``min_volume``
-outcomes observed) the circuit **opens** -- execution stops, and the
+is recorded (a batch's outcomes in order, under one lock), and when
+the failure rate over the most recent ``window`` outcomes crosses
+``failure_threshold`` (with at least ``min_volume`` outcomes
+observed) the circuit **opens** -- execution stops, and the
 service either fails fast or serves cache-only hits in degraded mode.
 After ``open_duration_s`` the breaker goes **half-open** and admits up
 to ``half_open_probes`` trial requests: if every probe succeeds the
 circuit closes (window reset), a single probe failure re-opens it.
+The breaker keeps a running count of the failures in its window, so
+recording an outcome never re-sums the window.
 
 The clock is injectable so tests drive transitions deterministically;
 state changes are exported as ``reliability.breaker_state`` (0 closed,
@@ -20,7 +23,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import ConfigError
 from repro.observability.metrics import global_metrics
@@ -69,6 +72,8 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self._state = CLOSED
         self._outcomes: deque[bool] = deque(maxlen=self.config.window)
+        #: Failures among ``_outcomes``, kept in step with the window.
+        self._failures = 0
         self._opened_at = 0.0
         self._probes_in_flight = 0
         self._probe_failures = 0
@@ -107,32 +112,47 @@ class CircuitBreaker:
 
     def record(self, success: bool) -> None:
         """Report one executed request's outcome."""
+        self.record_many((success,))
+
+    def record_many(self, successes: Iterable[bool]) -> None:
+        """Report executed requests' outcomes, in order, under one lock:
+        the same transitions as one :meth:`record` per outcome."""
         with self._lock:
-            self._maybe_half_open()
-            if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                if success:
-                    self._probe_successes += 1
-                    if self._probe_successes >= self.config.half_open_probes:
-                        self._transition(CLOSED)
-                else:
-                    self._transition(OPEN)
-                return
-            if self._state == OPEN:
-                # Outcome of a request admitted before the trip; it no
-                # longer changes the verdict.
-                return
-            self._outcomes.append(success)
-            if self._trippable():
-                self._transition(OPEN)
+            for success in successes:
+                self._record(success)
 
     # ------------------------------------------------------------------
 
+    def _record(self, success: bool) -> None:
+        # Called under the lock.
+        self._maybe_half_open()
+        if self._state == HALF_OPEN:
+            self._probes_in_flight = max(0, self._probes_in_flight - 1)
+            if success:
+                self._probe_successes += 1
+                if self._probe_successes >= self.config.half_open_probes:
+                    self._transition(CLOSED)
+            else:
+                self._transition(OPEN)
+            return
+        if self._state == OPEN:
+            # Outcome of a request admitted before the trip; it no
+            # longer changes the verdict.
+            return
+        outcomes = self._outcomes
+        if len(outcomes) == outcomes.maxlen and not outcomes[0]:
+            self._failures -= 1  # the append below evicts a failure
+        outcomes.append(success)
+        if not success:
+            self._failures += 1
+        if self._trippable():
+            self._transition(OPEN)
+
     def _trippable(self) -> bool:
-        if len(self._outcomes) < self.config.min_volume:
+        count = len(self._outcomes)
+        if count < self.config.min_volume:
             return False
-        failures = sum(1 for ok in self._outcomes if not ok)
-        return failures / len(self._outcomes) >= self.config.failure_threshold
+        return self._failures / count >= self.config.failure_threshold
 
     def _maybe_half_open(self) -> None:
         if (self._state == OPEN
@@ -149,6 +169,7 @@ class CircuitBreaker:
             self._m_opened.inc()
         elif state == CLOSED:
             self._outcomes.clear()
+            self._failures = 0
             self._m_closed.inc()
         self._probes_in_flight = 0
         self._probe_failures = 0

@@ -226,17 +226,17 @@ class MicroBatcher:
             except BaseException as exc:  # noqa: BLE001 - worker must survive
                 outcomes = [exc] * len(batch)
             now = time.monotonic()
+            failed = [isinstance(outcome, BaseException)
+                      for outcome in outcomes]
             if self._stats is not None:
                 # Latency split: time each request sat queued before
                 # this batch started vs the batch's execution time.
                 self._stats.record_batch_split(
                     [started - p.enqueued_at for p in batch], now - started)
-            for pending, outcome in zip(batch, outcomes):
-                failed = isinstance(outcome, BaseException)
-                if self._stats is not None:
-                    self._stats.record_completion(now - pending.enqueued_at,
-                                                  failed=failed)
-                if failed:
+                self._stats.record_completions(
+                    [now - p.enqueued_at for p in batch], failed)
+            for pending, outcome, bad in zip(batch, outcomes, failed):
+                if bad:
                     pending.future.set_exception(outcome)
                 else:
                     pending.future.set_result(outcome)

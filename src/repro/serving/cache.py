@@ -23,9 +23,17 @@ The content hash digests the :class:`~repro.video.frame.VideoSpec`
 rather than rendered pixels: rendering is fully deterministic given
 the spec (including its render seed), so the spec *is* the content in
 latent form, and hashing ~1 KB of latent state instead of ~150 KB of
-pixels keeps the cache-hit path far cheaper than a model call.  Keys
-are memoized per ``(video_id, render seed)`` by :class:`ContentKeyMemo`,
-the one memo both the stage caches and the replica pool's router use.
+pixels keeps the cache-hit path far cheaper than a model call.  The
+:class:`~repro.video.frame.Video` computes it once
+(:attr:`~repro.video.frame.Video.content_hash`), so the router, the
+stage caches and the model's feature cache all read one digest.  The
+stage keys start from the serving model's
+:meth:`~repro.model.foundation.FoundationModel.output_identity` of the
+video: the content hash, plus the video id for a model whose outputs
+also depend on the id.
+
+Entries are frozen and carry their dialogue turns already rendered,
+so a cache hit builds no text and requests can share an entry.
 """
 
 from __future__ import annotations
@@ -33,15 +41,17 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Hashable
 
+from repro.cot.rationale import Rationale
 from repro.errors import ConfigError
 from repro.facs.descriptions import FacialDescription
+from repro.model.session import Turn
 from repro.observability import profiling
 from repro.reliability.faults import fault_point
 # video_content_hash stays importable from here: perfbench's ledger
-# times the stage caches' hashing under this module's name.
-from repro.video.frame import Video, video_content_hash
+# wraps it under this module's name.  Keys read Video.content_hash.
+from repro.video.frame import Video, video_content_hash  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,12 +165,12 @@ NULL_CACHES = _NullStageCaches()
 class DescribeEntry:
     """Cached output of the Describe stage for one video content.
 
-    ``description`` is the greedy draw the chain records in the
-    dialogue session; ``rendered`` is its text.
+    ``description`` is the greedy draw; ``turn`` is the I1 exchange
+    the chain records in the dialogue session, its text rendered once.
     """
 
     description: FacialDescription
-    rendered: str
+    turn: Turn
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,46 +185,17 @@ class AssessEntry:
 
 @dataclass(frozen=True, slots=True)
 class HighlightEntry:
-    """Cached output of the Highlight stage."""
+    """Cached output of the Highlight stage: the rationale, and the I3
+    turn (``None`` when the description names no action unit, which
+    records no turn)."""
 
-    rationale: tuple[int, ...]
-    rendered: str | None
-
-
-# ----------------------------------------------------------------------
-# Content keys
-# ----------------------------------------------------------------------
-
-
-class ContentKeyMemo:
-    """Memoized :func:`video_content_hash`.
-
-    The memo key is the caller-supplied ``(video_id, render seed)``, so
-    callers must not reuse that pair for different content (the model's
-    feature cache does not rely on it: it keys on the content hash).
-    Every content-key memo in the serving layer is one of these, so the
-    policy lives here alone.
-    """
-
-    def __init__(self, capacity: int = 8192):
-        self._memo = LRUCache(capacity)
-
-    def __call__(self, video: Video) -> str:
-        memo_key = (video.video_id, video.spec.seed)
-        key = self._memo.get(memo_key)
-        if key is None:
-            key = video_content_hash(video)
-            self._memo.put(memo_key, key)
-        return key
-
-    def clear(self) -> None:
-        self._memo.clear()
+    rationale: Rationale
+    turn: Turn | None
 
 
 class StageCaches:
     """The per-stage caches one service (or ``predict_many`` call)
-    owns, plus the content-key memo that makes repeated lookups
-    cheap."""
+    owns."""
 
     def __init__(self, describe_capacity: int = 2048,
                  assess_capacity: int = 4096,
@@ -222,18 +203,19 @@ class StageCaches:
         self.describe = _StageCache(describe_capacity)
         self.assess = _StageCache(assess_capacity)
         self.highlight = _StageCache(highlight_capacity)
-        self._content_key = ContentKeyMemo()
 
-    def content_key(self, video: Video) -> str:
-        """The video's content hash, memoized (see
-        :class:`ContentKeyMemo`)."""
-        return self._content_key(video)
+    def content_key(self, video: Video, model) -> Hashable:
+        """The key every stage-cache entry of ``video`` starts from:
+        the serving ``model``'s :meth:`~repro.model.foundation
+        .FoundationModel.output_identity` of it, which is
+        ``video.content_hash`` unless the model's outputs also depend
+        on the video id."""
+        return model.output_identity(video)
 
     def clear(self) -> None:
         self.describe.clear()
         self.assess.clear()
         self.highlight.clear()
-        self._content_key.clear()
 
     def stats(self) -> dict[str, CacheStats]:
         return {

@@ -27,10 +27,12 @@ The guarantee is structural, not numerical luck:
   across batches the per-stage LRU caches replay stage outputs that
   greedy decoding makes deterministic.
 
-Every request gets its *own* :class:`DialogueSession`, rebuilt from
-the stage outputs in the chain's recording order, so concurrent
-requests can never interleave dialogue state (the mutable-state hazard
-DESIGN.md section 10 discusses).
+Every request gets its *own* :class:`DialogueSession`: a fresh list
+over the chain's turns in recording order, so concurrent requests can
+never interleave dialogue state (the mutable-state hazard DESIGN.md
+section 10 discusses).  The turns themselves are frozen and shared:
+the cache entries carry them rendered, and the Assess turns are module
+constants, so a cache hit builds no text.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from typing import Hashable
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from repro.model.instructions import (
     DIRECT_ASSESS_INSTRUCTION,
     HIGHLIGHT_INSTRUCTION,
 )
-from repro.model.session import DialogueSession
+from repro.model.session import DialogueSession, Turn
 from repro.nn.tensorops import sigmoid
 from repro.observability.tracing import span
 from repro.reliability.deadlines import Deadline
@@ -73,15 +76,14 @@ from repro.video.frame import Video
 @dataclass(frozen=True, slots=True)
 class _ChainCore:
     """The request-independent core of one chain run: everything a
-    :class:`ChainResult` needs except the per-request session object
-    and timing."""
+    :class:`ChainResult` needs except the per-request session object.
+    ``turns`` are the dialogue turns in the chain's recording order."""
 
     description: FacialDescription | None
-    greedy_render: str | None
     label: int
     prob: float
-    rationale: tuple[int, ...]
-    rationale_render: str | None
+    rationale: Rationale
+    turns: tuple[Turn, ...]
     elapsed_seconds: float
 
 
@@ -89,7 +91,7 @@ def predict_uncached(pipeline, video: Video, explain: bool,
                      deadline: Deadline | None) -> ChainResult:
     """Serial :meth:`StressChainPipeline.predict`: the chain core over
     :data:`NULL_CACHES`, so nothing is hashed, looked up, or stored."""
-    return _materialize(pipeline, _run_core(
+    return _materialize(_run_core(
         pipeline, video, None, NULL_CACHES, explain, deadline))
 
 
@@ -123,12 +125,13 @@ class ChainBatchExecutor:
         duplicates).
         """
         pipeline = self.pipeline
+        model = pipeline.model
         outcomes: list[object] = [None] * len(videos)
-        groups: dict[str, list[int]] = {}
+        groups: dict[Hashable, list[int]] = {}
         with span("serve.execute_batch", size=len(videos)) as sp:
             for i, video in enumerate(videos):
                 try:
-                    key = self.caches.content_key(video)
+                    key = self.caches.content_key(video, model)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     outcomes[i] = exc
                     continue
@@ -148,7 +151,7 @@ class ChainBatchExecutor:
                         outcomes[i] = exc
                     continue
                 for i in indices:
-                    outcomes[i] = _materialize(pipeline, core)
+                    outcomes[i] = _materialize(core)
         return outcomes, len(groups)
 
     def run_cached(self, video: Video) -> ChainResult | None:
@@ -169,11 +172,12 @@ class ChainBatchExecutor:
         if pipeline.test_time_refine or pipeline.retriever is not None:
             return None
         start = time.perf_counter()
-        key = self.caches.content_key(video)
+        key = self.caches.content_key(video, pipeline.model)
         describe = self.caches.describe.get(key)
         if describe is None:
             return None
-        description = describe.description if pipeline.use_chain else None
+        use_chain = pipeline.use_chain
+        description = describe.description if use_chain else None
         assess = self.caches.assess.get(
             _assess_key(pipeline, key, video, description))
         if assess is None:
@@ -184,14 +188,14 @@ class ChainBatchExecutor:
             return None
         core = _ChainCore(
             description=description,
-            greedy_render=describe.rendered if pipeline.use_chain else None,
             label=assess.label,
             prob=assess.prob,
             rationale=highlight.rationale,
-            rationale_render=highlight.rendered,
+            turns=_turns(describe if use_chain else None, use_chain,
+                         assess.label, highlight),
             elapsed_seconds=time.perf_counter() - start,
         )
-        return _materialize(pipeline, core, degraded=True)
+        return _materialize(core, degraded=True)
 
     def swap(self, source) -> None:
         """Serve ``source`` from now on: a pipeline, or the path of a
@@ -228,7 +232,7 @@ class ChainBatchExecutor:
 # ----------------------------------------------------------------------
 
 
-def _run_core(pipeline, video: Video, key: str | None, caches,
+def _run_core(pipeline, video: Video, key: Hashable | None, caches,
               explain: bool = True,
               deadline: Deadline | None = None) -> _ChainCore:
     """One chain run, staged through ``caches``.
@@ -254,19 +258,22 @@ def _run_core(pipeline, video: Video, key: str | None, caches,
         entry = caches.describe.get(key)
         if entry is None:
             description = model.describe(video, GREEDY, embed=get_embed())
-            entry = DescribeEntry(description=description,
-                                  rendered=description.render())
+            entry = DescribeEntry(
+                description=description,
+                turn=Turn(DESCRIBE_INSTRUCTION, description.render()))
             caches.describe.put(key, entry)
         return entry
 
     # --- Describe ----------------------------------------------------
+    use_chain = pipeline.use_chain
     description: FacialDescription | None = None
-    greedy_render: str | None = None
-    if pipeline.use_chain:
+    # The greedy draw's turn: refinement replaces the description the
+    # chain reasons on, never the turn it recorded.
+    greedy: DescribeEntry | None = None
+    if use_chain:
         with span("chain.describe", refine=pipeline.test_time_refine):
-            entry = get_describe()
-            greedy_render = entry.rendered
-            description = entry.description
+            greedy = get_describe()
+            description = greedy.description
             if pipeline.test_time_refine:
                 refine_key = _refine_key(key, video)
                 refined = caches.describe.get(refine_key)
@@ -278,7 +285,7 @@ def _run_core(pipeline, video: Video, key: str | None, caches,
 
     # --- Assess ------------------------------------------------------
     assess_key = _assess_key(pipeline, key, video, description)
-    with span("chain.assess", use_chain=pipeline.use_chain):
+    with span("chain.assess", use_chain=use_chain):
         assess = caches.assess.get(assess_key)
         if assess is None:
             logit = model.assess_logit(video, description, embed=get_embed())
@@ -298,8 +305,7 @@ def _run_core(pipeline, video: Video, key: str | None, caches,
             caches.assess.put(assess_key, assess)
 
     # --- Highlight ---------------------------------------------------
-    rationale: tuple[int, ...] = ()
-    rationale_render: str | None = None
+    highlight: HighlightEntry | None = None
     if explain:
         _check_deadline(deadline, "Assess")
         with span("chain.highlight"):
@@ -316,42 +322,56 @@ def _run_core(pipeline, video: Video, key: str | None, caches,
                 # The I3 turn is recorded only when the description
                 # names at least one action unit.
                 highlight = HighlightEntry(
-                    rationale=rationale,
-                    rendered=(_render_rationale(rationale)
-                              if highlight_desc.au_ids else None))
+                    rationale=Rationale(rationale),
+                    turn=(Turn(HIGHLIGHT_INSTRUCTION,
+                               _render_rationale(rationale))
+                          if highlight_desc.au_ids else None))
                 caches.highlight.put(highlight_key, highlight)
-            rationale = highlight.rationale
-            rationale_render = highlight.rendered
 
     return _ChainCore(
         description=description,
-        greedy_render=greedy_render,
         label=assess.label,
         prob=assess.prob,
-        rationale=rationale,
-        rationale_render=rationale_render,
+        rationale=(highlight.rationale if highlight is not None
+                   else _NO_RATIONALE),
+        turns=_turns(greedy, use_chain, assess.label, highlight),
         elapsed_seconds=time.perf_counter() - start,
     )
 
 
-def _materialize(pipeline, core: _ChainCore,
-                 degraded: bool = False) -> ChainResult:
-    """A fresh :class:`ChainResult` (with its own session) from a
-    chain core -- one per request, also for deduplicated ones."""
-    session = DialogueSession()
-    if pipeline.use_chain:
-        session.record(DESCRIBE_INSTRUCTION, core.greedy_render)
-        session.record(ASSESS_INSTRUCTION, _answer(core.label))
-    else:
-        session.record(DIRECT_ASSESS_INSTRUCTION, _answer(core.label))
-    if core.rationale_render is not None:
-        session.record(HIGHLIGHT_INSTRUCTION, core.rationale_render)
+#: The I2 turn by ``(use_chain, label)``: an assessment answers with
+#: one of two words, so its four possible turns are built once.
+_ASSESS_TURNS = {
+    (use_chain, label): Turn(
+        ASSESS_INSTRUCTION if use_chain else DIRECT_ASSESS_INSTRUCTION,
+        "Stressed" if label == STRESSED else "Unstressed")
+    for use_chain in (True, False) for label in (STRESSED, UNSTRESSED)
+}
+
+#: The rationale of a run with ``explain=False``.
+_NO_RATIONALE = Rationale(())
+
+
+def _turns(describe: DescribeEntry | None, use_chain: bool, label: int,
+           highlight: HighlightEntry | None) -> tuple[Turn, ...]:
+    """A chain run's dialogue turns in recording order: I1 (chain
+    only), I2, then I3 when the Highlight stage recorded one."""
+    i1 = describe.turn if describe is not None else None
+    i3 = highlight.turn if highlight is not None else None
+    return tuple(turn for turn in (i1, _ASSESS_TURNS[use_chain, label], i3)
+                 if turn is not None)
+
+
+def _materialize(core: _ChainCore, degraded: bool = False) -> ChainResult:
+    """A fresh :class:`ChainResult` from a chain core -- one per
+    request, also for deduplicated ones.  Its session is a new list
+    over the core's shared, frozen turns."""
     return ChainResult(
         description=core.description,
         label=core.label,
         prob_stressed=core.prob,
-        rationale=Rationale(core.rationale),
-        session=session,
+        rationale=core.rationale,
+        session=DialogueSession(list(core.turns)),
         elapsed_seconds=core.elapsed_seconds,
         degraded=degraded,
     )
@@ -380,10 +400,6 @@ def _refine_key(key, video: Video) -> tuple:
 
 
 # ----------------------------------------------------------------------
-
-
-def _answer(label: int) -> str:
-    return "Stressed" if label == STRESSED else "Unstressed"
 
 
 def _check_deadline(deadline: Deadline | None, stage: str) -> None:

@@ -7,9 +7,10 @@ replicas, each owning its own micro-batch worker, stage caches, and
 circuit breaker:
 
 - **Routing is consistent-hash on content.**  Every request is routed
-  by its video content hash over a vnode hash ring, so one clip's
-  repeats always land on the same replica and that replica's LRU
-  caches stay hot -- random routing would shred the hit rate across
+  by its video's :attr:`~repro.video.frame.Video.content_hash` (the
+  one digest the stage caches and the model's feature cache also
+  read) over a vnode hash ring, so one clip's repeats always land on
+  the same replica and that replica's LRU caches stay hot -- random routing would shred the hit rate across
   replicas.  Adding or removing a replica remaps only the ring arcs it
   owns, not the whole keyspace.
 - **Two replica backends, one batch path.**  Every replica is a
@@ -58,11 +59,8 @@ from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
 from repro.reliability.breaker import OPEN, BreakerConfig, CircuitBreaker
 # video_content_hash stays importable from here: perfbench's ledger
-# times the router's hashing under this module's name.
-from repro.serving.cache import (  # noqa: F401
-    ContentKeyMemo,
-    video_content_hash,
-)
+# wraps it under this module's name.  Routes read Video.content_hash.
+from repro.serving.cache import video_content_hash  # noqa: F401
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.service import ServiceConfig, StressService, _stage_caches
 from repro.serving.stats import ServiceStatsSnapshot
@@ -123,9 +121,11 @@ class _HashRing:
     to the first point at or after its own hash (wrapping).  The map
     is stable: repeats of one key always land on the same replica, and
     resizing the pool moves only the arcs the changed replica owned.
+    A one-replica ring owns every arc, so it routes without hashing.
     """
 
     def __init__(self, num_replicas: int, vnodes: int = DEFAULT_VNODES):
+        self._single = num_replicas == 1
         points: list[tuple[int, int]] = []
         for replica in range(num_replicas):
             for vnode in range(vnodes):
@@ -137,6 +137,8 @@ class _HashRing:
         self._replicas = [replica for __, replica in points]
 
     def route(self, key: str) -> int:
+        if self._single:
+            return 0
         digest = hashlib.sha1(key.encode()).digest()
         point = int.from_bytes(digest[:8], "big")
         index = bisect.bisect_right(self._hashes, point)
@@ -333,7 +335,6 @@ class ReplicaPool:
         self.registry = registry
         self.version = version
         self._ring = _HashRing(self.num_replicas, vnodes=vnodes)
-        self._content_key = ContentKeyMemo()
         self._deploy_lock = threading.Lock()
         self._closed = False
         initial = (pipeline, version)
@@ -352,9 +353,6 @@ class ReplicaPool:
             self._replicas.append(_Replica(service, initial))
         metrics = global_metrics()
         metrics.gauge("pool.replicas").set(self.num_replicas)
-        self._m_requests = metrics.counter("pool.requests")
-        self._m_routed = [metrics.counter(f"pool.replica.{i}.requests")
-                          for i in range(self.num_replicas)]
         self._m_deploys = metrics.counter("pool.deploys")
         self._m_rollbacks = metrics.counter("pool.rollbacks")
 
@@ -381,9 +379,10 @@ class ReplicaPool:
     # -- the hot path --------------------------------------------------
 
     def route(self, video: Video) -> int:
-        """The replica index ``video`` shards to (pure function of its
-        content hash -- repeats always land on the same replica)."""
-        return self._ring.route(self._content_key(video))
+        """The replica index ``video`` shards to: a function of its
+        content hash alone, so repeats (under any id) always land on
+        the same replica."""
+        return self._ring.route(video.content_hash)
 
     def submit(self, video: Video, deadline_ms: float | None = None):
         """Route and enqueue one request; returns a
@@ -394,11 +393,8 @@ class ReplicaPool:
                 "replica pool is shut down; no new requests accepted")
         index = self.route(video)
         with span("pool.route", replica=index, backend=self.backend):
-            future = self._replicas[index].service.submit(
+            return self._replicas[index].service.submit(
                 video, deadline_ms=deadline_ms)
-        self._m_requests.inc()
-        self._m_routed[index].inc()
-        return future
 
     def predict(self, video: Video, timeout: float | None = None,
                 deadline_ms: float | None = None):

@@ -245,9 +245,9 @@ class StressService:
             else:
                 outcomes, unique = self._execute(videos)
                 if self._breaker is not None:
-                    for outcome in outcomes:
-                        self._breaker.record(
-                            not isinstance(outcome, BaseException))
+                    self._breaker.record_many(
+                        not isinstance(outcome, BaseException)
+                        for outcome in outcomes)
         self._stats.record_batch(size=len(videos), unique=unique)
         # Live backlog signal, refreshed once per batch (not per
         # request -- the gauge is a sampling surface, not a counter).

@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.observability.metrics import (
     MetricsRegistry,
@@ -184,20 +185,26 @@ class ServiceStats:
             self._retries += attempts
         self._m_retries.inc(attempts)
 
-    def record_completion(self, latency_s: float, failed: bool) -> None:
+    def record_completions(self, latencies_s: Sequence[float],
+                           failed: Sequence[bool]) -> None:
+        """The outcomes of one batch's requests, in order:
+        ``latencies_s[i]`` is request ``i``'s latency and ``failed[i]``
+        whether it failed.  One lock and one ``observe_many`` per
+        window for the whole batch."""
+        outcomes = list(zip(latencies_s, failed))
+        ok = [latency for latency, is_failed in outcomes if not is_failed]
+        bad = [latency for latency, is_failed in outcomes if is_failed]
         with self._lock:
-            if failed:
-                self._failed += 1
-                self._failed_latencies.append(latency_s)
-            else:
-                self._completed += 1
-                self._latencies.append(latency_s)
-        if failed:
-            self._m_failed.inc()
-            self._m_failed_latency.observe(latency_s)
-        else:
-            self._m_completed.inc()
-            self._m_latency.observe(latency_s)
+            self._completed += len(ok)
+            self._latencies.extend(ok)
+            self._failed += len(bad)
+            self._failed_latencies.extend(bad)
+        if ok:
+            self._m_completed.inc(len(ok))
+            self._m_latency.observe_many(ok)
+        if bad:
+            self._m_failed.inc(len(bad))
+            self._m_failed_latency.observe_many(bad)
 
     def snapshot(self, cache: dict[str, CacheStats] | None = None,
                  breaker_state: str = "closed") -> ServiceStatsSnapshot:

@@ -91,11 +91,12 @@ class TestContentHash:
         assert video_content_hash(_video("x", 2)) != base          # seed
         assert video_content_hash(_video("x", 1, noise=0.1)) != base
 
-    def test_memoized_key_matches_direct_hash(self):
+    def test_memoized_key_matches_direct_hash(self, pipeline):
         caches = StageCaches()
         video = _video("memo", 3)
-        assert caches.content_key(video) == video_content_hash(video)
-        assert caches.content_key(video) == video_content_hash(video)
+        model = pipeline.model
+        assert caches.content_key(video, model) == video_content_hash(video)
+        assert caches.content_key(video, model) == video_content_hash(video)
 
 
 class TestMicroBatcher:

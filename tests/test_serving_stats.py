@@ -6,8 +6,11 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.observability.metrics import MetricsRegistry, nearest_rank_quantile
+from repro.serving import stats as stats_module
+from repro.serving.batcher import MicroBatcher
 from repro.serving.stats import ServiceStats
 
 
@@ -43,7 +46,7 @@ class TestNearestRankQuantile:
         sample = [0.5, 1.5, 2.5, 3.5]
         stats = ServiceStats(registry=MetricsRegistry())
         for latency in sample:
-            stats.record_completion(latency, failed=False)
+            stats.record_completions([latency], [False])
         snap = stats.snapshot()
         assert snap.latency_p50_s == nearest_rank_quantile(sample, 0.50)
         assert snap.latency_p95_s == nearest_rank_quantile(sample, 0.95)
@@ -53,9 +56,9 @@ class TestFailedLatencySeparation:
     def test_failures_do_not_skew_success_quantiles(self):
         stats = ServiceStats(registry=MetricsRegistry())
         for _ in range(100):
-            stats.record_completion(0.001, failed=False)
+            stats.record_completions([0.001], [False])
         for _ in range(50):
-            stats.record_completion(10.0, failed=True)  # slow timeouts
+            stats.record_completions([10.0], [True])  # slow timeouts
         snap = stats.snapshot()
         assert snap.completed == 100
         assert snap.failed == 50
@@ -66,16 +69,16 @@ class TestFailedLatencySeparation:
     def test_fast_rejects_do_not_drag_quantiles_down(self):
         stats = ServiceStats(registry=MetricsRegistry())
         for _ in range(100):
-            stats.record_completion(1.0, failed=False)
+            stats.record_completions([1.0], [False])
         for _ in range(100):
-            stats.record_completion(0.00001, failed=True)  # fast rejects
+            stats.record_completions([0.00001], [True])  # fast rejects
         snap = stats.snapshot()
         assert snap.latency_p50_s == pytest.approx(1.0)
         assert snap.failed_latency_p95_s == pytest.approx(0.00001)
 
     def test_no_failures_reports_zero(self):
         stats = ServiceStats(registry=MetricsRegistry())
-        stats.record_completion(0.5, failed=False)
+        stats.record_completions([0.5], [False])
         snap = stats.snapshot()
         assert snap.failed_latency_p50_s == 0.0
         assert snap.failed_latency_p95_s == 0.0
@@ -93,6 +96,84 @@ class TestBatchSplit:
         assert snap.execute_p95_s == pytest.approx(0.200)
 
 
+def _recorded(outcomes, chunk_sizes):
+    """(service snapshot, registry snapshot) after recording
+    ``outcomes`` -- ``(latency, failed)`` pairs -- in consecutive
+    chunks of ``chunk_sizes`` (cycled), one call per chunk."""
+    registry = MetricsRegistry()
+    stats = ServiceStats(registry=registry)
+    begin, turn = 0, 0
+    while begin < len(outcomes):
+        chunk = outcomes[begin:begin + chunk_sizes[turn % len(chunk_sizes)]]
+        stats.record_completions([latency for latency, __ in chunk],
+                                 [failed for __, failed in chunk])
+        begin += len(chunk)
+        turn += 1
+    return stats.snapshot(), registry.snapshot()
+
+
+class TestBatchRecording:
+    """A batch's completions recorded in one call give exactly what one
+    call per request gives, also once the latency windows wrap."""
+
+    @given(outcomes=st.lists(
+               st.tuples(st.floats(0.0, 5.0, allow_nan=False),
+                         st.booleans()),
+               max_size=40),
+           chunk_sizes=st.lists(st.integers(1, 12), min_size=1,
+                                max_size=6))
+    def test_chunked_equals_per_request(self, outcomes, chunk_sizes):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stats_module, "LATENCY_WINDOW", 8)
+            per_request = _recorded(outcomes, [1])
+            whole = _recorded(outcomes, [max(len(outcomes), 1)])
+            chunked = _recorded(outcomes, chunk_sizes)
+        assert whole == per_request
+        assert chunked == per_request
+        snap = per_request[0]
+        ok = [latency for latency, failed in outcomes if not failed]
+        bad = [latency for latency, failed in outcomes if failed]
+        assert (snap.completed, snap.failed) == (len(ok), len(bad))
+        assert snap.latency_p50_s == nearest_rank_quantile(
+            sorted(ok[-8:]), 0.50)
+        assert snap.failed_latency_p95_s == nearest_rank_quantile(
+            sorted(bad[-8:]), 0.95)
+
+    def test_batcher_records_each_batch_once(self):
+        """The micro-batcher hands a batch's completions to one
+        ``record_completions`` call."""
+        calls = []
+
+        class Spy(ServiceStats):
+            def record_completions(self, latencies_s, failed):
+                calls.append(list(failed))
+                super().record_completions(latencies_s, failed)
+
+        stats = Spy(registry=MetricsRegistry())
+        busy, gate = threading.Event(), threading.Event()
+
+        def on_batch(items):
+            busy.set()
+            gate.wait(10)
+            return [ValueError("odd") if item % 2 else item
+                    for item in items]
+
+        batcher = MicroBatcher(on_batch, max_batch_size=8, stats=stats)
+        try:
+            first = batcher.submit(0)
+            assert busy.wait(10)  # the worker holds item 0 at the gate
+            futures = [batcher.submit(item) for item in range(1, 6)]
+            gate.set()
+            first.result(10)
+            for future in futures:
+                future.exception(10)
+        finally:
+            assert batcher.close()
+        assert calls == [[False], [True, False, True, False, True]]
+        snap = stats.snapshot()
+        assert (snap.completed, snap.failed) == (3, 3)
+
+
 class TestRegistryFolding:
     def test_counters_fold_into_registry(self):
         registry = MetricsRegistry()
@@ -101,8 +182,8 @@ class TestRegistryFolding:
             stats.record_submitted()
         stats.record_rejected()
         stats.record_batch(size=4, unique=3)
-        stats.record_completion(0.5, failed=False)
-        stats.record_completion(0.7, failed=True)
+        stats.record_completions([0.5], [False])
+        stats.record_completions([0.7], [True])
         snap = registry.snapshot()
         assert snap.counters["serving.requests"] == 3
         assert snap.counters["serving.rejected"] == 1
@@ -139,8 +220,8 @@ class TestConcurrentRecorders:
                 stats.record_submitted()
                 stats.record_batch(size=2, unique=1)
                 stats.record_batch_split([0.001, 0.002], execute_s=0.003)
-                stats.record_completion(0.001 * (i % 7),
-                                        failed=(i % 5 == 0))
+                stats.record_completions([0.001 * (i % 7)],
+                                         [i % 5 == 0])
 
         threads = [threading.Thread(target=hammer, args=(t,))
                    for t in range(num_threads)]
