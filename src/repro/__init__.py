@@ -12,7 +12,7 @@ Quickstart::
 
     from repro import (
         generate_uvsd, generate_disfa, build_instruction_pairs,
-        train_test_split, train_stress_model, StressChainPipeline,
+        train_test_split, train_stress_model, StressPipeline,
     )
 
     dataset = generate_uvsd(num_samples=400, num_subjects=40)

@@ -38,17 +38,26 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def save_model(model: FoundationModel, path: str | Path) -> None:
-    """Save a model's parameters and architecture to ``path``."""
-    fault_point("persistence.io")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _model_payload(model: FoundationModel) -> dict[str, np.ndarray]:
+    """The archive entries of a saved model: ``param/*`` and ``meta/*``."""
     payload = {f"param/{k}": v for k, v in model.state_dict().items()}
     payload["meta/version"] = np.array(FORMAT_VERSION)
     payload["meta/embed_dim"] = np.array(model.embed_dim)
     payload["meta/grid"] = np.array(model.grid)
     payload["meta/frozen"] = np.array(int(model.frozen))
+    return payload
+
+
+def _write(path: str | Path, payload: dict[str, np.ndarray]) -> None:
+    fault_point("persistence.io")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, **payload)
+
+
+def save_model(model: FoundationModel, path: str | Path) -> None:
+    """Save a model's parameters and architecture to ``path``."""
+    _write(path, _model_payload(model))
 
 
 def load_model(path: str | Path) -> FoundationModel:
@@ -85,19 +94,10 @@ def save_pipeline(pipeline: StressChainPipeline, path: str | Path) -> None:
     Retrievers and verification pools are dataset-bound and are not
     persisted; re-attach them after loading if needed.
     """
-    fault_point("persistence.io")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        f"param/{k}": v for k, v in pipeline.model.state_dict().items()
-    }
-    payload["meta/version"] = np.array(FORMAT_VERSION)
-    payload["meta/embed_dim"] = np.array(pipeline.model.embed_dim)
-    payload["meta/grid"] = np.array(pipeline.model.grid)
-    payload["meta/frozen"] = np.array(int(pipeline.model.frozen))
+    payload = _model_payload(pipeline.model)
     payload["pipeline/use_chain"] = np.array(int(pipeline.use_chain))
     payload["pipeline/seed"] = np.array(pipeline.seed)
-    np.savez_compressed(path, **payload)
+    _write(path, payload)
 
 
 def load_pipeline(path: str | Path) -> StressChainPipeline:

@@ -1,10 +1,11 @@
 """Process-wide metrics: counters, gauges, bounded-window histograms.
 
 One :class:`MetricsRegistry` is the shared reporting surface of the
-whole system -- serving (:class:`~repro.serving.stats.ServiceStats`
-folds its counters in), training (stage outcomes, DPO pair counts),
-and evaluation (fold timings) all publish here, so one
-``global_metrics().snapshot()`` shows everything the process did.
+whole system -- serving (each :class:`~repro.serving.stats.ServiceStats`
+is a scope whose instruments also record here), training (stage
+outcomes, DPO pair counts), and evaluation (fold timings) all publish
+here, so one ``global_metrics().snapshot()`` shows everything the
+process did.
 
 Semantics follow the usual time-series conventions:
 
@@ -53,18 +54,23 @@ HISTOGRAM_WINDOW: int = 4096
 
 
 class Counter:
-    """A monotonically increasing integer."""
+    """A monotonically increasing integer; every increment is also
+    applied to ``parent`` (a scoped registry's link, see
+    :class:`MetricsRegistry`)."""
 
-    __slots__ = ("name", "_value", "_lock")
+    __slots__ = ("name", "_value", "_lock", "_parent")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, parent: "Counter | None" = None):
         self.name = name
         self._value = 0
         self._lock = threading.Lock()
+        self._parent = parent
 
     def inc(self, amount: int = 1) -> None:
         with self._lock:
             self._value += amount
+        if self._parent is not None:
+            self._parent.inc(amount)
 
     @property
     def value(self) -> int:
@@ -109,16 +115,19 @@ class HistogramSnapshot:
 
 
 class Histogram:
-    """Bounded-window histogram of float observations."""
+    """Bounded-window histogram of float observations; every
+    observation is also applied to ``parent``."""
 
-    __slots__ = ("name", "_window", "_count", "_sum", "_lock")
+    __slots__ = ("name", "_window", "_count", "_sum", "_lock", "_parent")
 
-    def __init__(self, name: str, window: int = HISTOGRAM_WINDOW):
+    def __init__(self, name: str, window: int = HISTOGRAM_WINDOW,
+                 parent: "Histogram | None" = None):
         self.name = name
         self._window: deque[float] = deque(maxlen=window)
         self._count = 0
         self._sum = 0.0
         self._lock = threading.Lock()
+        self._parent = parent
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -126,6 +135,8 @@ class Histogram:
             self._window.append(value)
             self._count += 1
             self._sum += value
+        if self._parent is not None:
+            self._parent.observe(value)
 
     def observe_many(self, values: list[float]) -> None:
         with self._lock:
@@ -134,6 +145,8 @@ class Histogram:
                 self._window.append(value)
                 self._count += 1
                 self._sum += value
+        if self._parent is not None:
+            self._parent.observe_many(values)
 
     def snapshot(self) -> HistogramSnapshot:
         with self._lock:
@@ -157,9 +170,17 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Thread-safe name -> instrument map with get-or-create access."""
+    """Thread-safe name -> instrument map with get-or-create access.
 
-    def __init__(self) -> None:
+    A registry made with a ``parent`` is a **scope**: its counters and
+    histograms keep their own values and also record into the parent's
+    instrument of the same name (created on first use), so the parent
+    reads the sum of its scopes.  One service's stats are such a scope
+    over the process-wide registry.
+    """
+
+    def __init__(self, parent: "MetricsRegistry | None" = None) -> None:
+        self._parent = parent
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -169,7 +190,9 @@ class MetricsRegistry:
         with self._lock:
             instrument = self._counters.get(name)
             if instrument is None:
-                instrument = self._counters[name] = Counter(name)
+                parent = (self._parent.counter(name)
+                          if self._parent is not None else None)
+                instrument = self._counters[name] = Counter(name, parent)
             return instrument
 
     def gauge(self, name: str) -> Gauge:
@@ -184,7 +207,10 @@ class MetricsRegistry:
         with self._lock:
             instrument = self._histograms.get(name)
             if instrument is None:
-                instrument = self._histograms[name] = Histogram(name, window)
+                parent = (self._parent.histogram(name)
+                          if self._parent is not None else None)
+                instrument = self._histograms[name] = Histogram(
+                    name, window, parent)
             return instrument
 
     def snapshot(self) -> MetricsSnapshot:

@@ -76,7 +76,6 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._probes_in_flight = 0
-        self._probe_failures = 0
         self._probe_successes = 0
         metrics = global_metrics()
         self._m_state = metrics.gauge(f"reliability.breaker_state.{name}")
@@ -172,5 +171,4 @@ class CircuitBreaker:
             self._failures = 0
             self._m_closed.inc()
         self._probes_in_flight = 0
-        self._probe_failures = 0
         self._probe_successes = 0

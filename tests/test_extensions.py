@@ -130,6 +130,23 @@ class TestPersistence:
         assert loaded.predict(sample_video).label == \
             pipeline.predict(sample_video).label
 
+    def test_pipeline_archive_is_model_archive_plus_options(self, tmp_path):
+        from repro.cot.chain import StressChainPipeline
+        from repro.model.foundation import FoundationModel
+
+        model = FoundationModel(make_rng(0, "persistence-keys"))
+        save_model(model, tmp_path / "model.npz")
+        save_pipeline(StressChainPipeline(model, use_chain=False, seed=7),
+                      tmp_path / "pipeline.npz")
+        with np.load(tmp_path / "model.npz") as bare, \
+                np.load(tmp_path / "pipeline.npz") as full:
+            assert set(full.files) == set(bare.files) | {
+                "pipeline/use_chain", "pipeline/seed"}
+            for name in bare.files:
+                assert np.array_equal(full[name], bare[name]), name
+            assert int(full["pipeline/use_chain"]) == 0
+            assert int(full["pipeline/seed"]) == 7
+
     def test_load_rejects_random_npz(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))

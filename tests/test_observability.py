@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -253,6 +254,94 @@ class TestMetricsRegistry:
 
     def test_global_registry_is_shared(self):
         assert global_metrics() is global_metrics()
+
+
+class TestRegistryParentLink:
+    """A registry made with ``parent=`` is a scope: its records also
+    land in the parent's instrument of the same name."""
+
+    def test_child_records_land_in_child_and_parent(self):
+        parent = MetricsRegistry()
+        child = MetricsRegistry(parent=parent)
+        child.counter("c").inc(3)
+        child.histogram("h", window=2).observe(1.0)
+        child.histogram("h").observe_many([2.0, 3.0])
+        for snap in (child.snapshot(), parent.snapshot()):
+            assert snap.counters["c"] == 3
+            assert snap.histograms["h"].count == 3
+            assert snap.histograms["h"].total == 6.0
+        # The child's window is its own; the parent keeps the default.
+        assert child.snapshot().histograms["h"].p50 == 3.0
+        assert parent.snapshot().histograms["h"].p50 == 2.0
+        # Records flow up, never down.
+        parent.counter("c").inc()
+        assert child.counter("c").value == 3
+        assert parent.counter("c").value == 4
+
+    def test_siblings_keep_separate_snapshots(self):
+        parent = MetricsRegistry()
+        a = MetricsRegistry(parent=parent)
+        b = MetricsRegistry(parent=parent)
+        a.counter("c").inc(2)
+        b.counter("c").inc(5)
+        a.histogram("h").observe_many([1.0, 2.0])
+        b.histogram("h").observe(3.0)
+        snap_a, snap_b = a.snapshot(), b.snapshot()
+        assert (snap_a.counters["c"], snap_b.counters["c"]) == (2, 5)
+        assert (snap_a.histograms["h"].count,
+                snap_b.histograms["h"].count) == (2, 1)
+        folded = parent.snapshot()
+        assert folded.counters["c"] == 7
+        assert folded.histograms["h"].count == 3
+        assert folded.histograms["h"].total == 6.0
+
+    def test_parent_counters_equal_sum_of_children_under_threads(self):
+        parent = MetricsRegistry()
+        children = [MetricsRegistry(parent=parent) for _ in range(4)]
+        per_thread, num_threads = 500, 8
+        start = threading.Barrier(num_threads + 1)
+
+        def hammer(thread_index: int) -> None:
+            # Two threads share each child, so child instruments are
+            # contended as well as the parent's.
+            child = children[thread_index % len(children)]
+            start.wait(30)
+            for i in range(per_thread):
+                child.counter("a").inc()
+                child.counter("b").inc(i % 3)
+                child.histogram("h").observe(float(i % 7))
+
+        threads = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(num_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-record often
+        try:
+            for thread in threads:
+                thread.start()
+            start.wait(30)
+            for _ in range(50):
+                # Each record reaches the child before the parent, so
+                # the parent read first never exceeds the children
+                # read after.
+                folded = parent.counter("a").value
+                assert folded <= sum(c.counter("a").value
+                                     for c in children)
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+        folded = parent.snapshot()
+        snaps = [child.snapshot() for child in children]
+        for name in ("a", "b"):
+            assert folded.counters[name] == sum(
+                snap.counters[name] for snap in snaps)
+        assert folded.counters["a"] == per_thread * num_threads
+        assert folded.histograms["h"].count == sum(
+            snap.histograms["h"].count for snap in snaps)
+        assert folded.histograms["h"].total == pytest.approx(sum(
+            snap.histograms["h"].total for snap in snaps))
 
 
 def _chain_outputs(seed_tag: str, videos):

@@ -15,8 +15,11 @@ no deprecation warnings) and checks that the error hierarchy roots at
 
 from __future__ import annotations
 
+import ast
+import builtins
 import importlib
 import json
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -143,6 +146,23 @@ class TestFacade:
     def test_stress_pipeline_is_the_chain_pipeline(self):
         assert StressPipeline is StressChainPipeline
         assert repro.StressPipeline is StressChainPipeline
+
+    def test_quickstart_names_are_all_bound(self):
+        """Every name the package docstring's quickstart reads is
+        imported or assigned in the snippet itself."""
+        doc = repro.__doc__
+        block = doc[doc.index("Quickstart::"):].split("\n\n")[1:]
+        snippet = textwrap.dedent("\n\n".join(
+            part for part in block if part.startswith("    ")))
+        bound, read = set(dir(builtins)), set()
+        for node in ast.walk(ast.parse(snippet)):
+            if isinstance(node, ast.alias):
+                bound.add(node.asname or node.name)
+            elif isinstance(node, ast.Name):
+                (bound if isinstance(node.ctx, ast.Store) else read).add(
+                    node.id)
+        assert read <= bound, f"quickstart reads unbound {read - bound}"
+        assert "StressPipeline" in read
 
     def test_predict_keywords_are_keyword_only(self, fresh_model):
         pipeline = StressPipeline(fresh_model)

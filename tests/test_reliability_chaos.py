@@ -9,6 +9,7 @@ consistent.  With faults off (or a zero-rate plan armed), everything
 is bitwise what it always was.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -137,6 +138,36 @@ class TestConcurrentChaos:
         assert snapshot.completed == 0 and snapshot.failed == 0
         assert snapshot.batches == 0  # no batch ever reached the executor
 
+    def test_default_deadline_sheds_and_explicit_overrides(
+            self, pipeline, video_pool):
+        config = ServiceConfig(default_deadline_ms=5.0)
+        with StressService(pipeline, config) as service:
+            # Hold the worker on a first request so the next two wait
+            # in the queue well past the 5 ms default.
+            busy, release = threading.Event(), threading.Event()
+            real_run_batch = service.executor.run_batch
+
+            def gated_run_batch(videos):
+                busy.set()
+                release.wait(30)
+                return real_run_batch(videos)
+
+            service.executor.run_batch = gated_run_batch
+            held = service.submit(video_pool[0], deadline_ms=60_000)
+            assert busy.wait(30)
+            defaulted = service.submit(video_pool[1])
+            overridden = service.submit(video_pool[2], deadline_ms=60_000)
+            time.sleep(0.05)
+            release.set()
+            held.result(30)
+            assert isinstance(defaulted.exception(30), DeadlineExceededError)
+            served = overridden.result(30)
+            snapshot = service.stats()
+        assert served.prob_stressed == pipeline.predict(
+            video_pool[2]).prob_stressed
+        assert snapshot.shed == 1
+        assert snapshot.completed == 2 and snapshot.failed == 0
+
     def test_fault_schedule_is_deterministic(self, pipeline, video_pool):
         def signature(seed: int) -> list:
             out = []
@@ -213,6 +244,24 @@ class TestBreakerChaos:
             snapshot = service.stats()
             assert snapshot.breaker_state == OPEN
             assert snapshot.degraded == 1
+
+    def test_open_breaker_without_degraded_mode_fails_cached(
+            self, pipeline, video_pool):
+        warm = video_pool[0]
+        config = dataclasses.replace(self._config(), degraded_mode=False)
+        plan = FaultPlan([FaultSpec(site="serve.execute", rate=1.0)], seed=3)
+        with StressService(pipeline, config) as service:
+            service.predict(warm, timeout=10)  # fills caches
+            with injected(plan):
+                for _ in range(2):
+                    with pytest.raises(FaultInjectedError):
+                        service.predict(warm, timeout=10)
+                assert service.breaker.state == OPEN
+                with pytest.raises(CircuitOpenError):
+                    service.predict(warm, timeout=10)
+            snapshot = service.stats()
+        assert snapshot.degraded == 0
+        assert snapshot.failed == 3
 
     def test_breaker_recovers_through_half_open(self, pipeline, video_pool):
         video = video_pool[0]
