@@ -70,6 +70,8 @@ class StressChainPipeline:
         ``verification_pool``.
     verification_pool:
         Videos used to draw verification negatives from.
+    refine_rounds:
+        Reflection rounds of test-time refinement; ``0`` runs none.
     num_verify_trials:
         Verification trials per candidate description; must be
         positive.
@@ -96,6 +98,9 @@ class StressChainPipeline:
             raise ModelError(
                 f"num_verify_trials must be positive, got {num_verify_trials}"
             )
+        if refine_rounds < 0:
+            raise ModelError(
+                f"refine_rounds must be >= 0, got {refine_rounds}")
         self.model = model
         self.use_chain = use_chain
         self.retriever = retriever

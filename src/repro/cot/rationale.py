@@ -42,26 +42,6 @@ class Rationale:
         ]
         return "The critical facial expressions are:\n" + "\n".join(lines)
 
-    def segment_ranking(self, labels: np.ndarray,
-                        per_au: int = 1) -> list[int]:
-        """Ground the rationale to a ranked list of SLIC segment ids
-        using the world landmark (deformation-pattern energy) of each
-        highlighted AU.
-
-        For each highlighted AU (in importance order) the ``per_au``
-        most evidence-dense segments are appended; duplicates keep
-        their first (highest) rank.  The result is what the
-        deletion-metric evaluation perturbs as this method's "top-k
-        segments".
-        """
-        ranked: list[int] = []
-        for au_id in self.au_ids:
-            for segment in segments_for_au(au_id, labels,
-                                           max_segments=per_au):
-                if segment not in ranked:
-                    ranked.append(segment)
-        return ranked
-
     def model_segment_ranking(self, model, labels: np.ndarray,
                               per_au: int = 1) -> list[int]:
         """Ground the rationale through the *model's own* sensitivity

@@ -126,10 +126,6 @@ class FacialDescription:
     def __iter__(self):
         return iter(self.au_ids)
 
-    def hamming_distance(self, other: "FacialDescription") -> int:
-        """Number of AUs on which the two descriptions disagree."""
-        return int(np.abs(self.to_vector() - other.to_vector()).sum())
-
 
 _PHRASE_TO_AU: dict[tuple[str, str], int] = {
     (au_by_id(au_id).region, au_by_id(au_id).phrase): au_id for au_id in AU_IDS

@@ -33,7 +33,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.errors import ModelError
-from repro.facs.action_units import AU_IDS, NUM_AUS, au_index
+from repro.facs.action_units import NUM_AUS, au_index
 from repro.facs.descriptions import FacialDescription
 from repro.model.features import (
     feature_dim,
@@ -273,12 +273,6 @@ class FoundationModel(Module):
             session.record(DESCRIBE_INSTRUCTION, description.render())
         return description
 
-    def description_logprob(self, video: Video,
-                            description: FacialDescription) -> float:
-        """Exact log p_F(E | V, I1)."""
-        return bernoulli_set_logprob(self.au_logits(video),
-                                     description.to_vector())
-
     def backward_description(self, grad_logits: np.ndarray) -> None:
         """Backprop a gradient w.r.t. the AU logits of the *last*
         ``au_logits``/``describe`` forward into the AU head only: the
@@ -330,11 +324,6 @@ class FoundationModel(Module):
                     else np.zeros(NUM_AUS))
         return np.concatenate([embed[0], desc_vec])[np.newaxis, :]
 
-    def _assess_input(self, features: np.ndarray,
-                      description: FacialDescription | None) -> np.ndarray:
-        return self._assess_input_from_embed(self._embed(features),
-                                             description)
-
     def assess_logit(self, video: Video,
                      description: FacialDescription | None,
                      embed: np.ndarray | None = None) -> float:
@@ -348,12 +337,6 @@ class FoundationModel(Module):
             )[0, 0]
         )
 
-    def au_logits_from_frames(self, expressive: np.ndarray,
-                              neutral: np.ndarray) -> np.ndarray:
-        """Per-AU logits computed on an explicit keyframe pair."""
-        features = self.frame_pair_features(expressive, neutral)
-        return self.au_head.forward(self._embed(features))[0]
-
     def chain_prob_from_frames(self, expressive: np.ndarray,
                                neutral: np.ndarray) -> float:
         """Full-chain stress probability on an explicit keyframe pair:
@@ -364,8 +347,8 @@ class FoundationModel(Module):
         deletion metric query -- perturbing the frame changes what the
         model "sees", hence what it describes, hence its assessment.
         Describe and Assess share one feature extraction and one trunk
-        pass; the result equals :meth:`au_logits_from_frames` followed
-        by :meth:`assess_logit_from_frames` bitwise.
+        pass; the result equals the separate Describe and Assess
+        forwards of ``tests/foundation_reference.py`` bitwise.
         """
         embed = self._embed(self.frame_pair_features(expressive, neutral))
         logits = self.au_head.forward(embed)[0]
@@ -376,44 +359,11 @@ class FoundationModel(Module):
             self._assess_input_from_embed(embed, description))[0, 0]
         return float(sigmoid(np.array(logit))[()])
 
-    def assess_logit_from_frames(self, expressive: np.ndarray,
-                                 neutral: np.ndarray,
-                                 description: FacialDescription | None) -> float:
-        """Stress logit on an explicit (perturbed) keyframe pair --
-        the hook the deletion metric and post-hoc explainers use."""
-        features = self.frame_pair_features(expressive, neutral)
-        return float(
-            self.assess_head.forward(self._assess_input(features, description))[0, 0]
-        )
-
     def frame_pair_features_batch(self, expressive: np.ndarray,
                                   neutral: np.ndarray) -> np.ndarray:
         """Features of a ``(N, H, W)`` stack of (possibly perturbed)
         expressive frames against one clean neutral frame."""
         return keyframe_features_batch(expressive, neutral, self.grid)
-
-    def au_logits_from_frames_batch(self, expressive: np.ndarray,
-                                    neutral: np.ndarray) -> np.ndarray:
-        """Per-AU logits for a stack of keyframe pairs, shape (N, 12)."""
-        features = self.frame_pair_features_batch(expressive, neutral)
-        return self.au_head.forward(self.trunk.forward(features))
-
-    def assess_logit_from_frames_batch(
-        self, expressive: np.ndarray, neutral: np.ndarray,
-        descriptions: np.ndarray | list[FacialDescription | None] | None,
-    ) -> np.ndarray:
-        """Stress logits for a stack of keyframe pairs, shape (N,).
-
-        ``descriptions`` is a per-frame description -- an ``(N, 12)``
-        AU-vector matrix, a list of :class:`FacialDescription` (or
-        ``None`` for the direct query), or ``None`` for all-direct.
-        """
-        features = self.frame_pair_features_batch(expressive, neutral)
-        embed = self.trunk.forward(features)
-        desc_matrix = _description_matrix(descriptions, len(embed))
-        return self.assess_head.forward(
-            np.concatenate([embed, desc_matrix], axis=1)
-        )[:, 0]
 
     def chain_prob_from_frames_batch(self, expressive: np.ndarray,
                                      neutral: np.ndarray) -> np.ndarray:
@@ -727,35 +677,6 @@ class FoundationModel(Module):
             digest.update(str(value.shape).encode())
             digest.update(value.tobytes())
         return digest.hexdigest()
-
-
-def _description_matrix(
-    descriptions: np.ndarray | list[FacialDescription | None] | None,
-    num_rows: int,
-) -> np.ndarray:
-    """Normalise the per-frame description argument of the batched
-    assess path to an ``(N, 12)`` AU-vector matrix."""
-    if descriptions is None:
-        return np.zeros((num_rows, NUM_AUS))
-    if isinstance(descriptions, np.ndarray):
-        if descriptions.shape != (num_rows, NUM_AUS):
-            raise ModelError(
-                f"description matrix must be ({num_rows}, {NUM_AUS}), "
-                f"got {descriptions.shape}"
-            )
-        return descriptions.astype(np.float64, copy=False)
-    if len(descriptions) != num_rows:
-        raise ModelError(
-            f"need one description per frame ({num_rows}), "
-            f"got {len(descriptions)}"
-        )
-    if not descriptions:
-        # np.stack rejects empty sequences; an empty batch is legal.
-        return np.zeros((0, NUM_AUS))
-    return np.stack([
-        desc.to_vector() if desc is not None else np.zeros(NUM_AUS)
-        for desc in descriptions
-    ])
 
 
 def _render_rationale(rationale: tuple[int, ...]) -> str:

@@ -4,14 +4,15 @@ The foundation-model simulator and supervised baselines are shallow
 networks (linear heads, small MLPs, attention pooling) trained by
 explicit backpropagation.  This package provides numerically-stable
 tensor ops (:mod:`~repro.nn.tensorops`), layers with manual
-forward/backward passes (:mod:`~repro.nn.layers`), optimizers
-(:mod:`~repro.nn.optim`) and parameter (de)serialization
-(:mod:`~repro.nn.serialization`).  No external ML framework is used.
+forward/backward passes and ``state_dict`` snapshots
+(:mod:`~repro.nn.layers`) and the Adam optimizer
+(:mod:`~repro.nn.optim`) that every trained model uses.  No external
+ML framework is used; :mod:`repro.model.persistence` writes model
+archives.
 """
 
 from repro.nn.layers import MLP, Linear, Parameter
-from repro.nn.optim import SGD, Adam
-from repro.nn.serialization import load_params, save_params
+from repro.nn.optim import Adam
 from repro.nn.tensorops import (
     log_sigmoid,
     logsumexp,
@@ -25,12 +26,9 @@ __all__ = [
     "Linear",
     "MLP",
     "Parameter",
-    "SGD",
-    "load_params",
     "log_sigmoid",
     "logsumexp",
     "relu",
-    "save_params",
     "sigmoid",
     "softmax",
 ]

@@ -1,39 +1,10 @@
-"""First-order optimizers over :class:`~repro.nn.layers.Parameter`s."""
+"""Adam over :class:`~repro.nn.layers.Parameter`s."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.layers import Parameter
-
-
-class SGD:
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 0.1,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.value
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.value -= self.lr * grad
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
 
 
 class Adam:

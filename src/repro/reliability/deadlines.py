@@ -26,7 +26,7 @@ class Deadline:
     def after_ms(cls, budget_ms: float,
                  now: float | None = None) -> "Deadline":
         """A deadline ``budget_ms`` from ``now`` (monotonic seconds)."""
-        if budget_ms < 0:
+        if not budget_ms >= 0:
             raise ConfigError(
                 f"deadline budget must be >= 0 ms, got {budget_ms}")
         if now is None:
@@ -37,9 +37,3 @@ class Deadline:
         if now is None:
             now = time.monotonic()
         return now >= self.expires_at
-
-    def remaining_s(self, now: float | None = None) -> float:
-        """Seconds left (clamped at 0)."""
-        if now is None:
-            now = time.monotonic()
-        return max(0.0, self.expires_at - now)

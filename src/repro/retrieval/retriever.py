@@ -130,40 +130,3 @@ class DescriptionRetriever(Retriever):
         ])
         best = np.argsort(-similarities)[: self.num_examples]
         return [self._example(int(i)) for i in best]
-
-
-class IndexedDescriptionRetriever(DescriptionRetriever):
-    """Retrieve-by-description over an ANN index.
-
-    The paper's closing remark calls for "more efficient data
-    management and retrieval techniques to support large-scale
-    in-context example resource"; this retriever answers queries in
-    sub-linear time through an LSH or IVF-Flat index
-    (:mod:`repro.retrieval.index`) at a small recall cost.
-    """
-
-    name = "Retrieve-by-description (indexed)"
-
-    def __init__(self, model: FoundationModel, pool: list[Sample],
-                 num_examples: int = 1, seed: int = 0,
-                 encoder: DescriptionEncoder | None = None,
-                 index_kind: str = "ivf"):
-        super().__init__(model, pool, num_examples, seed, encoder)
-        from repro.retrieval.index import IVFFlatIndex, LSHIndex
-
-        if index_kind == "ivf":
-            self._index = IVFFlatIndex(
-                self._embeddings,
-                num_cells=max(4, len(pool) // 16),
-                nprobe=2, seed=seed,
-            )
-        elif index_kind == "lsh":
-            self._index = LSHIndex(self._embeddings, seed=seed)
-        else:
-            raise ModelError(f"unknown index kind {index_kind!r}")
-
-    def retrieve(self, video: Video,
-                 description: FacialDescription) -> list[InContextExample]:
-        query = self.encoder.encode(description.render())
-        best = self._index.search(query, k=self.num_examples)
-        return [self._example(int(i)) for i in best]

@@ -108,7 +108,7 @@ class ServiceConfig:
             if getattr(self, field_name) < 0:
                 raise ConfigError(f"{field_name} must be >= 0")
         if (self.default_deadline_ms is not None
-                and self.default_deadline_ms <= 0):
+                and not self.default_deadline_ms > 0):
             raise ConfigError(
                 "default_deadline_ms must be positive, "
                 f"got {self.default_deadline_ms}")

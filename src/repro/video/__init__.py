@@ -12,7 +12,7 @@ model for grounding highlighted facial actions to segments.
 from repro.video.face_synth import FaceRenderer, default_renderer
 from repro.video.frame import Video, VideoSpec
 from repro.video.keyframes import expressiveness, extract_keyframes
-from repro.video.landmarks import landmark_for_region, segments_for_au
+from repro.video.landmarks import segments_for_au
 from repro.video.perturb import (
     gaussian_perturb_segments,
     mosaic_region,
@@ -28,7 +28,6 @@ __all__ = [
     "expressiveness",
     "extract_keyframes",
     "gaussian_perturb_segments",
-    "landmark_for_region",
     "mosaic_region",
     "segments_for_au",
     "slic_segments",

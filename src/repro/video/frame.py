@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from repro.facs.action_units import NUM_AUS
-from repro.facs.regions import FRAME_SIZE
 
 #: Dimensionality of the identity embedding used by the renderer.
 IDENTITY_DIM: int = 8
@@ -90,16 +89,6 @@ class VideoSpec:
     @property
     def num_frames(self) -> int:
         return self.au_intensities.shape[0]
-
-    def mean_au_intensities(self) -> np.ndarray:
-        """Average AU intensity over the clip (12-dim)."""
-        return self.au_intensities.mean(axis=0)
-
-    def peak_au_vector(self, threshold: float = 0.5) -> np.ndarray:
-        """Binary AU occurrence vector: AU fired in any frame above
-        ``threshold``.  This is the ground-truth label space used by
-        the instruction-tuning dataset."""
-        return (self.au_intensities.max(axis=0) >= threshold).astype(np.float64)
 
 
 class Video:
@@ -198,12 +187,6 @@ class Video:
         pixels, so that map is the one this clip would compute.
         """
         self._slic_cache[num_segments] = labels
-
-    def drop_frame_cache(self) -> None:
-        """Release cached pixel data (specs stay, frames re-render)."""
-        self._frame_cache.clear()
-        self._slic_cache.clear()
-        self.__dict__.pop("keyframes", None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -2,26 +2,16 @@
 
 Section IV-H: "after generating highlighted rationale R, we locate the
 segment of each single facial action using the corresponding facial
-landmark."  On the synthetic substrate the landmark of a facial region
-is its geometric centre on the canonical layout; grounding a
-highlighted action unit means finding the SLIC segments that overlap
-that AU's region, ranked by overlap so the single best segment is the
-one carrying most of the AU's evidence.
+landmark."  On the synthetic substrate the landmark of an action unit
+is the peak of its deformation pattern on the canonical face;
+grounding a highlighted action unit means finding the SLIC segments
+that carry that pattern's energy, ranked so the single best segment is
+the one carrying most of the AU's evidence.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.facs.regions import FacialRegion, region_by_key, region_for_au
-
-
-def landmark_for_region(region_key: str, frame_size: int) -> tuple[int, int]:
-    """The (row, col) landmark pixel of a facial region."""
-    region = region_by_key(region_key)
-    row, col = region.center
-    scale = frame_size / 96.0
-    return int(round(row * scale)), int(round(col * scale))
 
 
 def au_landmark(au_id: int, frame_size: int) -> tuple[int, int]:
@@ -59,22 +49,4 @@ def segments_for_au(au_id: int, labels: np.ndarray,
     if not ranked:
         row, col = au_landmark(au_id, frame_size)
         ranked = [int(labels[row, col])]
-    return ranked[:max_segments]
-
-
-def segments_for_region(region: FacialRegion, labels: np.ndarray,
-                        max_segments: int = 3) -> list[int]:
-    """Rank SLIC segments by overlap with a facial region."""
-    frame_size = labels.shape[0]
-    mask = region.mask(frame_size)
-    num_labels = int(labels.max()) + 1
-    inside = np.bincount(labels[mask].ravel(), minlength=num_labels).astype(float)
-    total = np.bincount(labels.ravel(), minlength=num_labels).astype(float)
-    overlap = np.divide(inside, total, out=np.zeros_like(inside),
-                        where=total > 0)
-    ranked = [int(label) for label in np.argsort(-overlap) if overlap[label] > 0]
-    if not ranked:
-        row, col = region.center
-        scale = frame_size / 96.0
-        ranked = [int(labels[int(row * scale), int(col * scale)])]
     return ranked[:max_segments]

@@ -131,21 +131,6 @@ def apply_masks_batch(frame: np.ndarray, labels: np.ndarray,
     return np.where(kept, frame[np.newaxis, :, :], fill)
 
 
-def zero_segments_batch(frame: np.ndarray, labels: np.ndarray,
-                        fill: float = 0.5) -> np.ndarray:
-    """One-blanked-segment-per-row stack, shape ``(S, H, W)``.
-
-    Row ``s`` equals ``zero_segments(frame, labels, [s], fill)`` -- the
-    full leave-one-out sweep the occlusion explainer evaluates.
-    """
-    frame = _validate_frame(frame)
-    if labels.shape != frame.shape:
-        raise ExplainerError("labels must have the same shape as the frame")
-    num_labels = int(labels.max()) + 1
-    blank = labels[np.newaxis, :, :] == np.arange(num_labels)[:, None, None]
-    return np.where(blank, fill, frame[np.newaxis, :, :])
-
-
 def mosaic_region(frame: np.ndarray, region: FacialRegion,
                   block_size: int = 8) -> np.ndarray:
     """Pixelate (mosaic) a facial region, as in the paper's Figure 5

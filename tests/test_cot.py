@@ -10,7 +10,7 @@ from repro.cot.incontext import (
     incontext_logit_shift,
 )
 from repro.cot.rationale import Rationale
-from repro.errors import DeadlineExceededError, ModelError
+from repro.errors import ConfigError, DeadlineExceededError, ModelError
 from repro.facs.descriptions import FacialDescription
 from repro.model.foundation import FoundationModel
 
@@ -61,6 +61,17 @@ class TestPipeline:
                 verification_pool=[s.video for s in list(train)[:20]],
                 num_verify_trials=0,
             )
+
+    def test_negative_refine_rounds_rejected(self, trained):
+        model, __, __, __ = trained
+        with pytest.raises(ModelError, match="refine_rounds"):
+            StressChainPipeline(model, refine_rounds=-3)
+        assert StressChainPipeline(model, refine_rounds=0).refine_rounds == 0
+
+    def test_nan_deadline_rejected(self, fresh_model, sample_video):
+        pipeline = StressChainPipeline(fresh_model)
+        with pytest.raises(ConfigError, match="deadline budget"):
+            pipeline.predict(sample_video, deadline_ms=float("nan"))
 
     def test_test_time_refine_runs(self, trained):
         model, __, train, test = trained
@@ -116,13 +127,6 @@ class TestRationale:
 
     def test_render_empty(self):
         assert "No single facial expression" in Rationale(()).render()
-
-    def test_segment_ranking_no_duplicates(self, trained):
-        model, __, __, test = trained
-        video = test[0].video
-        labels = video.segmentation(64)
-        ranking = Rationale((1, 2, 4)).segment_ranking(labels, per_au=2)
-        assert len(ranking) == len(set(ranking))
 
     def test_model_segment_ranking_prioritises_first_au(self, trained):
         model, __, __, test = trained

@@ -7,7 +7,6 @@ from repro.cot.chain import StressChainPipeline
 from repro.errors import ExplainerError
 from repro.explainers import (
     LimeExplainer,
-    OcclusionExplainer,
     chain_predict_fn,
     deletion_metric,
     explainer_ranker,
@@ -51,7 +50,7 @@ class TestDeletionMetric:
         trend must be downward)."""
         pipeline, samples = pipeline_and_samples
         result = deletion_metric(
-            samples, explainer_ranker(OcclusionExplainer()),
+            samples, explainer_ranker(LimeExplainer(num_samples=200)),
             lambda s: chain_predict_fn(pipeline, s),
             num_segments=32,
         )

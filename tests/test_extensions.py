@@ -1,18 +1,10 @@
-"""Tests for the extension modules: ANN indexes, persistence, RISE,
-visualization."""
+"""Tests for the extension modules: ANN indexes, persistence, RISE."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ExplainerError, ModelError
+from repro.errors import ModelError
 from repro.explainers.rise import RiseExplainer
-from repro.explainers.visualize import (
-    ascii_heatmap,
-    attribution_overlay,
-    load_pgm,
-    save_pgm,
-    segment_score_map,
-)
 from repro.model.persistence import (
     load_model,
     load_pipeline,
@@ -78,32 +70,6 @@ class TestIndexes:
             LSHIndex(vectors, num_tables=0)
         with pytest.raises(IndexError_):
             IVFFlatIndex(vectors, num_cells=0)
-
-    def test_indexed_retriever_matches_exact_mostly(self, trained):
-        from repro.retrieval import DescriptionRetriever
-        from repro.retrieval.retriever import IndexedDescriptionRetriever
-
-        model, __, train, test = trained
-        pool = list(train)[:60]
-        exact = DescriptionRetriever(model, pool, seed=0)
-        indexed = IndexedDescriptionRetriever(model, pool, seed=0,
-                                              index_kind="ivf")
-        agree = 0
-        queries = list(test)[:10]
-        for sample in queries:
-            description = model.describe(sample.video)
-            a = exact.retrieve(sample.video, description)
-            b = indexed.retrieve(sample.video, description)
-            agree += int(a[0].label == b[0].label)
-        assert agree >= 6
-
-    def test_unknown_index_kind(self, trained):
-        from repro.retrieval.retriever import IndexedDescriptionRetriever
-
-        model, __, train, __ = trained
-        with pytest.raises(ModelError):
-            IndexedDescriptionRetriever(model, list(train)[:10],
-                                        index_kind="btree")
 
 
 class TestPersistence:
@@ -185,50 +151,3 @@ class TestRise:
             RiseExplainer(num_samples=2)
         with pytest.raises(ValueError):
             RiseExplainer(keep_prob=1.0)
-
-
-class TestVisualize:
-    def test_segment_score_map(self):
-        labels = np.array([[0, 1], [1, 0]])
-        out = segment_score_map(labels, np.array([0.2, 0.8]))
-        assert out[0, 0] == 0.2 and out[0, 1] == 0.8
-
-    def test_score_shape_checked(self):
-        with pytest.raises(ExplainerError):
-            segment_score_map(np.zeros((2, 2), dtype=int), np.zeros(5))
-
-    def test_ascii_heatmap_renders(self):
-        values = np.linspace(0, 1, 96 * 96).reshape(96, 96)
-        art = ascii_heatmap(values, width=32)
-        lines = art.splitlines()
-        assert all(len(line) == 32 for line in lines)
-        assert art[0] == _first_char(art)
-
-    def test_ascii_constant_input(self):
-        art = ascii_heatmap(np.full((10, 10), 0.5), width=8)
-        assert set(art.replace("\n", "")) == {" "}
-
-    def test_overlay_bounds(self):
-        frame = np.random.default_rng(0).random((8, 8))
-        labels = np.zeros((8, 8), dtype=int)
-        labels[4:, :] = 1
-        overlay = attribution_overlay(frame, labels, np.array([0.0, 1.0]))
-        assert overlay.min() >= 0.0 and overlay.max() <= 1.0
-
-    def test_pgm_roundtrip(self, tmp_path):
-        image = np.random.default_rng(1).random((12, 20))
-        path = tmp_path / "out.pgm"
-        save_pgm(image, path)
-        loaded = load_pgm(path)
-        assert loaded.shape == image.shape
-        assert np.allclose(loaded, image, atol=1 / 255)
-
-    def test_pgm_rejects_bad_file(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P6\n1 1\n255\n\x00")
-        with pytest.raises(ExplainerError):
-            load_pgm(path)
-
-
-def _first_char(art: str) -> str:
-    return art[0]

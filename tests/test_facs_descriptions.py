@@ -79,14 +79,3 @@ class TestBehaviour:
     def test_regions_deduplicated(self):
         # AU12, AU15 both live on the lips.
         assert FacialDescription((12, 15)).regions() == ("lips",)
-
-    def test_hamming_distance(self):
-        a = FacialDescription((1, 2))
-        b = FacialDescription((2, 4))
-        assert a.hamming_distance(b) == 2
-        assert a.hamming_distance(a) == 0
-
-    @given(au_subsets, au_subsets)
-    def test_hamming_symmetry(self, xs, ys):
-        a, b = FacialDescription(tuple(xs)), FacialDescription(tuple(ys))
-        assert a.hamming_distance(b) == b.hamming_distance(a)

@@ -87,9 +87,8 @@ class TestMalformedInputs:
         from repro.errors import ModelError
 
         with pytest.raises(ModelError):
-            model.assess_logit_from_frames(
-                np.zeros((50, 50)), np.zeros((96, 96)), None
-            )
+            model.chain_prob_from_frames(
+                np.zeros((50, 50)), np.zeros((96, 96)))
 
     def test_mismatched_training_inputs(self, trained):
         model = FoundationModel(make_rng(2, "fx2"))

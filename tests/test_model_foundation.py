@@ -10,11 +10,21 @@ from repro.errors import ModelError
 from repro.facs.descriptions import FacialDescription
 from repro.model.features import video_features
 from repro.model.foundation import STRESSED, UNSTRESSED, FoundationModel
-from repro.model.generation import GenerationConfig
+from repro.model.generation import GenerationConfig, bernoulli_set_logprob
 from repro.model.session import DialogueSession
 from repro.rng import make_rng
 from repro.video import frame
 from repro.video.frame import Video, video_content_hash
+from tests.foundation_reference import (
+    assess_logit_from_frames,
+    au_logits_from_frames,
+)
+
+
+def _logprob(model, video, description) -> float:
+    """Exact log p_F(E | V, I1) of a description."""
+    return bernoulli_set_logprob(model.au_logits(video),
+                                 description.to_vector())
 
 
 class TestDescribe:
@@ -42,18 +52,18 @@ class TestDescribe:
         description = fresh_model.describe(
             sample_video, GenerationConfig(temperature=0)
         )
-        logprob = fresh_model.description_logprob(sample_video, description)
+        logprob = _logprob(fresh_model, sample_video, description)
         assert logprob < 0
 
     def test_greedy_description_is_mode(self, fresh_model, sample_video):
         """The greedy description must have the highest probability."""
         greedy = fresh_model.describe(sample_video,
                                       GenerationConfig(temperature=0))
-        greedy_lp = fresh_model.description_logprob(sample_video, greedy)
+        greedy_lp = _logprob(fresh_model, sample_video, greedy)
         for seed in range(5):
             other = fresh_model.describe(sample_video,
                                          GenerationConfig(seed=seed))
-            assert fresh_model.description_logprob(sample_video, other) <= \
+            assert _logprob(fresh_model, sample_video, other) <= \
                 greedy_lp + 1e-9
 
 
@@ -81,7 +91,7 @@ class TestAssess:
                                                   sample_video):
         fe, fl = sample_video.keyframes
         description = FacialDescription((4,))
-        assert fresh_model.assess_logit_from_frames(fe, fl, description) == \
+        assert assess_logit_from_frames(fresh_model, fe, fl, description) == \
             pytest.approx(fresh_model.assess_logit(sample_video, description))
 
     def test_chain_prob_extracts_features_once(self, fresh_model,
@@ -91,10 +101,10 @@ class TestAssess:
         from repro.model import foundation
 
         fe, fl = sample_video.keyframes
-        logits = fresh_model.au_logits_from_frames(fe, fl)
+        logits = au_logits_from_frames(fresh_model, fe, fl)
         description = FacialDescription.from_vector(
             (logits > 0).astype(np.float64))
-        logit = fresh_model.assess_logit_from_frames(fe, fl, description)
+        logit = assess_logit_from_frames(fresh_model, fe, fl, description)
         expected = 1.0 / (1.0 + math.exp(-logit))
         calls = []
         keyframe_features = foundation.keyframe_features

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn.layers import MLP, Linear, Parameter
-from repro.nn.optim import SGD, Adam
-from repro.nn.serialization import load_params, save_params
+from repro.nn.optim import Adam
 from repro.nn.tensorops import (
     binary_cross_entropy_with_logits,
     log_sigmoid,
@@ -163,24 +162,6 @@ class TestOptimizers:
     def _quadratic_param(self):
         return Parameter("w", np.array([5.0, -3.0]))
 
-    def test_sgd_descends(self):
-        param = self._quadratic_param()
-        optimizer = SGD([param], lr=0.1)
-        for __ in range(100):
-            param.zero_grad()
-            param.grad += 2 * param.value
-            optimizer.step()
-        assert np.abs(param.value).max() < 1e-3
-
-    def test_sgd_momentum_descends(self):
-        param = self._quadratic_param()
-        optimizer = SGD([param], lr=0.05, momentum=0.9)
-        for __ in range(200):
-            param.zero_grad()
-            param.grad += 2 * param.value
-            optimizer.step()
-        assert np.abs(param.value).max() < 1e-2
-
     def test_adam_descends(self):
         param = self._quadratic_param()
         optimizer = Adam([param], lr=0.3)
@@ -200,22 +181,6 @@ class TestOptimizers:
 
     def test_bad_lr_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.0)
+            Adam([], lr=0.0)
         with pytest.raises(ValueError):
             Adam([], lr=-1.0)
-
-
-class TestSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        mlp = MLP([3, 2], make_rng(6, "s"))
-        path = tmp_path / "params.npz"
-        save_params(mlp, path)
-        clone = MLP([3, 2], make_rng(7, "s2"))
-        load_params(clone, path)
-        x = np.ones((1, 3))
-        assert np.allclose(mlp.forward(x), clone.forward(x))
-
-    def test_load_missing_file_raises(self, tmp_path):
-        mlp = MLP([3, 2], make_rng(6, "s"))
-        with pytest.raises(FileNotFoundError):
-            load_params(mlp, tmp_path / "nope.npz")

@@ -1,10 +1,9 @@
 """Property-based equivalence of the batched prediction engine.
 
-Hypothesis drives the three ``*_from_frames_batch`` entry points
-against their per-frame counterparts over arbitrary frame stacks:
-random contents, float32/float64 inputs, batch sizes from 0 (the
-empty-stack edge) through small stacks, and mixed per-frame
-descriptions including the direct-query ``None``.
+Hypothesis drives ``chain_prob_from_frames_batch`` against its
+per-frame counterpart over arbitrary frame stacks: random contents,
+float32/float64 inputs, and batch sizes from 0 (the empty-stack edge)
+through small stacks.
 
 Frames are generated from a hypothesis-chosen RNG seed rather than
 element-by-element -- same coverage of the input space, orders of
@@ -12,7 +11,7 @@ magnitude cheaper per example.  Tolerances follow the repo convention
 for stacked-GEMM vs single-row math (``rtol=0, atol=1e-12``): BLAS
 does not guarantee row-wise bitwise equality across batch shapes,
 which is exactly why the *serving* path never routes per-request math
-through these entry points (see DESIGN.md section 10).
+through this entry point (see DESIGN.md section 10).
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ModelError
 from repro.facs.action_units import NUM_AUS
-from repro.facs.descriptions import FacialDescription
 from repro.model.foundation import FoundationModel
 from repro.rng import make_rng
 from repro.video.frame import Video, VideoSpec
+from tests.foundation_reference import au_logits_from_frames
 
 FRAME = 96  # must divide into the model's 12x12 patch grid
 
@@ -43,65 +42,6 @@ def _frames(n: int, seed: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     stack = rng.random((n, FRAME, FRAME)).astype(dtype)
     neutral = rng.random((FRAME, FRAME)).astype(dtype)
     return stack, neutral
-
-
-class TestAuLogitsBatch:
-    @given(n=batch_sizes, seed=seeds, dtype=dtypes)
-    def test_matches_per_frame_loop(self, n, seed, dtype):
-        frames, neutral = _frames(n, seed, dtype)
-        batched = _MODEL.au_logits_from_frames_batch(frames, neutral)
-        assert batched.shape == (n, NUM_AUS)
-        assert batched.dtype == np.float64
-        looped = [
-            _MODEL.au_logits_from_frames(frame, neutral) for frame in frames
-        ]
-        np.testing.assert_allclose(
-            batched, np.stack(looped) if looped else np.zeros((0, NUM_AUS)),
-            rtol=0, atol=1e-12,
-        )
-
-
-class TestAssessLogitBatch:
-    @given(n=batch_sizes, seed=seeds, dtype=dtypes,
-           desc_mode=st.sampled_from(["none", "matrix", "mixed_list"]))
-    def test_matches_per_frame_loop(self, n, seed, dtype, desc_mode):
-        frames, neutral = _frames(n, seed, dtype)
-        desc_rng = np.random.default_rng(seed + 1)
-        vectors = (desc_rng.random((n, NUM_AUS)) < 0.5).astype(np.float64)
-        if desc_mode == "none":
-            descriptions = None
-            per_frame = [None] * n
-        elif desc_mode == "matrix":
-            descriptions = vectors
-            per_frame = [FacialDescription.from_vector(v) for v in vectors]
-        else:
-            per_frame = [
-                FacialDescription.from_vector(v) if i % 2 == 0 else None
-                for i, v in enumerate(vectors)
-            ]
-            descriptions = list(per_frame)
-        batched = _MODEL.assess_logit_from_frames_batch(
-            frames, neutral, descriptions)
-        assert batched.shape == (n,)
-        looped = np.array([
-            _MODEL.assess_logit_from_frames(frame, neutral, desc)
-            for frame, desc in zip(frames, per_frame)
-        ])
-        np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-12)
-
-    @given(n=st.integers(min_value=0, max_value=4), seed=seeds)
-    def test_wrong_description_count_rejected(self, n, seed):
-        frames, neutral = _frames(n, seed, np.float64)
-        with pytest.raises(ModelError):
-            _MODEL.assess_logit_from_frames_batch(
-                frames, neutral, [None] * (n + 1))
-
-    @given(n=st.integers(min_value=0, max_value=4), seed=seeds)
-    def test_wrong_matrix_shape_rejected(self, n, seed):
-        frames, neutral = _frames(n, seed, np.float64)
-        with pytest.raises(ModelError):
-            _MODEL.assess_logit_from_frames_batch(
-                frames, neutral, np.zeros((n + 2, NUM_AUS)))
 
 
 class TestChainProbBatch:
@@ -124,32 +64,26 @@ class TestEmptyBatchEdges:
 
     def test_empty_stack(self):
         frames, neutral = _frames(0, 3, np.float64)
-        assert _MODEL.au_logits_from_frames_batch(
-            frames, neutral).shape == (0, NUM_AUS)
         assert _MODEL.chain_prob_from_frames_batch(
             frames, neutral).shape == (0,)
-        for descriptions in (None, [], np.zeros((0, NUM_AUS))):
-            out = _MODEL.assess_logit_from_frames_batch(
-                frames, neutral, descriptions)
-            assert out.shape == (0,)
 
     def test_batch_of_one_matches_single(self):
         frames, neutral = _frames(1, 5, np.float64)
         np.testing.assert_allclose(
-            _MODEL.au_logits_from_frames_batch(frames, neutral)[0],
-            _MODEL.au_logits_from_frames(frames[0], neutral),
+            _MODEL.chain_prob_from_frames_batch(frames, neutral)[0],
+            _MODEL.chain_prob_from_frames(frames[0], neutral),
             rtol=0, atol=1e-12,
         )
 
     def test_non_stack_input_rejected(self):
         __, neutral = _frames(0, 3, np.float64)
         with pytest.raises(ModelError):
-            _MODEL.au_logits_from_frames_batch(neutral, neutral)
+            _MODEL.chain_prob_from_frames_batch(neutral, neutral)
 
 
 class TestVideoPathConsistency:
-    """The frames-based entry points agree with the video-based chain
-    when fed a video's own keyframes."""
+    """The frames-based reference forward agrees with the video-based
+    chain when fed a video's own keyframes."""
 
     @given(seed=st.integers(min_value=0, max_value=100))
     def test_au_logits_match_video_path(self, seed):
@@ -162,7 +96,7 @@ class TestVideoPathConsistency:
         ))
         expressive, neutral = video.keyframes
         np.testing.assert_allclose(
-            _MODEL.au_logits_from_frames(expressive, neutral),
+            au_logits_from_frames(_MODEL, expressive, neutral),
             _MODEL.au_logits(video),
             rtol=0, atol=1e-12,
         )

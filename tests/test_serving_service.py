@@ -20,6 +20,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.model.foundation import FoundationModel
+from repro.reliability.deadlines import Deadline
 from repro.rng import make_rng
 from repro.serving import (
     LRUCache,
@@ -222,6 +223,33 @@ class TestServiceConfig:
             ServiceConfig(max_queue_depth=0)
         with pytest.raises(ConfigError):
             ServiceConfig(assess_cache_capacity=-1)
+
+    def test_nan_default_deadline_rejected(self):
+        # nan <= 0 is False: the check must be one that NaN fails.
+        with pytest.raises(ConfigError, match="default_deadline_ms"):
+            ServiceConfig(default_deadline_ms=float("nan"))
+        assert ServiceConfig(
+            default_deadline_ms=float("inf")).default_deadline_ms == \
+            float("inf")
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("budget_ms", [float("nan"), -1.0])
+    def test_bad_budget_rejected(self, budget_ms):
+        with pytest.raises(ConfigError, match="deadline budget"):
+            Deadline.after_ms(budget_ms, now=0.0)
+
+    def test_infinite_budget_never_expires(self):
+        deadline = Deadline.after_ms(float("inf"), now=0.0)
+        assert not deadline.expired(now=1e12)
+        assert Deadline.after_ms(0.0, now=5.0).expired(now=5.0)
+
+    def test_submit_rejects_nan_budget(self, pipeline):
+        with StressService(pipeline) as svc:
+            with pytest.raises(ConfigError):
+                svc.submit(_video("nan-deadline", 41),
+                           deadline_ms=float("nan"))
+            assert svc.stats().requests == 0
 
 
 class TestStressService:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.facs.descriptions import FacialDescription
 from repro.model.foundation import STRESSED, FoundationModel
+from repro.model.generation import bernoulli_set_logprob
 from repro.rng import make_rng
 from repro.training.dpo import (
     DescriptionPreference,
@@ -78,13 +79,17 @@ class TestDPOTrainer:
         winner = FacialDescription((1, 4))
         loser = FacialDescription((6, 12))
         trainer = DPOTrainer(model, beta=0.5, lr=5e-2)
-        before = (model.description_logprob(video, winner)
-                  - model.description_logprob(video, loser))
+
+        def margin() -> float:
+            logits = model.au_logits(video)
+            return (bernoulli_set_logprob(logits, winner.to_vector())
+                    - bernoulli_set_logprob(logits, loser.to_vector()))
+
+        before = margin()
         curve = trainer.train_descriptions(
             [DescriptionPreference(video, winner, loser)], epochs=20
         )
-        after = (model.description_logprob(video, winner)
-                 - model.description_logprob(video, loser))
+        after = margin()
         assert after > before
         assert curve[-1] < curve[0]
 

@@ -43,14 +43,6 @@ class TestVideoSpec:
         with pytest.raises(ValueError):
             _spec(occlusion_rate=1.5)
 
-    def test_mean_and_peak(self):
-        curves = np.zeros((12, 12))
-        curves[:, 0] = 0.8
-        spec = _spec(au_intensities=curves)
-        assert spec.mean_au_intensities()[0] == pytest.approx(0.8)
-        peak = spec.peak_au_vector()
-        assert peak[0] == 1.0 and peak[1:].sum() == 0
-
 
 class TestVideo:
     def test_frames_deterministic(self):
@@ -76,10 +68,11 @@ class TestVideo:
         assert fe1 is fe2 and fl1 is fl2
 
     def test_drop_cache_rerenders_identically(self):
-        video = Video(_spec())
-        before = video.frame(3).copy()
-        video.drop_frame_cache()
-        assert np.array_equal(before, video.frame(3))
+        # A frame depends only on the spec and its index, not on which
+        # frames the clip rendered before it.
+        warm = Video(_spec())
+        warm.frames()
+        assert np.array_equal(warm.frame(3), Video(_spec()).frame(3))
 
     def test_segmentation_cached(self):
         video = Video(_spec())

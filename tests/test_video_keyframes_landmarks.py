@@ -9,7 +9,6 @@ from repro.video.frame import IDENTITY_DIM, Video, VideoSpec
 from repro.video.keyframes import expressiveness, extract_keyframes
 from repro.video.landmarks import (
     au_landmark,
-    landmark_for_region,
     segments_for_au,
 )
 
@@ -42,18 +41,10 @@ class TestKeyframes:
 
 
 class TestLandmarks:
-    def test_region_landmark_in_frame(self):
-        row, col = landmark_for_region("lips", 96)
-        assert 0 <= row < 96 and 0 <= col < 96
-
     def test_au_landmark_inside_region(self):
         for au_id in AU_IDS:
             row, col = au_landmark(au_id, 96)
             assert region_for_au(au_id).contains(row, col)
-
-    def test_unknown_region_raises(self):
-        with pytest.raises(KeyError):
-            landmark_for_region("nostril", 96)
 
     def test_segments_for_au_covers_blob(self):
         """The ranked segments must carry the AU's pattern energy: the
