@@ -11,7 +11,7 @@ reference run, so the benchmark doubles as an equivalence check under
 load.
 
 Consistent-hash routing is what the scaling story rests on: each clip
-always lands on the same replica, so per-replica stage caches stay as
+always lands on the same replica, so per-replica chain caches stay as
 hot as one service's would -- sharding multiplies batcher workers
 without multiplying cache misses.
 
@@ -139,7 +139,7 @@ def bench_pool(quick: bool) -> dict:
         pool = ReplicaPool(pipeline, num_replicas=num_replicas,
                            backend="thread", config=config)
         # steady-state: one pass over the content warms each routed
-        # replica's stage caches
+        # replica's chain cache
         for video in content:
             pool.predict(video)
         pool_s, pool_bad = _drive(pool, content, NUM_CLIENTS,
@@ -161,15 +161,8 @@ def bench_pool(quick: bool) -> dict:
             "results_match": pool_bad == 0,
             "routed": list(snapshot.routed),
             "cache_hit_rate": (
-                sum(r.cache["describe"].hits + r.cache["assess"].hits
-                    + r.cache["highlight"].hits
-                    for r in snapshot.replicas)
-                / max(1, sum(r.cache["describe"].hits
-                             + r.cache["describe"].misses
-                             + r.cache["assess"].hits
-                             + r.cache["assess"].misses
-                             + r.cache["highlight"].hits
-                             + r.cache["highlight"].misses
+                sum(r.cache["chain"].hits for r in snapshot.replicas)
+                / max(1, sum(r.cache["chain"].hits + r.cache["chain"].misses
                              for r in snapshot.replicas))),
         }
         levels.append(level)

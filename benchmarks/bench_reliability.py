@@ -159,7 +159,7 @@ def bench_deadline(pool: list[Video], requests: int) -> dict:
     def run(deadline_ms: float | None) -> float:
         service = StressService(pipeline,
                                 ServiceConfig(max_batch_size=8))
-        for video in pool:  # warm stage caches
+        for video in pool:  # warm the chain cache
             service.predict(video)
 
         def loop():

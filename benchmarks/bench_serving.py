@@ -2,7 +2,7 @@
 """Throughput benchmark for the serving layer.
 
 Measures :class:`~repro.serving.StressService` (dynamic micro-batching
-+ per-stage result caches) against :class:`~repro.serving.SerialDispatcher`
++ the chain-result cache) against :class:`~repro.serving.SerialDispatcher`
 (the pre-serving baseline: a global lock around ``pipeline.predict``)
 under identical concurrent client load at 1, 8, and 32 clients.
 
@@ -121,7 +121,7 @@ def bench_serving(quick: bool) -> dict:
 
         service = StressService(pipeline,
                                 ServiceConfig(max_batch_size=64))
-        # steady-state: one pass over the pool warms the stage caches
+        # steady-state: one pass over the pool warms the chain cache
         for video in pool:
             service.predict(video)
         service_s, service_bad = _drive(service, pool, num_clients,

@@ -37,9 +37,11 @@ class ChainResult:
     prob_stressed: float
     rationale: Rationale
     session: DialogueSession
+    #: Wall time of the chain run that computed this answer (a served
+    #: cache hit or in-batch duplicate reports that run's).
     elapsed_seconds: float
     #: ``True`` when the serving layer answered this request from its
-    #: stage caches alone because the circuit breaker was open (the
+    #: chain cache alone because the circuit breaker was open (the
     #: values are still bitwise-identical to a computed chain run; the
     #: flag only marks *how* they were obtained).
     degraded: bool = False
@@ -148,10 +150,10 @@ class StressChainPipeline:
     def predict_many(self, videos: list[Video], *, batch_size: int = 32,
                      caches=None) -> list[ChainResult]:
         """Run the chain over many videos through the serving batch
-        executor: duplicate contents are computed once per batch, and
-        the per-stage caches share Describe/Assess work across the
-        call.  Results are bitwise-identical to calling
-        :meth:`predict` per video, in order.
+        executor: a repeated request is computed once per call, in the
+        batch or from the executor's chain cache.  Results are
+        bitwise-identical to calling :meth:`predict` per video, in
+        order.
 
         Parameters
         ----------
@@ -161,8 +163,9 @@ class StressChainPipeline:
             Executor batch granularity (bounds dedup bookkeeping).
         caches:
             Optional :class:`~repro.serving.cache.StageCaches` to
-            reuse across calls (e.g. a service's warm caches); a fresh
-            set is created otherwise.
+            reuse across calls of this pipeline (e.g. the warm cache of
+            a service over it; a cache holds one pipeline's answers); a
+            fresh one is created otherwise.
         """
         from repro.errors import ConfigError
         from repro.serving.cache import StageCaches

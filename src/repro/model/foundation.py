@@ -190,7 +190,7 @@ class FoundationModel(Module):
         """What this model's outputs for ``video`` depend on besides
         its weights: the clip's content hash.  Two videos with equal
         identities get bitwise-equal outputs from every stage method,
-        so the serving stage caches key on it.  A subclass whose
+        so the serving chain cache keys on it.  A subclass whose
         outputs read more of the video (the off-the-shelf proxies seed
         their noise from its id) must add that here."""
         return video.content_hash

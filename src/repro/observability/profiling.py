@@ -1,7 +1,7 @@
 """Profiling hooks: model-level work counters attached to spans.
 
 The model and cache layers call :func:`count` at their unit-of-work
-sites -- one trunk GEMM, one video embedding, one stage-cache hit --
+sites -- one trunk GEMM, one video embedding, one chain-cache hit --
 and the count lands on the innermost open span of the calling thread.
 A finished span's record then carries, e.g.::
 

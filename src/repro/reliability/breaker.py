@@ -53,7 +53,8 @@ class BreakerConfig:
         if self.min_volume < 1:
             raise ConfigError(
                 f"min_volume must be >= 1, got {self.min_volume}")
-        if self.open_duration_s < 0:
+        # NaN fails this comparison: a NaN window would never elapse.
+        if not self.open_duration_s >= 0:
             raise ConfigError(
                 f"open_duration_s must be >= 0, got {self.open_duration_s}")
         if self.half_open_probes < 1:

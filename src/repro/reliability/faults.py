@@ -8,8 +8,8 @@ site                      where it fires
 ``model.forward``         :meth:`FoundationModel.embed_video` (the trunk pass
                           every served request performs)
 ``serve.execute``         :meth:`ChainBatchExecutor.run_batch`, once per
-                          unique video group before its chain runs
-``cache.get``             :meth:`LRUCache.get` (all serving stage caches)
+                          unique request key before its cache lookup
+``cache.get``             :meth:`LRUCache.get` (the serving chain cache)
 ``persistence.io``        :func:`save_model` / :func:`load_model` (and the
                           training checkpointer built on them)
 ``cv.fold``               each cross-validation fold, before its fit

@@ -54,9 +54,12 @@ class RetryPolicy:
         if self.max_attempts < 1:
             raise ConfigError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay_ms < 0 or self.max_delay_ms < 0:
-            raise ConfigError("backoff delays must be >= 0 ms")
-        if self.multiplier < 1.0:
+        # Comparisons NaN fails, so a NaN never reaches time.sleep.
+        for name in ("base_delay_ms", "max_delay_ms"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.multiplier >= 1.0:
             raise ConfigError(
                 f"multiplier must be >= 1, got {self.multiplier}")
         if not 0.0 <= self.jitter < 1.0:

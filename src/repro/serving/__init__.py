@@ -3,15 +3,17 @@
 Public surface:
 
 - :class:`StressService` / :class:`ServiceConfig` -- the concurrent
-  predict front-end with micro-batching, per-stage LRU caches,
-  bounded-queue backpressure, graceful shutdown, and counters;
+  predict front-end with micro-batching, an LRU cache of whole chain
+  results, bounded-queue backpressure, graceful shutdown, and
+  counters;
 - :class:`SerialDispatcher` -- the global-lock baseline;
 - :class:`MicroBatcher` -- the reusable batching primitive;
 - :class:`ChainBatchExecutor` -- batch execution over the one chain
   core that serial :meth:`StressChainPipeline.predict` also runs (also
   behind :meth:`StressChainPipeline.predict_many`);
 - :class:`StageCaches` / :class:`LRUCache` and
-  :func:`video_content_hash` -- the content-addressed caches;
+  :func:`video_content_hash` -- the chain-result cache and the
+  request key it is addressed by;
 - :class:`ServiceStats` / :class:`ServiceStatsSnapshot`;
 - :class:`ReplicaPool` / :class:`Deployment` /
   :class:`PoolStatsSnapshot` -- the sharded replica pool with

@@ -1,39 +1,39 @@
-"""Content-addressed LRU caches for the serving layer.
+"""The serving layer's one cache: whole chain results by request key.
 
 Serving traffic is heavily repetitive -- the same clip arrives from
-many clients, and the ``use_chain``/retriever pipeline variants share
-their Describe work -- so the service keeps one bounded LRU cache per
-chain stage, keyed by a *content hash* of the video:
+many clients -- and under greedy decoding the paper's Describe ->
+Assess -> Highlight chain gives the same answer for the same request
+every time.  So the service keeps one bounded LRU of chain results
+(:class:`StageCaches`), and a repeat costs one lookup instead of a
+chain run.  Every cached value was produced by the one chain core that
+serial :meth:`~repro.cot.chain.StressChainPipeline.predict` also runs,
+so replaying it is bitwise-identical to recomputing it.
 
-- the **describe cache** stores the greedy description and its
-  rendered text (and, when test-time refinement is on, the refined
-  description under a key that includes the video id);
-- the **assess cache** stores the final assessment ``(logit, prob,
-  label)`` per ``(content, description)`` pair;
-- the **highlight cache** stores the rationale ordering and its
-  rendered text per ``(content, description, label)``.
+The key of a request (:meth:`StageCaches.content_key`) names every
+input the chain's answer depends on besides the weights:
 
-Every cached value was produced by the one chain core that serial
-:meth:`~repro.cot.chain.StressChainPipeline.predict` also runs (over
-:data:`NULL_CACHES`, which hold nothing), and all three steps are
-deterministic under greedy decoding, so replaying a cached value is
-bitwise-identical to recomputing it.
+- the serving model's
+  :meth:`~repro.model.foundation.FoundationModel.output_identity` of
+  the video: its content hash, plus the video id for a model whose
+  outputs also read the id (the off-the-shelf proxies seed their
+  per-query noise from it);
+- the video id again when the pipeline's own streams read it: test-time
+  refinement seeds its reflection draws from the id, and a retriever
+  its example draw.
 
 The content hash digests the :class:`~repro.video.frame.VideoSpec`
 rather than rendered pixels: rendering is fully deterministic given
 the spec (including its render seed), so the spec *is* the content in
 latent form, and hashing ~1 KB of latent state instead of ~150 KB of
-pixels keeps the cache-hit path far cheaper than a model call.  The
+pixels keeps the hit path far cheaper than a model call.  The
 :class:`~repro.video.frame.Video` computes it once
 (:attr:`~repro.video.frame.Video.content_hash`), so the router, the
-stage caches and the model's feature cache all read one digest.  The
-stage keys start from the serving model's
-:meth:`~repro.model.foundation.FoundationModel.output_identity` of the
-video: the content hash, plus the video id for a model whose outputs
-also depend on the id.
+chain cache and the model's feature cache all read one digest.
 
-Entries are frozen and carry their dialogue turns already rendered,
-so a cache hit builds no text and requests can share an entry.
+A cache holds the answers of one pipeline: the executor that owns it
+clears it when its pipeline is swapped.  Entries are frozen and carry
+their dialogue turns already rendered, so a hit builds no text and
+requests can share an entry.
 """
 
 from __future__ import annotations
@@ -43,10 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.cot.rationale import Rationale
 from repro.errors import ConfigError
-from repro.facs.descriptions import FacialDescription
-from repro.model.session import Turn
 from repro.observability import profiling
 from repro.reliability.faults import fault_point
 # video_content_hash stays importable from here: perfbench's ledger
@@ -75,6 +72,9 @@ class LRUCache:
 
     ``capacity=0`` disables the cache (every ``get`` misses, ``put``
     is a no-op), which is how the service runs in cache-off mode.
+    Each lookup passes the ``cache.get`` fault site, and its hit or
+    miss is also counted on the current span (the
+    ``serve.stage_cache_*`` profiling counters).
     """
 
     def __init__(self, capacity: int):
@@ -96,10 +96,13 @@ class LRUCache:
                 value = self._data[key]
             except KeyError:
                 self._misses += 1
-                return None
-            self._data.move_to_end(key)
-            self._hits += 1
-            return value
+                value = None
+            else:
+                self._data.move_to_end(key)
+                self._hits += 1
+        profiling.count(profiling.STAGE_CACHE_MISS if value is None
+                        else profiling.STAGE_CACHE_HIT)
+        return value
 
     def put(self, key: Any, value: Any) -> None:
         if self.capacity == 0:
@@ -126,100 +129,27 @@ class LRUCache:
                               size=len(self._data), capacity=self.capacity)
 
 
-class _StageCache(LRUCache):
-    """A chain-stage LRU cache: each lookup's hit or miss is also
-    counted on the current span (the ``serve.stage_cache_*`` profiling
-    counters)."""
-
-    def get(self, key: Any) -> Any | None:
-        value = super().get(key)
-        profiling.count(profiling.STAGE_CACHE_MISS if value is None
-                        else profiling.STAGE_CACHE_HIT)
-        return value
-
-
-class _NullCache:
-    """A stage cache that holds nothing: every ``get`` misses and
-    ``put`` drops the value -- no lock, no counter, no fault site."""
-
-    __slots__ = ()
-
-    def get(self, key: Any) -> None:
-        return None
-
-    def put(self, key: Any, value: Any) -> None:
-        return None
-
-
-class _NullStageCaches:
-    __slots__ = ()
-    describe = assess = highlight = _NullCache()
-
-
-#: The stage caches of serial ``predict``: the chain core runs over
-#: these without a content key, so it hashes and looks up nothing.
-NULL_CACHES = _NullStageCaches()
-
-
-@dataclass(frozen=True, slots=True)
-class DescribeEntry:
-    """Cached output of the Describe stage for one video content.
-
-    ``description`` is the greedy draw; ``turn`` is the I1 exchange
-    the chain records in the dialogue session, its text rendered once.
-    """
-
-    description: FacialDescription
-    turn: Turn
-
-
-@dataclass(frozen=True, slots=True)
-class AssessEntry:
-    """Cached output of the Assess stage: the final (post in-context
-    shift) logit and the prob/label floats derived from it."""
-
-    logit: float
-    prob: float
-    label: int
-
-
-@dataclass(frozen=True, slots=True)
-class HighlightEntry:
-    """Cached output of the Highlight stage: the rationale, and the I3
-    turn (``None`` when the description names no action unit, which
-    records no turn)."""
-
-    rationale: Rationale
-    turn: Turn | None
-
-
 class StageCaches:
-    """The per-stage caches one service (or ``predict_many`` call)
-    owns."""
+    """The chain-result cache one service (or ``predict_many`` call)
+    owns: one :class:`LRUCache` of chain cores by request key."""
 
-    def __init__(self, describe_capacity: int = 2048,
-                 assess_capacity: int = 4096,
-                 highlight_capacity: int = 4096):
-        self.describe = _StageCache(describe_capacity)
-        self.assess = _StageCache(assess_capacity)
-        self.highlight = _StageCache(highlight_capacity)
+    def __init__(self, capacity: int = 4096):
+        self.chain = LRUCache(capacity)
 
-    def content_key(self, video: Video, model) -> Hashable:
-        """The key every stage-cache entry of ``video`` starts from:
-        the serving ``model``'s :meth:`~repro.model.foundation
-        .FoundationModel.output_identity` of it, which is
-        ``video.content_hash`` unless the model's outputs also depend
-        on the video id."""
-        return model.output_identity(video)
+    def content_key(self, video: Video, pipeline) -> Hashable:
+        """The key of a request for ``video`` to ``pipeline``: the
+        serving model's :meth:`~repro.model.foundation.FoundationModel
+        .output_identity` of it (``video.content_hash`` unless the
+        model's outputs also depend on the video id), paired with the
+        id when the pipeline's own streams read it (test-time
+        refinement, retrieval).  In-flight dedup groups on it too."""
+        identity = pipeline.model.output_identity(video)
+        if pipeline.test_time_refine or pipeline.retriever is not None:
+            return (identity, video.video_id)
+        return identity
 
     def clear(self) -> None:
-        self.describe.clear()
-        self.assess.clear()
-        self.highlight.clear()
+        self.chain.clear()
 
     def stats(self) -> dict[str, CacheStats]:
-        return {
-            "describe": self.describe.stats(),
-            "assess": self.assess.stats(),
-            "highlight": self.highlight.stats(),
-        }
+        return {"chain": self.chain.stats()}

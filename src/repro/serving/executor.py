@@ -1,15 +1,16 @@
 """The reasoning chain's one implementation, and its batch executor.
 
 :func:`_run_core` is the only code in the library that runs the
-paper's Describe -> Assess -> Highlight chain.  It stages every step
-through a set of stage caches, and two callers share it:
+paper's Describe -> Assess -> Highlight chain, and two callers share
+it:
 
 - serial :meth:`~repro.cot.chain.StressChainPipeline.predict` runs it
-  over :data:`~repro.serving.cache.NULL_CACHES` (see
-  :func:`predict_uncached`): no content hash, no LRU lookup, and one
-  trunk pass per call;
-- :class:`ChainBatchExecutor` runs it once per unique content of a
-  batch over the per-stage LRU caches, so served results are
+  directly (see :func:`predict_uncached`): no content hash, no cache
+  lookup, and one trunk pass per call;
+- :class:`ChainBatchExecutor` answers each unique request key of a
+  batch with one lookup in its chain cache
+  (:class:`~repro.serving.cache.StageCaches`), and runs the core and
+  stores its result only on a miss, so served results are
   **bitwise-identical** to serial ``predict`` by construction.
 
 The guarantee is structural, not numerical luck:
@@ -23,16 +24,16 @@ The guarantee is structural, not numerical luck:
   ``*_from_frames_batch`` engine remains the explainers' workhorse).
 - The trunk embedding is computed once per chain run and passed to
   each stage method as ``embed``.
-- Duplicate requests in one batch are computed once and fanned out;
-  across batches the per-stage LRU caches replay stage outputs that
-  greedy decoding makes deterministic.
+- Requests in one batch that share a key are answered once and fanned
+  out; across batches the chain cache replays whole results, which
+  greedy decoding makes deterministic for a given key.
 
 Every request gets its *own* :class:`DialogueSession`: a fresh list
 over the chain's turns in recording order, so concurrent requests can
 never interleave dialogue state (the mutable-state hazard DESIGN.md
 section 10 discusses).  The turns themselves are frozen and shared:
-the cache entries carry them rendered, and the Assess turns are module
-constants, so a cache hit builds no text.
+a cached core carries them rendered, and the Assess turns are module
+constants, so a hit builds no text.
 """
 
 from __future__ import annotations
@@ -62,14 +63,7 @@ from repro.nn.tensorops import sigmoid
 from repro.observability.tracing import span
 from repro.reliability.deadlines import Deadline
 from repro.reliability.faults import fault_point
-from repro.serving.cache import (
-    NULL_CACHES,
-    AssessEntry,
-    CacheStats,
-    DescribeEntry,
-    HighlightEntry,
-    StageCaches,
-)
+from repro.serving.cache import CacheStats, StageCaches
 from repro.video.frame import Video
 
 
@@ -89,10 +83,9 @@ class _ChainCore:
 
 def predict_uncached(pipeline, video: Video, explain: bool,
                      deadline: Deadline | None) -> ChainResult:
-    """Serial :meth:`StressChainPipeline.predict`: the chain core over
-    :data:`NULL_CACHES`, so nothing is hashed, looked up, or stored."""
-    return _materialize(_run_core(
-        pipeline, video, None, NULL_CACHES, explain, deadline))
+    """Serial :meth:`StressChainPipeline.predict`: the chain core run
+    directly, so nothing is hashed, looked up, or stored."""
+    return _materialize(_run_core(pipeline, video, explain, deadline))
 
 
 class ChainBatchExecutor:
@@ -120,18 +113,19 @@ class ChainBatchExecutor:
 
         Returns ``(outcomes, unique)`` where ``outcomes[i]`` is the
         :class:`ChainResult` for ``videos[i]`` or the exception that
-        request raised, and ``unique`` is the number of distinct video
-        contents actually computed (batch occupancy minus in-flight
+        request raised, and ``unique`` is the number of distinct
+        request keys answered (batch occupancy minus in-flight
         duplicates).
         """
         pipeline = self.pipeline
-        model = pipeline.model
+        caches = self.caches
+        chain = caches.chain
         outcomes: list[object] = [None] * len(videos)
         groups: dict[Hashable, list[int]] = {}
         with span("serve.execute_batch", size=len(videos)) as sp:
             for i, video in enumerate(videos):
                 try:
-                    key = self.caches.content_key(video, model)
+                    key = caches.content_key(video, pipeline)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     outcomes[i] = exc
                     continue
@@ -144,8 +138,10 @@ class ChainBatchExecutor:
                     # requests of that group (a transient, retryable
                     # error), never the whole batch.
                     fault_point("serve.execute")
-                    core = _run_core(pipeline, videos[indices[0]], key,
-                                     self.caches)
+                    core = chain.get(key)
+                    if core is None:
+                        core = _run_core(pipeline, videos[indices[0]])
+                        chain.put(key, core)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     for i in indices:
                         outcomes[i] = exc
@@ -155,55 +151,25 @@ class ChainBatchExecutor:
         return outcomes, len(groups)
 
     def run_cached(self, video: Video) -> ChainResult | None:
-        """Cache-only chain run: a :class:`ChainResult` assembled from
-        the stage caches without touching the model, or ``None`` when
-        any stage misses.
+        """Cache-only answer: the stored chain result for ``video``'s
+        request key without touching the model, or ``None`` on a miss.
 
         This is the circuit breaker's degraded mode: while the breaker
-        is open the service can still answer requests whose Describe,
-        Assess, *and* Highlight outputs are all cached (they were each
-        produced by the chain core, so the values are the
-        bitwise-normal response), flagged ``degraded=True``.  Only
-        supported for the plain pipeline configuration -- test-time
-        refinement and retrieval key their caches on per-request state,
-        so those pipelines fail fast while open instead.
+        is open the service can still answer requests whose result is
+        cached (it was produced by the chain core, so it is the
+        bitwise-normal response), flagged ``degraded=True``.
         """
-        pipeline = self.pipeline
-        if pipeline.test_time_refine or pipeline.retriever is not None:
-            return None
-        start = time.perf_counter()
-        key = self.caches.content_key(video, pipeline.model)
-        describe = self.caches.describe.get(key)
-        if describe is None:
-            return None
-        use_chain = pipeline.use_chain
-        description = describe.description if use_chain else None
-        assess = self.caches.assess.get(
-            _assess_key(pipeline, key, video, description))
-        if assess is None:
-            return None
-        highlight = self.caches.highlight.get(
-            _highlight_key(key, describe.description, assess.label))
-        if highlight is None:
-            return None
-        core = _ChainCore(
-            description=description,
-            label=assess.label,
-            prob=assess.prob,
-            rationale=highlight.rationale,
-            turns=_turns(describe if use_chain else None, use_chain,
-                         assess.label, highlight),
-            elapsed_seconds=time.perf_counter() - start,
-        )
-        return _materialize(core, degraded=True)
+        core = self.caches.chain.get(
+            self.caches.content_key(video, self.pipeline))
+        return None if core is None else _materialize(core, degraded=True)
 
     def swap(self, source) -> None:
         """Serve ``source`` from now on: a pipeline, or the path of a
         saved pipeline archive (loaded here, so a child process never
         receives weights over its pipe).
 
-        Also clears the stage caches -- cached stage outputs are only
-        valid for the weights that produced them.  The caller owns
+        Also clears the chain cache -- cached results are only valid
+        for the pipeline that produced them.  The caller owns
         synchronization: the service swaps under its swap lock, so no
         batch is mid-execution.
         """
@@ -232,10 +198,9 @@ class ChainBatchExecutor:
 # ----------------------------------------------------------------------
 
 
-def _run_core(pipeline, video: Video, key: Hashable | None, caches,
-              explain: bool = True,
+def _run_core(pipeline, video: Video, explain: bool = True,
               deadline: Deadline | None = None) -> _ChainCore:
-    """One chain run, staged through ``caches``.
+    """One chain run.
 
     ``explain=False`` skips the Highlight stage (an empty rationale and
     no I3 turn); ``deadline`` is checked after Describe and before
@@ -254,87 +219,62 @@ def _run_core(pipeline, video: Video, key: Hashable | None, caches,
             embed = model.embed_video(video)
         return embed
 
-    def get_describe() -> DescribeEntry:
-        entry = caches.describe.get(key)
-        if entry is None:
-            description = model.describe(video, GREEDY, embed=get_embed())
-            entry = DescribeEntry(
-                description=description,
-                turn=Turn(DESCRIBE_INSTRUCTION, description.render()))
-            caches.describe.put(key, entry)
-        return entry
-
     # --- Describe ----------------------------------------------------
     use_chain = pipeline.use_chain
+    # The greedy draw, whose I1 turn the chain records: refinement
+    # replaces the description the chain reasons on, never the turn.
+    greedy: FacialDescription | None = None
     description: FacialDescription | None = None
-    # The greedy draw's turn: refinement replaces the description the
-    # chain reasons on, never the turn it recorded.
-    greedy: DescribeEntry | None = None
     if use_chain:
         with span("chain.describe", refine=pipeline.test_time_refine):
-            greedy = get_describe()
-            description = greedy.description
+            greedy = description = model.describe(
+                video, GREEDY, embed=get_embed())
             if pipeline.test_time_refine:
-                refine_key = _refine_key(key, video)
-                refined = caches.describe.get(refine_key)
-                if refined is None:
-                    refined = pipeline._refine_description(video, description)
-                    caches.describe.put(refine_key, refined)
-                description = refined
+                description = pipeline._refine_description(video, greedy)
         _check_deadline(deadline, "Describe")
 
     # --- Assess ------------------------------------------------------
-    assess_key = _assess_key(pipeline, key, video, description)
     with span("chain.assess", use_chain=use_chain):
-        assess = caches.assess.get(assess_key)
-        if assess is None:
-            logit = model.assess_logit(video, description, embed=get_embed())
-            if pipeline.retriever is not None and description is not None:
-                examples = pipeline.retriever.retrieve(video, description)
-                shift = incontext_logit_shift(description, examples)
-                # In-context evidence sways the model where it is
-                # unsure; a confident assessment barely moves (the
-                # gating mirrors how prompt examples influence a real
-                # LFM's decision).
-                confidence = abs(
-                    2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
-                logit += shift * (1.0 - confidence)
-            prob = float(sigmoid(np.array(logit))[()])
-            label = STRESSED if logit > 0 else UNSTRESSED
-            assess = AssessEntry(logit=logit, prob=prob, label=label)
-            caches.assess.put(assess_key, assess)
+        logit = model.assess_logit(video, description, embed=get_embed())
+        if pipeline.retriever is not None and description is not None:
+            examples = pipeline.retriever.retrieve(video, description)
+            shift = incontext_logit_shift(description, examples)
+            # In-context evidence sways the model where it is unsure; a
+            # confident assessment barely moves (the gating mirrors how
+            # prompt examples influence a real LFM's decision).
+            confidence = abs(2.0 * float(sigmoid(np.array(logit))[()]) - 1.0)
+            logit += shift * (1.0 - confidence)
+        prob = float(sigmoid(np.array(logit))[()])
+        label = STRESSED if logit > 0 else UNSTRESSED
 
     # --- Highlight ---------------------------------------------------
-    highlight: HighlightEntry | None = None
+    rationale = _NO_RATIONALE
+    i3: Turn | None = None
     if explain:
         _check_deadline(deadline, "Assess")
         with span("chain.highlight"):
             # w/o Chain still answers I3; it reads its greedy AU
             # estimate off the video when asked to point at cues.
             highlight_desc = (description if description is not None
-                              else get_describe().description)
-            highlight_key = _highlight_key(key, highlight_desc, assess.label)
-            highlight = caches.highlight.get(highlight_key)
-            if highlight is None:
-                rationale = model.highlight(
-                    video, highlight_desc, assess.label, GREEDY,
-                    embed=get_embed())
-                # The I3 turn is recorded only when the description
-                # names at least one action unit.
-                highlight = HighlightEntry(
-                    rationale=Rationale(rationale),
-                    turn=(Turn(HIGHLIGHT_INSTRUCTION,
-                               _render_rationale(rationale))
-                          if highlight_desc.au_ids else None))
-                caches.highlight.put(highlight_key, highlight)
+                              else model.describe(video, GREEDY,
+                                                  embed=get_embed()))
+            cues = model.highlight(video, highlight_desc, label, GREEDY,
+                                   embed=get_embed())
+            rationale = Rationale(cues)
+            # The I3 turn is recorded only when the description names
+            # at least one action unit.
+            if highlight_desc.au_ids:
+                i3 = Turn(HIGHLIGHT_INSTRUCTION, _render_rationale(cues))
 
+    i1 = (Turn(DESCRIBE_INSTRUCTION, greedy.render())
+          if greedy is not None else None)
     return _ChainCore(
         description=description,
-        label=assess.label,
-        prob=assess.prob,
-        rationale=(highlight.rationale if highlight is not None
-                   else _NO_RATIONALE),
-        turns=_turns(greedy, use_chain, assess.label, highlight),
+        label=label,
+        prob=prob,
+        rationale=rationale,
+        turns=tuple(turn for turn in (i1, _ASSESS_TURNS[use_chain, label], i3)
+                    if turn is not None),
         elapsed_seconds=time.perf_counter() - start,
     )
 
@@ -352,16 +292,6 @@ _ASSESS_TURNS = {
 _NO_RATIONALE = Rationale(())
 
 
-def _turns(describe: DescribeEntry | None, use_chain: bool, label: int,
-           highlight: HighlightEntry | None) -> tuple[Turn, ...]:
-    """A chain run's dialogue turns in recording order: I1 (chain
-    only), I2, then I3 when the Highlight stage recorded one."""
-    i1 = describe.turn if describe is not None else None
-    i3 = highlight.turn if highlight is not None else None
-    return tuple(turn for turn in (i1, _ASSESS_TURNS[use_chain, label], i3)
-                 if turn is not None)
-
-
 def _materialize(core: _ChainCore, degraded: bool = False) -> ChainResult:
     """A fresh :class:`ChainResult` from a chain core -- one per
     request, also for deduplicated ones.  Its session is a new list
@@ -375,28 +305,6 @@ def _materialize(core: _ChainCore, degraded: bool = False) -> ChainResult:
         elapsed_seconds=core.elapsed_seconds,
         degraded=degraded,
     )
-
-
-# -- stage-cache keys: the one place they are built ---------------------
-
-
-def _assess_key(pipeline, key, video: Video,
-                description: FacialDescription | None) -> tuple:
-    # Retrieval derives its sampling seed from video_id, so the assess
-    # key includes the id whenever a retriever is attached.
-    return (key,
-            description.au_ids if description is not None else None,
-            video.video_id if pipeline.retriever is not None else None)
-
-
-def _highlight_key(key, description: FacialDescription, label: int) -> tuple:
-    return (key, description.au_ids, label)
-
-
-def _refine_key(key, video: Video) -> tuple:
-    # The refinement redraw is seeded by video_id, so its key carries
-    # the id alongside the content.
-    return (key, video.video_id, "refined")
 
 
 # ----------------------------------------------------------------------

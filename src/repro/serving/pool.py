@@ -3,23 +3,24 @@
 One :class:`~repro.serving.service.StressService` serializes all model
 work on a single batcher thread (DESIGN.md section 10).  A
 :class:`ReplicaPool` shards that hot path across ``num_replicas``
-replicas, each owning its own micro-batch worker, stage caches, and
+replicas, each owning its own micro-batch worker, chain cache, and
 circuit breaker:
 
 - **Routing is consistent-hash on content.**  Every request is routed
   by its video's :attr:`~repro.video.frame.Video.content_hash` (the
-  one digest the stage caches and the model's feature cache also
+  one digest the chain cache and the model's feature cache also
   read) over a vnode hash ring, so one clip's repeats always land on
-  the same replica and that replica's LRU caches stay hot -- random routing would shred the hit rate across
-  replicas.  Adding or removing a replica remaps only the ring arcs it
-  owns, not the whole keyspace.
+  the same replica and that replica's LRU cache stays hot -- random
+  routing would shred the hit rate across replicas.  Adding or
+  removing a replica remaps only the ring arcs it owns, not the whole
+  keyspace.
 - **Two replica backends, one batch path.**  Every replica is a
   :class:`StressService`.  The ``"thread"`` replicas' services run
   their executors in process over one shared pipeline (serving only
   reads weights, so concurrent forward passes are safe); a
   ``"process"`` replica's service runs over a pipe executor that
   forwards each executor call to a forked child owning the real
-  executor and stage caches (POSIX only -- mirrors
+  executor and chain cache (POSIX only -- mirrors
   :mod:`repro.evaluation.parallel`'s fork backend, and falls back to
   threads the same way).  Retry, degraded mode, and cache stats are
   therefore the same on both backends.  Defaults come from
@@ -58,11 +59,12 @@ from repro.observability import tracing
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
 from repro.reliability.breaker import OPEN, BreakerConfig, CircuitBreaker
+from repro.serving.cache import StageCaches
 # video_content_hash stays importable from here: perfbench's ledger
 # wraps it under this module's name.  Routes read Video.content_hash.
 from repro.serving.cache import video_content_hash  # noqa: F401
 from repro.serving.executor import ChainBatchExecutor
-from repro.serving.service import ServiceConfig, StressService, _stage_caches
+from repro.serving.service import ServiceConfig, StressService
 from repro.serving.stats import ServiceStatsSnapshot
 from repro.video.frame import Video
 
@@ -183,7 +185,7 @@ class _PipeExecutor:
     over a pipe to a forked child.
 
     The child inherits ``pipeline`` through fork (nothing is pickled on
-    the way in) and owns the real executor and stage caches; the
+    the way in) and owns the real executor and chain cache; the
     parent's service keeps the request plumbing -- micro-batcher,
     retry, circuit breaker, stats.  The pipe is strictly
     request/response and guarded by a lock, so calls never interleave.
@@ -226,7 +228,7 @@ class _PipeExecutor:
         self._call("swap", source)
 
     def cache_stats(self) -> dict:
-        """The child's stage-cache stats; empty once it has exited."""
+        """The child's chain-cache stats; empty once it has exited."""
         try:
             return self._call("cache_stats")
         except PoolError:
@@ -250,7 +252,8 @@ def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
     """Child-process loop of one ``"process"`` replica: a dispatcher
     over a :class:`ChainBatchExecutor`'s methods, answering
     ``("ok", result)`` / ``("error", exc)`` per call until ``close``."""
-    executor = ChainBatchExecutor(pipeline, _stage_caches(config))
+    executor = ChainBatchExecutor(pipeline,
+                                  StageCaches(config.cache_capacity))
     try:
         while True:
             try:

@@ -71,8 +71,8 @@ class ServiceConfig:
     ``max_batch_size`` caps the micro-batches: the worker takes what
     is queued, up to ``max_batch_size``, as soon as it is free, with
     no batching timer; ``max_queue_depth`` is the backpressure limit;
-    the ``*_cache_capacity`` fields size the per-stage LRU caches (0
-    disables a cache).
+    ``cache_capacity`` sizes the LRU of chain results (0 disables
+    it).
 
     Deadlines, retry and the breaker default *off*, so the hot path
     runs none of them unless a deployment opts in:
@@ -87,9 +87,7 @@ class ServiceConfig:
 
     max_batch_size: int = 32
     max_queue_depth: int = 256
-    describe_cache_capacity: int = 2048
-    assess_cache_capacity: int = 4096
-    highlight_cache_capacity: int = 4096
+    cache_capacity: int = 4096
     default_deadline_ms: float | None = None
     retry_policy: RetryPolicy | None = None
     breaker: BreakerConfig | None = None
@@ -102,11 +100,9 @@ class ServiceConfig:
         if self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
-        for field_name in ("describe_cache_capacity",
-                           "assess_cache_capacity",
-                           "highlight_cache_capacity"):
-            if getattr(self, field_name) < 0:
-                raise ConfigError(f"{field_name} must be >= 0")
+        if self.cache_capacity < 0:
+            raise ConfigError(
+                f"cache_capacity must be >= 0, got {self.cache_capacity}")
         if (self.default_deadline_ms is not None
                 and not self.default_deadline_ms > 0):
             raise ConfigError(
@@ -119,8 +115,8 @@ class StressService:
 
     def __init__(self, pipeline, config: ServiceConfig | None = None):
         config = config or ServiceConfig()
-        self._setup(ChainBatchExecutor(pipeline, _stage_caches(config)),
-                    config)
+        self._setup(ChainBatchExecutor(
+            pipeline, StageCaches(config.cache_capacity)), config)
 
     @classmethod
     def _over(cls, executor, config: ServiceConfig) -> "StressService":
@@ -203,9 +199,9 @@ class StressService:
 
         Blocks until the in-flight batch (if any) finishes, then
         points the executor at ``pipeline`` -- a pipeline, or the path
-        of a saved pipeline archive -- and clears the stage caches
-        (cached stage outputs are only valid for the weights that
-        produced them).  Queued requests are untouched -- they simply
+        of a saved pipeline archive -- and clears the chain cache
+        (cached results are only valid for the pipeline that produced
+        them).  Queued requests are untouched -- they simply
         execute against the new pipeline once the swap completes -- so
         a deploy fails zero in-flight requests.
         """
@@ -300,14 +296,6 @@ class StressService:
                     "circuit breaker is open and the request is not "
                     "fully cached; retry after the breaker's open window"))
         return outcomes
-
-
-def _stage_caches(config: ServiceConfig) -> StageCaches:
-    return StageCaches(
-        describe_capacity=config.describe_cache_capacity,
-        assess_capacity=config.assess_cache_capacity,
-        highlight_capacity=config.highlight_cache_capacity,
-    )
 
 
 class SerialDispatcher:

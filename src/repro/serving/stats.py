@@ -72,7 +72,7 @@ class ServiceStatsSnapshot:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Aggregate hit rate across all stage caches."""
+        """Aggregate hit rate across the service's caches."""
         hits = sum(s.hits for s in self.cache.values())
         misses = sum(s.misses for s in self.cache.values())
         total = hits + misses

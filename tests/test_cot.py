@@ -1,6 +1,5 @@
 """Tests for the chain pipeline, rationale grounding, in-context shift."""
 
-import numpy as np
 import pytest
 
 from repro.cot.chain import StressChainPipeline

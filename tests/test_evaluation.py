@@ -1,6 +1,5 @@
 """Tests for cross-validation and per-method protocols."""
 
-import numpy as np
 import pytest
 
 from repro.datasets.base import kfold_splits

@@ -1,6 +1,5 @@
 """Tests for the deletion metric and timing harness."""
 
-import numpy as np
 import pytest
 
 from repro.cot.chain import StressChainPipeline

@@ -9,10 +9,9 @@ import pytest
 from repro.errors import ModelError
 from repro.facs.descriptions import FacialDescription
 from repro.model.features import video_features
-from repro.model.foundation import STRESSED, UNSTRESSED, FoundationModel
+from repro.model.foundation import STRESSED, UNSTRESSED
 from repro.model.generation import GenerationConfig, bernoulli_set_logprob
 from repro.model.session import DialogueSession
-from repro.rng import make_rng
 from repro.video import frame
 from repro.video.frame import Video, video_content_hash
 from tests.foundation_reference import (

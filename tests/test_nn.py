@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.nn.layers import MLP, Linear, Parameter
 from repro.nn.optim import Adam

@@ -9,7 +9,6 @@ import os
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro.cot.chain import StressChainPipeline
@@ -180,12 +179,16 @@ class TestForkSafeTraces:
                        for r in records if r["name"] == "fork.child")
         assert child == [(item, step) for item in items
                          for step in range(100)]
-        # Each served request passes the child's Assess stage once (a
-        # cache hit still opens the span) and is routed once in the
-        # parent.
+        # Each served request is routed once in the parent and executed
+        # once in a child (the children's batch spans add up to every
+        # request), and each clip's chain runs once there: its repeat
+        # is a chain-cache hit, which runs no chain.
         names = [r["name"] for r in records]
+        assert len({video.content_hash for video in videos}) == len(videos)
         assert names.count("pool.route") == 2 * len(videos)
-        assert names.count("chain.assess") == 2 * len(videos)
+        assert sum(r["attrs"]["size"] for r in records
+                   if r["name"] == "serve.execute_batch") == 2 * len(videos)
+        assert names.count("chain.assess") == len(videos)
 
 
 class TestMetricsRegistry:

@@ -509,10 +509,9 @@ class TestProcessBackend:
             for video in videos + videos:
                 pool.predict(video, timeout=60)
             cache = pool.stats().replicas[0].cache
-        assert set(cache) == {"describe", "assess", "highlight"}
-        assert cache["describe"].size == 3
-        for stage in cache.values():
-            assert stage.hits >= 3 and stage.misses >= 3
+        assert set(cache) == {"chain"}
+        assert cache["chain"].size == 3
+        assert cache["chain"].hits >= 3 and cache["chain"].misses >= 3
 
     def test_retry_policy_retries_a_transient_execute_fault(self):
         video = _videos(1)[0]
@@ -571,9 +570,9 @@ class TestServiceSwap:
         want = new_pipeline.predict(video)
         with StressService(_pipeline()) as service:
             service.predict(video, timeout=30)
-            assert len(service.caches.describe) > 0
+            assert len(service.caches.chain) > 0
             service.swap_pipeline(new_pipeline)
-            assert len(service.caches.describe) == 0
+            assert len(service.caches.chain) == 0
             _assert_same_result(service.predict(video, timeout=30), want)
 
     def test_swap_rejects_non_pipeline(self):

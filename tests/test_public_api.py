@@ -29,8 +29,6 @@ import pytest
 import repro
 from repro.cot.chain import StressChainPipeline, StressPipeline
 from repro.errors import ReproError
-from repro.model.foundation import FoundationModel
-from repro.rng import make_rng
 from repro.video.frame import Video, VideoSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "public_api.json"

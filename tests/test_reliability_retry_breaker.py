@@ -47,6 +47,20 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(jitter=1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["base_delay_ms", "max_delay_ms", "multiplier"])
+    def test_nan_rejected(self, field):
+        # nan < 0 is False: a NaN delay would reach time.sleep on the
+        # first retry and raise there instead of the transient error.
+        with pytest.raises(ConfigError, match=field):
+            RetryPolicy(**{field: float("nan")})
+
+    @pytest.mark.parametrize(
+        "field", ["base_delay_ms", "max_delay_ms", "multiplier"])
+    def test_inf_stays_legal(self, field):
+        policy = RetryPolicy(**{field: float("inf")})
+        assert getattr(policy, field) == float("inf")
+
     def test_delays_deterministic_per_scope(self):
         policy = RetryPolicy(max_attempts=5, seed=3)
         assert policy.delays_s("batch:1") == policy.delays_s("batch:1")
@@ -152,6 +166,16 @@ class TestBreakerConfig:
             BreakerConfig(min_volume=0)
         with pytest.raises(ConfigError):
             BreakerConfig(half_open_probes=0)
+
+    def test_nan_open_duration_rejected(self):
+        # A NaN open window never elapses: the breaker would stay open
+        # for good once tripped.
+        with pytest.raises(ConfigError, match="open_duration_s"):
+            BreakerConfig(open_duration_s=float("nan"))
+
+    def test_infinite_open_duration_stays_legal(self):
+        config = BreakerConfig(open_duration_s=float("inf"))
+        assert config.open_duration_s == float("inf")
 
 
 class TestBreaker:

@@ -126,7 +126,7 @@ def test_duplicate_heavy_mix(variant, model, pool):
                 f"{variant}/{video.video_id}")
         stats = service.stats()
     assert stats.completed == len(mix)
-    assert stats.deduplicated + stats.cache["describe"].hits > 0
+    assert stats.deduplicated + stats.cache["chain"].hits > 0
 
 
 def test_sessions_are_per_request(model, pool):

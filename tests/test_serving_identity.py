@@ -6,7 +6,9 @@
   pools; the pool routes on the content hash alone.
 - Ids that share content each get their own answer from a model whose
   outputs depend on the id (the off-the-shelf proxies seed their
-  per-query noise from it).
+  per-query noise from it), and from a pipeline whose own streams read
+  the id (test-time refinement, retrieval), also when the twins leave
+  in one batch.
 - The model's feature cache stays bounded under many distinct clips.
 - Every served request gets its own dialogue session, also when the
   answer was deduplicated in a batch or replayed from the caches.
@@ -22,9 +24,11 @@ import numpy as np
 import pytest
 
 from repro.cot.chain import StressChainPipeline
+from repro.datasets.base import Sample
 from repro.model.foundation import FoundationModel
 from repro.model.instructions import DESCRIBE_INSTRUCTION
 from repro.model.pretrained import load_offtheshelf
+from repro.retrieval.retriever import RandomRetriever
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving.executor import ChainBatchExecutor
@@ -167,6 +171,74 @@ class TestOffTheShelfTwinIds:
         assert routes[0::2] == routes[1::2]
 
 
+def _in_one_batch(service: StressService, videos: list[Video]) -> list:
+    """Serve ``videos`` as one batch: the worker is held on a first
+    request until all of them are queued behind it."""
+    busy, release = threading.Event(), threading.Event()
+    real_run_batch = service.executor.run_batch
+
+    def gated_run_batch(batch):
+        busy.set()
+        release.wait(60)
+        return real_run_batch(batch)
+
+    service.executor.run_batch = gated_run_batch
+    held = service.submit(Video(_spec(999, video_id="held")))
+    assert busy.wait(60)
+    futures = [service.submit(video) for video in videos]
+    release.set()
+    held.result(timeout=60)
+    return [future.result(timeout=60) for future in futures]
+
+
+class TestPipelineTwinIds:
+    """Test-time refinement seeds its reflection draws from the video
+    id, and a retriever its example draw, so under either two ids with
+    equal content are two requests even on a model that cannot tell
+    them apart -- also when both leave in one batch."""
+
+    PAIRS = 12
+    SPECS = [replace(_spec(index, seed=700 + index), video_id=f"pair-{tag}")
+             for index in range(PAIRS)
+             for tag in (f"{index}a", f"{index}b")]
+
+    @pytest.fixture(scope="class")
+    def examples(self):
+        return [Sample(video=Video(_spec(50 + index,
+                                         video_id=f"example-{index}",
+                                         seed=900 + index)),
+                       label=index % 2, true_aus=np.zeros(12))
+                for index in range(4)]
+
+    def _pipeline(self, variant: str, examples) -> StressChainPipeline:
+        model = FoundationModel(make_rng(31, "identity"))
+        if variant == "refine":
+            return StressChainPipeline(
+                model, test_time_refine=True,
+                verification_pool=[sample.video for sample in examples],
+                refine_rounds=2, num_verify_trials=2, seed=17)
+        return StressChainPipeline(
+            model, retriever=RandomRetriever(model, examples,
+                                             num_examples=2, seed=3))
+
+    @pytest.mark.parametrize("variant", ["refine", "retriever"])
+    def test_twins_in_one_batch_answer_each_id(self, examples, variant):
+        pipeline = self._pipeline(variant, examples)
+        videos = [Video(spec) for spec in self.SPECS]
+        with StressService(pipeline, ServiceConfig(
+                max_batch_size=len(videos))) as service:
+            served = _in_one_batch(service, videos)
+            stats = service.stats()
+        serial = [pipeline.predict(video) for video in videos]
+        wrong = sum(_signature(a) != _signature(b)
+                    for a, b in zip(served, serial))
+        assert wrong == 0
+        # The twins really left together, and none was folded into
+        # its twin: every id was computed.
+        assert stats.batches == 2
+        assert stats.deduplicated == 0
+
+
 # ----------------------------------------------------------------------
 # Bounded feature cache
 # ----------------------------------------------------------------------
@@ -180,9 +252,7 @@ class TestFeatureCacheBound:
                             self.CAPACITY)
         pipeline = _pipeline()
         model = pipeline.model
-        config = ServiceConfig(describe_cache_capacity=4,
-                               assess_cache_capacity=4,
-                               highlight_cache_capacity=4)
+        config = ServiceConfig(cache_capacity=4)
         specs = [_spec(index, video_id=f"soak-{index}", seed=index)
                  for index in range(5 * self.CAPACITY)]
         sizes = []
@@ -287,7 +357,7 @@ class TestSessionsPerRequest:
         again, __ = executor.run_batch([Video(video.spec), video])
         results = first + again
         assert len({_signature(result) for result in results}) == 1
-        assert executor.cache_stats()["describe"].hits > 0
+        assert executor.cache_stats()["chain"].hits > 0
         self._assert_independent(results)
 
     def test_served_repeats(self):

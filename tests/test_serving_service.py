@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.model.foundation import FoundationModel
 from repro.reliability.deadlines import Deadline
 from repro.rng import make_rng
 from repro.serving import (
+    ChainBatchExecutor,
     LRUCache,
     MicroBatcher,
     ServiceConfig,
@@ -95,9 +97,8 @@ class TestContentHash:
     def test_memoized_key_matches_direct_hash(self, pipeline):
         caches = StageCaches()
         video = _video("memo", 3)
-        model = pipeline.model
-        assert caches.content_key(video, model) == video_content_hash(video)
-        assert caches.content_key(video, model) == video_content_hash(video)
+        assert caches.content_key(video, pipeline) == video_content_hash(video)
+        assert caches.content_key(video, pipeline) == video_content_hash(video)
 
 
 class TestMicroBatcher:
@@ -222,7 +223,7 @@ class TestServiceConfig:
         with pytest.raises(ConfigError):
             ServiceConfig(max_queue_depth=0)
         with pytest.raises(ConfigError):
-            ServiceConfig(assess_cache_capacity=-1)
+            ServiceConfig(cache_capacity=-1)
 
     def test_nan_default_deadline_rejected(self):
         # nan <= 0 is False: the check must be one that NaN fails.
@@ -268,18 +269,13 @@ class TestStressService:
         assert stats.batches >= 1
         assert stats.mean_batch_occupancy >= 1.0
         assert stats.latency_p95_s >= stats.latency_p50_s >= 0.0
-        # repeats of the same two contents must hit every stage cache
-        assert stats.cache["describe"].hits >= 4
-        assert stats.cache["assess"].hits >= 4
-        assert stats.cache["highlight"].hits >= 4
+        # repeats of the same two contents must hit the chain cache
+        assert stats.cache["chain"].hits >= 4
         assert 0.0 < stats.cache_hit_rate <= 1.0
 
     def test_in_flight_duplicates_deduplicated(self, pipeline):
         video = _video("dup", 31)
-        config = ServiceConfig(max_batch_size=8,
-                               describe_cache_capacity=0,
-                               assess_cache_capacity=0,
-                               highlight_cache_capacity=0)
+        config = ServiceConfig(max_batch_size=8, cache_capacity=0)
         with StressService(pipeline, config) as svc:
             # Hold the worker on a first request so the eight copies
             # queue behind it and leave together as one batch.
@@ -322,16 +318,14 @@ class TestStressService:
 
     def test_caches_disabled_still_correct(self, pipeline):
         video = _video("nocache", 51)
-        config = ServiceConfig(describe_cache_capacity=0,
-                               assess_cache_capacity=0,
-                               highlight_cache_capacity=0)
+        config = ServiceConfig(cache_capacity=0)
         reference = pipeline.predict(video)
         with StressService(pipeline, config) as svc:
             for __ in range(3):
                 result = svc.predict(video, timeout=30)
                 assert result.prob_stressed == reference.prob_stressed
             stats = svc.stats()
-        assert stats.cache["describe"].hits == 0
+        assert stats.cache["chain"].hits == 0
 
     def test_predict_many_reuses_service_caches(self, pipeline):
         videos = [_video("rm-a", 61), _video("rm-b", 62)]
@@ -343,3 +337,85 @@ class TestStressService:
         for want, got in zip(serial * 2, results):
             assert got.prob_stressed == want.prob_stressed
             assert got.session.transcript() == want.session.transcript()
+
+
+def _signature(result) -> tuple:
+    return (result.prob_stressed, result.label, result.rationale.au_ids,
+            result.session.transcript(), result.degraded)
+
+
+class TestChainCacheHitPath:
+    """A repeat is one lookup in the chain cache and no model work."""
+
+    def _counting_pipeline(self, **kwargs):
+        pipeline = StressChainPipeline(
+            FoundationModel(make_rng(9, "serving-unit")), **kwargs)
+        calls = []
+        embed_video = pipeline.model.embed_video
+
+        def counted(video):
+            calls.append(video.video_id)
+            return embed_video(video)
+
+        pipeline.model.embed_video = counted
+        return pipeline, calls
+
+    def test_warm_hit_is_one_lookup_and_no_model_call(self):
+        pipeline, calls = self._counting_pipeline()
+        video = _video("hit", 71)
+        with StressService(pipeline) as svc:
+            cold = svc.predict(video, timeout=30)
+            before, embeds = svc.stats().cache["chain"], len(calls)
+            warm = svc.predict(Video(video.spec), timeout=30)
+            after = svc.stats().cache["chain"]
+        assert embeds == 1
+        assert len(calls) == embeds
+        assert (after.hits - before.hits, after.misses - before.misses) \
+            == (1, 0)
+        assert _signature(warm) == _signature(cold) == \
+            _signature(pipeline.predict(video))
+
+    def test_zero_capacity_serves_bitwise_serial(self, pipeline):
+        videos = [_video("cap0-a", 72), _video("cap0-b", 73)]
+        serial = [pipeline.predict(video) for video in videos]
+        with StressService(pipeline, ServiceConfig(cache_capacity=0)) as svc:
+            for __ in range(2):
+                for video, want in zip(videos, serial):
+                    assert _signature(svc.predict(video, timeout=30)) == \
+                        _signature(want)
+            stats = svc.stats().cache["chain"]
+        assert (stats.hits, stats.misses, stats.size) == (0, 4, 0)
+
+    def test_degraded_refine_answer_equals_serial(self):
+        verification = [_video(f"ttr-pool-{i}", 80 + i) for i in range(3)]
+        pipeline, calls = self._counting_pipeline(
+            test_time_refine=True, verification_pool=verification,
+            refine_rounds=2, num_verify_trials=2, seed=17)
+        video = _video("ttr", 74)
+        executor = ChainBatchExecutor(pipeline)
+        assert executor.run_cached(video) is None
+        executor.run_batch([video])
+        embeds = len(calls)
+        degraded = executor.run_cached(Video(video.spec))
+        assert len(calls) == embeds
+        assert degraded.degraded is True
+        want = pipeline.predict(video)
+        assert _signature(degraded)[:-1] == _signature(want)[:-1]
+        # A twin id is another request under refinement: not cached.
+        twin = Video(replace(video.spec, video_id="svc-ttr-twin"))
+        assert executor.run_cached(twin) is None
+
+    def test_swap_pipeline_clears_the_chain_cache(self, pipeline):
+        video = _video("swap", 75)
+        other = StressChainPipeline(
+            FoundationModel(make_rng(10, "serving-unit-v2")))
+        with StressService(pipeline) as svc:
+            svc.predict(video, timeout=30)
+            assert svc.stats().cache["chain"].size == 1
+            svc.swap_pipeline(other)
+            assert svc.stats().cache["chain"].size == 0
+            assert len(svc.caches.chain) == 0
+            before = svc.stats().cache["chain"].misses
+            got = svc.predict(video, timeout=30)
+            assert svc.stats().cache["chain"].misses == before + 1
+        assert _signature(got) == _signature(other.predict(video))

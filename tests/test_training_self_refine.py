@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.training.self_refine import SelfRefineConfig, SelfRefineTrainer
+from repro.training.self_refine import SelfRefineConfig
 from repro.training.trainer import (
     VARIANTS,
     train_stress_model,

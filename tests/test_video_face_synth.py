@@ -6,7 +6,7 @@ import pytest
 from repro.facs.action_units import AU_IDS
 from repro.facs.regions import region_for_au
 from repro.video.face_synth import FaceRenderer, default_renderer
-from repro.video.frame import IDENTITY_DIM, Video, VideoSpec
+from repro.video.frame import IDENTITY_DIM, VideoSpec
 
 
 def _spec(au_intensities, **overrides):

@@ -1,7 +1,6 @@
 """Tests for keyframe extraction and landmark grounding."""
 
 import numpy as np
-import pytest
 
 from repro.facs.action_units import AU_IDS
 from repro.facs.regions import region_for_au
