@@ -45,7 +45,6 @@ from repro.model.foundation import FoundationModel
 from repro.reliability.faults import FAULT_SITES, FaultPlan, FaultSpec, injected
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
-from repro.serving.cache import StageCaches
 from repro.serving.executor import ChainBatchExecutor
 from repro.video.frame import Video, VideoSpec
 
@@ -124,7 +123,7 @@ def _executor_loop(executor: ChainBatchExecutor, pool: list[Video],
 
 def bench_executor(pool: list[Video], iterations: int) -> dict:
     model = FoundationModel(make_rng(0, "bench-reliability-model"))
-    executor = ChainBatchExecutor(StressChainPipeline(model), StageCaches())
+    executor = ChainBatchExecutor(StressChainPipeline(model))
     _executor_loop(executor, pool, len(pool))  # warm every cache
 
     def timed() -> float:

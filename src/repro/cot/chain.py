@@ -147,13 +147,13 @@ class StressChainPipeline:
                     if deadline_ms is not None else None)
         return predict_uncached(self, video, explain, deadline)
 
-    def predict_many(self, videos: list[Video], *, batch_size: int = 32,
-                     caches=None) -> list[ChainResult]:
+    def predict_many(self, videos: list[Video], *,
+                     batch_size: int = 32) -> list[ChainResult]:
         """Run the chain over many videos through the serving batch
         executor: a repeated request is computed once per call, in the
-        batch or from the executor's chain cache.  Results are
-        bitwise-identical to calling :meth:`predict` per video, in
-        order.
+        batch or from the executor's chain cache, which lives and dies
+        with the call.  Results are bitwise-identical to calling
+        :meth:`predict` per video, in order.
 
         Parameters
         ----------
@@ -161,20 +161,13 @@ class StressChainPipeline:
             Videos to run, in response order.
         batch_size:
             Executor batch granularity (bounds dedup bookkeeping).
-        caches:
-            Optional :class:`~repro.serving.cache.StageCaches` to
-            reuse across calls of this pipeline (e.g. the warm cache of
-            a service over it; a cache holds one pipeline's answers); a
-            fresh one is created otherwise.
         """
         from repro.errors import ConfigError
-        from repro.serving.cache import StageCaches
         from repro.serving.executor import ChainBatchExecutor
 
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-        executor = ChainBatchExecutor(
-            self, caches if caches is not None else StageCaches())
+        executor = ChainBatchExecutor(self)
         results: list[ChainResult] = []
         for begin in range(0, len(videos), batch_size):
             outcomes, __ = executor.run_batch(videos[begin:begin + batch_size])

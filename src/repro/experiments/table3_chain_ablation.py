@@ -21,8 +21,13 @@ VARIANTS = (("wo_chain", "w/o Chain"), ("wo_learn_des", "w/o learn des."),
             ("ours", "Ours"))
 
 
-def run(options: ExperimentOptions | None = None) -> ExperimentResult:
-    """Regenerate Table III."""
+def run(options: ExperimentOptions | None = None,
+        variants=VARIANTS, experiment_id: str = "table3",
+        title: str = "Table III: chain reasoning ablation (detection)",
+        caption: str = "Table III ({}): chain-reasoning ablation",
+        ) -> ExperimentResult:
+    """Regenerate Table III (also reused by Table V with different
+    variants).  ``caption`` is formatted with the dataset name."""
     options = options or ExperimentOptions()
     folds = options.scale.num_folds
     data: dict[str, dict[str, dict[str, float]]] = {}
@@ -30,7 +35,7 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     for dataset_name in ("uvsd", "rsl"):
         dataset = load_dataset(dataset_name, options)
         rows: dict[str, dict[str, float]] = {}
-        for variant, label in VARIANTS:
+        for variant, label in variants:
             metrics = evaluate_ours(
                 dataset, load_instruction_pairs(options), variant,
                 folds, options.seed, refine_config(options, variant),
@@ -38,13 +43,13 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
             rows[label] = metrics.as_row()
         data[dataset_name] = rows
         blocks.append(format_table(
-            f"Table III ({dataset_name.upper()}): chain-reasoning "
-            f"ablation, {folds}-fold CV, scale={options.scale.name}",
+            f"{caption.format(dataset_name.upper())}, {folds}-fold CV, "
+            f"scale={options.scale.name}",
             COLUMNS, rows,
         ))
     return ExperimentResult(
-        experiment_id="table3",
-        title="Table III: chain reasoning ablation (detection)",
+        experiment_id=experiment_id,
+        title=title,
         text="\n\n".join(blocks),
         data=data,
     )

@@ -2,50 +2,23 @@
 
 Variants: "w/o Refine" (no refinement at all), "w/o Reflection"
 (refinement candidates come from plain resampling instead of guided
-reflection), and ours.
+reflection), and ours.  Reuses the Table III protocol.
 """
 
 from __future__ import annotations
 
-from repro.evaluation.protocol import evaluate_ours
-from repro.experiments.common import (
-    ExperimentOptions,
-    load_dataset,
-    load_instruction_pairs,
-    refine_config,
-)
+from repro.experiments.common import ExperimentOptions
 from repro.experiments.result import ExperimentResult
-from repro.metrics.reporting import format_table
+from repro.experiments.table3_chain_ablation import run as run_table3
 
-COLUMNS = ("Acc.", "Prec.", "Rec.", "F1.")
 VARIANTS = (("wo_refine", "w/o Refine"), ("wo_reflection", "w/o Reflection"),
             ("ours", "Ours"))
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     """Regenerate Table V."""
-    options = options or ExperimentOptions()
-    folds = options.scale.num_folds
-    data: dict[str, dict[str, dict[str, float]]] = {}
-    blocks = []
-    for dataset_name in ("uvsd", "rsl"):
-        dataset = load_dataset(dataset_name, options)
-        rows: dict[str, dict[str, float]] = {}
-        for variant, label in VARIANTS:
-            metrics = evaluate_ours(
-                dataset, load_instruction_pairs(options), variant,
-                folds, options.seed, refine_config(options, variant),
-            )
-            rows[label] = metrics.as_row()
-        data[dataset_name] = rows
-        blocks.append(format_table(
-            f"Table V ({dataset_name.upper()}): self-refine ablation, "
-            f"{folds}-fold CV, scale={options.scale.name}",
-            COLUMNS, rows,
-        ))
-    return ExperimentResult(
-        experiment_id="table5",
+    return run_table3(
+        options, variants=VARIANTS, experiment_id="table5",
         title="Table V: self-refine learning ablation (detection)",
-        text="\n\n".join(blocks),
-        data=data,
+        caption="Table V ({}): self-refine ablation",
     )

@@ -16,7 +16,6 @@ from repro.facs.action_units import (
     ActionUnit,
     au_by_id,
     au_index,
-    all_action_units,
 )
 from repro.facs.descriptions import FacialDescription
 from repro.facs.regions import FacialRegion, REGIONS, region_for_au
@@ -30,7 +29,6 @@ __all__ = [
     "NUM_AUS",
     "REGIONS",
     "StressPrior",
-    "all_action_units",
     "au_by_id",
     "au_index",
     "default_stress_prior",

@@ -67,11 +67,6 @@ _BY_ID: dict[int, ActionUnit] = {unit.au_id: unit for unit in _ACTION_UNITS}
 _INDEX: dict[int, int] = {unit.au_id: i for i, unit in enumerate(_ACTION_UNITS)}
 
 
-def all_action_units() -> tuple[ActionUnit, ...]:
-    """Return the 12 action units in canonical (vector-index) order."""
-    return _ACTION_UNITS
-
-
 def au_by_id(au_id: int) -> ActionUnit:
     """Return the :class:`ActionUnit` with FACS number ``au_id``.
 

@@ -100,19 +100,3 @@ REGION_KEYS: tuple[str, ...] = tuple(REGIONS)
 def region_for_au(au_id: int) -> FacialRegion:
     """Return the facial region deformed by action unit ``au_id``."""
     return REGIONS[au_by_id(au_id).region]
-
-
-def region_by_key(key: str) -> FacialRegion:
-    """Return the region registered under ``key``.
-
-    Raises
-    ------
-    KeyError
-        If ``key`` is not a known facial region.
-    """
-    try:
-        return REGIONS[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown facial region {key!r}; known regions: {REGION_KEYS}"
-        ) from None

@@ -51,14 +51,7 @@ from repro.model.generation import (
     sample_bernoulli_set,
     sample_plackett_luce,
 )
-from repro.model.instructions import (
-    ASSESS_INSTRUCTION,
-    DESCRIBE_INSTRUCTION,
-    DIRECT_ASSESS_INSTRUCTION,
-    HIGHLIGHT_INSTRUCTION,
-    REFLECT_DESCRIPTION_INSTRUCTION,
-    VERIFY_INSTRUCTION,
-)
+from repro.model.instructions import VERIFY_INSTRUCTION
 from repro.model.session import DialogueSession
 from repro.nn.layers import Linear, Module, Parameter
 from repro.observability import profiling
@@ -262,16 +255,19 @@ class FoundationModel(Module):
             embed = self.embed_video(video)
         return self.au_head.forward(embed)[0]
 
+    def _describe_logits(self, video: Video, config: GenerationConfig,
+                         embed: np.ndarray | None = None) -> np.ndarray:
+        """The AU logits one Describe query under ``config`` samples
+        from (a subclass may make them depend on the query)."""
+        return self.au_logits(video, embed)
+
     def describe(self, video: Video, config: GenerationConfig | None = None,
-                 session: DialogueSession | None = None,
                  embed: np.ndarray | None = None) -> FacialDescription:
         """Sample a facial-action description (the Describe step)."""
         config = config or GenerationConfig()
-        outcome = sample_bernoulli_set(self.au_logits(video, embed), config)
-        description = FacialDescription.from_vector(outcome)
-        if session is not None:
-            session.record(DESCRIBE_INSTRUCTION, description.render())
-        return description
+        outcome = sample_bernoulli_set(
+            self._describe_logits(video, config, embed), config)
+        return FacialDescription.from_vector(outcome)
 
     def backward_description(self, grad_logits: np.ndarray) -> None:
         """Backprop a gradient w.r.t. the AU logits of the *last*
@@ -287,7 +283,6 @@ class FoundationModel(Module):
         previous: FacialDescription,
         config: GenerationConfig,
         true_label: int | None = None,
-        session: DialogueSession | None = None,
     ) -> FacialDescription:
         """Self-reflection on a description (Figure 3).
 
@@ -299,19 +294,17 @@ class FoundationModel(Module):
         weights toward the true class -- "predict the stress level
         based on the ground truth".
         """
-        logits = self.au_logits(video).copy()
+        logits = self._describe_logits(video, config)
         if true_label is not None:
             direction = 1.0 if true_label == STRESSED else -1.0
-            logits += _REFLECT_LABEL_GAIN * direction * self.assess_au_weights()
+            logits = logits + (_REFLECT_LABEL_GAIN * direction
+                               * self.assess_au_weights())
         reflect_config = GenerationConfig(
             temperature=_REFLECT_TEMPERATURE * max(config.temperature, 0.1),
             seed=config.seed,
         )
-        outcome = sample_bernoulli_set(logits, reflect_config)
-        description = FacialDescription.from_vector(outcome)
-        if session is not None:
-            session.record(REFLECT_DESCRIPTION_INSTRUCTION, description.render())
-        return description
+        return FacialDescription.from_vector(
+            sample_bernoulli_set(logits, reflect_config))
 
     # ------------------------------------------------------------------
     # Assess (instruction I2)
@@ -385,8 +378,7 @@ class FoundationModel(Module):
         return sigmoid(logits)
 
     def assess(self, video: Video, description: FacialDescription | None,
-               config: GenerationConfig | None = None,
-               session: DialogueSession | None = None) -> tuple[int, float]:
+               config: GenerationConfig | None = None) -> tuple[int, float]:
         """The Assess step: returns ``(label, p_stressed)``.
 
         Greedy decoding thresholds the probability at 0.5; positive
@@ -397,13 +389,7 @@ class FoundationModel(Module):
         config = config or GREEDY
         logit = self.assess_logit(video, description)
         prob = float(sigmoid(np.array(logit))[()])
-        label = sample_bernoulli(logit, config)
-        if session is not None:
-            instruction = (ASSESS_INSTRUCTION if description is not None
-                           else DIRECT_ASSESS_INSTRUCTION)
-            session.record(instruction,
-                           "Stressed" if label == STRESSED else "Unstressed")
-        return label, prob
+        return sample_bernoulli(logit, config), prob
 
     def assess_au_weights(self) -> np.ndarray:
         """The assessment head's weight on each described AU -- the
@@ -462,7 +448,6 @@ class FoundationModel(Module):
                   assessment: int,
                   config: GenerationConfig | None = None,
                   top_k: int | None = None,
-                  session: DialogueSession | None = None,
                   embed: np.ndarray | None = None) -> tuple[int, ...]:
         """The Highlight step: an importance-ordered tuple of AU ids.
 
@@ -481,15 +466,11 @@ class FoundationModel(Module):
         scores = self.highlight_scores_from_embed(
             embed, description, assessment)[active]
         ordering = sample_plackett_luce(scores, config, top_k=top_k)
-        rationale = tuple(description.au_ids[i] for i in ordering)
-        if session is not None:
-            session.record(HIGHLIGHT_INSTRUCTION, _render_rationale(rationale))
-        return rationale
+        return tuple(description.au_ids[i] for i in ordering)
 
     def reflect_rationale(self, video: Video, description: FacialDescription,
                           assessment: int, config: GenerationConfig,
-                          top_k: int | None = None,
-                          session: DialogueSession | None = None) -> tuple[int, ...]:
+                          top_k: int | None = None) -> tuple[int, ...]:
         """Self-reflection on a rationale (Figure 5): "do the
         highlighted cues really matter to me?".
 
@@ -515,13 +496,7 @@ class FoundationModel(Module):
         intro_scale = np.abs(introspection).mean() + 1e-6
         reflected = scores + (scale / intro_scale) * introspection
         ordering = sample_plackett_luce(reflected, config, top_k=top_k)
-        rationale = tuple(description.au_ids[i] for i in ordering)
-        if session is not None:
-            from repro.model.instructions import REFLECT_RATIONALE_INSTRUCTION
-
-            session.record(REFLECT_RATIONALE_INSTRUCTION,
-                           _render_rationale(rationale))
-        return rationale
+        return tuple(description.au_ids[i] for i in ordering)
 
     def rationale_logprob(self, video: Video, description: FacialDescription,
                           rationale: tuple[int, ...],

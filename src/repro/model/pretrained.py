@@ -84,53 +84,15 @@ class OffTheShelfModel(FoundationModel):
         noise = self._query_noise("describe", video, logits.size)
         return logits + self.profile.describe_noise * noise
 
-    def describe(self, video: Video, config=None, session=None, embed=None):
+    def _describe_logits(self, video: Video, config, embed=None) -> np.ndarray:
         """Each API query re-draws its noise: re-asking an off-the-shelf
-        model to describe the same video yields a differently-wrong
-        answer, which is exactly what the paper's test-time
-        self-refinement exploits (repeated reflection + verification
-        averages the noise out)."""
-        from repro.facs.descriptions import FacialDescription
-        from repro.model.generation import GenerationConfig, sample_bernoulli_set
-        from repro.model.instructions import DESCRIBE_INSTRUCTION
-
-        config = config or GenerationConfig()
+        model to describe the same video -- or to reflect on its
+        description -- yields a differently-wrong answer, which is
+        exactly what the paper's test-time self-refinement exploits
+        (repeated reflection + verification averages the noise out)."""
         logits = FoundationModel.au_logits(self, video, embed)
-        logits = logits + self.profile.describe_noise * self._query_noise(
+        return logits + self.profile.describe_noise * self._query_noise(
             "describe", video, logits.size, query_seed=config.seed
-        )
-        outcome = sample_bernoulli_set(logits, config)
-        description = FacialDescription.from_vector(outcome)
-        if session is not None:
-            session.record(DESCRIBE_INSTRUCTION, description.render())
-        return description
-
-    def reflect_description(self, video: Video, previous, config,
-                            true_label=None, session=None):
-        """Reflection re-queries the API: fresh noise per reflection
-        round, decoded at the careful (lower) reflection temperature."""
-        from repro.facs.descriptions import FacialDescription
-        from repro.model.foundation import (
-            _REFLECT_LABEL_GAIN,
-            _REFLECT_TEMPERATURE,
-            STRESSED,
-        )
-        from repro.model.generation import GenerationConfig, sample_bernoulli_set
-
-        logits = FoundationModel.au_logits(self, video)
-        logits = logits + self.profile.describe_noise * self._query_noise(
-            "describe", video, logits.size, query_seed=config.seed
-        )
-        if true_label is not None:
-            direction = 1.0 if true_label == STRESSED else -1.0
-            logits = logits + (_REFLECT_LABEL_GAIN * direction
-                               * self.assess_au_weights())
-        reflect_config = GenerationConfig(
-            temperature=_REFLECT_TEMPERATURE * max(config.temperature, 0.1),
-            seed=config.seed,
-        )
-        return FacialDescription.from_vector(
-            sample_bernoulli_set(logits, reflect_config)
         )
 
     def assess_logit(self, video, description, embed=None) -> float:

@@ -15,7 +15,6 @@ from repro.nn.layers import MLP, Linear, Parameter
 from repro.nn.optim import Adam
 from repro.nn.tensorops import (
     log_sigmoid,
-    logsumexp,
     relu,
     sigmoid,
     softmax,
@@ -27,7 +26,6 @@ __all__ = [
     "MLP",
     "Parameter",
     "log_sigmoid",
-    "logsumexp",
     "relu",
     "sigmoid",
     "softmax",

@@ -45,27 +45,9 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def logsumexp(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable ``log(sum(exp(x)))`` along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    peak = x.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis=axis)
-    return out
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectified linear unit."""
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode integer ``indices`` into ``num_classes`` columns."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if np.any(indices < 0) or np.any(indices >= num_classes):
-        raise ValueError("indices out of range for one_hot")
-    out = np.zeros(indices.shape + (num_classes,), dtype=np.float64)
-    np.put_along_axis(out, indices[..., np.newaxis], 1.0, axis=-1)
-    return out
 
 
 def binary_cross_entropy_with_logits(

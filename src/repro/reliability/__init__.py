@@ -11,9 +11,10 @@ testable shape (DESIGN.md section 12):
 - :mod:`repro.reliability.deadlines` -- monotonic-clock
   :class:`Deadline` objects; the micro-batcher sheds expired requests
   before any executor work.
-- :mod:`repro.reliability.retry` -- :func:`retry_call` with seeded
-  exponential backoff; errors retry iff they derive from
-  :class:`~repro.errors.TransientError`.
+- :mod:`repro.reliability.retry` -- :class:`RetryPolicy`, a seeded
+  exponential-backoff schedule, and :func:`is_retryable`: errors retry
+  iff they derive from :class:`~repro.errors.TransientError`.  The
+  service runs the retry loop over each batch's failed requests.
 - :mod:`repro.reliability.breaker` -- sliding-window
   :class:`CircuitBreaker` with half-open probing; the service can run
   cache-only degraded mode while open.
@@ -58,7 +59,7 @@ from repro.reliability.faults import (
     install_plan,
     uninstall_plan,
 )
-from repro.reliability.retry import RetryPolicy, is_retryable, retry_call
+from repro.reliability.retry import RetryPolicy, is_retryable
 
 configure_from_env()
 
@@ -88,7 +89,6 @@ __all__ = [
     "injected",
     "install_plan",
     "is_retryable",
-    "retry_call",
     "training_fingerprint",
     "uninstall_plan",
 ]

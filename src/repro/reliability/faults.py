@@ -9,7 +9,7 @@ site                      where it fires
                           every served request performs)
 ``serve.execute``         :meth:`ChainBatchExecutor.run_batch`, once per
                           unique request key before its cache lookup
-``cache.get``             :meth:`LRUCache.get` (the serving chain cache)
+``cache.get``             :meth:`StageCaches.get` (the serving chain cache)
 ``persistence.io``        :func:`save_model` / :func:`load_model` (and the
                           training checkpointer built on them)
 ``cv.fold``               each cross-validation fold, before its fit

@@ -1,4 +1,5 @@
-"""Retry with seeded exponential backoff.
+"""Retry policy: which errors retry, and the seeded backoff between
+tries.
 
 Retryability is a property of the error *type*, not of the call site:
 an exception is retried iff it derives from
@@ -10,19 +11,17 @@ failure only multiplies its cost.
 Backoff delays are *seeded*: the jitter sequence comes from a
 :mod:`repro.rng` stream derived from ``(policy.seed, scope)``, so a
 retry schedule is reproducible run-to-run exactly like every other
-stochastic choice in the repo.  Attempt counts land in the
-process-wide metrics registry (``reliability.retry_attempts``
-histogram, ``reliability.retries`` counter).
+stochastic choice in the repo.  The serving layer runs the retry loop
+itself (:class:`~repro.serving.service.StressService` retries the
+failed requests of a batch after each delay) and counts the retries
+in its stats (``serving.retries``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from repro.errors import ConfigError, TransientError
-from repro.observability.metrics import global_metrics
 from repro.rng import make_rng
 
 
@@ -79,39 +78,4 @@ class RetryPolicy:
         return delays
 
 
-def retry_call(
-    fn: Callable[[], Any],
-    policy: RetryPolicy,
-    scope: str = "",
-    classify: Callable[[BaseException], bool] = is_retryable,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> Any:
-    """Call ``fn`` under ``policy``; re-raise the last error when the
-    budget is exhausted or the error is fatal.
-
-    ``scope`` names the seeded jitter stream (e.g. a batch id) so
-    concurrent retry loops stay decorrelated yet reproducible.
-    """
-    delays = policy.delays_s(scope)
-    metrics = global_metrics()
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            result = fn()
-        except Exception as exc:  # noqa: BLE001 - classified below
-            if attempts > len(delays) or not classify(exc):
-                metrics.histogram("reliability.retry_attempts").observe(
-                    attempts)
-                raise
-            metrics.counter("reliability.retries").inc()
-            if on_retry is not None:
-                on_retry(attempts, exc)
-            sleep(delays[attempts - 1])
-        else:
-            metrics.histogram("reliability.retry_attempts").observe(attempts)
-            return result
-
-
-__all__ = ["RetryPolicy", "is_retryable", "retry_call", "TransientError"]
+__all__ = ["RetryPolicy", "is_retryable", "TransientError"]

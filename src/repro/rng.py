@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "make_rng", "spawn"]
+__all__ = ["derive_seed", "make_rng"]
 
 _MASK_63 = (1 << 63) - 1
 
@@ -44,11 +44,3 @@ def make_rng(root_seed: int, scope: str = "") -> np.random.Generator:
         A label identifying the consumer, e.g. ``"datasets.uvsd"``.
     """
     return np.random.default_rng(derive_seed(root_seed, scope))
-
-
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``count`` independent child generators."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, _MASK_63, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(seed)) for seed in seeds]

@@ -10,10 +10,11 @@ Public surface:
 - :class:`MicroBatcher` -- the reusable batching primitive;
 - :class:`ChainBatchExecutor` -- batch execution over the one chain
   core that serial :meth:`StressChainPipeline.predict` also runs (also
-  behind :meth:`StressChainPipeline.predict_many`);
-- :class:`StageCaches` / :class:`LRUCache` and
-  :func:`video_content_hash` -- the chain-result cache and the
-  request key it is addressed by;
+  behind :meth:`StressChainPipeline.predict_many`); it owns its chain
+  cache, built from a capacity;
+- :class:`StageCaches` / :class:`CacheStats` and
+  :func:`video_content_hash` -- the chain-result LRU an executor owns,
+  its counters, and the content digest its request keys start from;
 - :class:`ServiceStats` / :class:`ServiceStatsSnapshot`;
 - :class:`ReplicaPool` / :class:`Deployment` /
   :class:`PoolStatsSnapshot` -- the sharded replica pool with
@@ -23,7 +24,6 @@ Public surface:
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import (
     CacheStats,
-    LRUCache,
     StageCaches,
     video_content_hash,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "CacheStats",
     "ChainBatchExecutor",
     "Deployment",
-    "LRUCache",
     "MicroBatcher",
     "PoolStatsSnapshot",
     "ReplicaPool",

@@ -30,10 +30,12 @@ pixels keeps the hit path far cheaper than a model call.  The
 (:attr:`~repro.video.frame.Video.content_hash`), so the router, the
 chain cache and the model's feature cache all read one digest.
 
-A cache holds the answers of one pipeline: the executor that owns it
-clears it when its pipeline is swapped.  Entries are frozen and carry
-their dialogue turns already rendered, so a hit builds no text and
-requests can share an entry.
+A cache holds the answers of one pipeline, so it belongs to the
+executor that fills it: a :class:`~repro.serving.executor
+.ChainBatchExecutor` builds its own from a capacity, never hands it
+out, and clears it when its pipeline is swapped.  Entries are frozen
+and carry their dialogue turns already rendered, so a hit builds no
+text and requests can share an entry.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.video.frame import Video, video_content_hash  # noqa: F401
 
 @dataclass(frozen=True, slots=True)
 class CacheStats:
-    """Counters of one LRU cache."""
+    """Counters of the chain cache."""
 
     hits: int
     misses: int
@@ -67,8 +69,9 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-class LRUCache:
-    """A thread-safe bounded LRU map.
+class StageCaches:
+    """The chain cache: a thread-safe bounded LRU of chain cores by
+    request key, owned by one executor.
 
     ``capacity=0`` disables the cache (every ``get`` misses, ``put``
     is a no-op), which is how the service runs in cache-off mode.
@@ -81,13 +84,25 @@ class LRUCache:
         if capacity < 0:
             raise ConfigError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._data: OrderedDict[Any, Any] = OrderedDict()
+        self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    def get(self, key: Any) -> Any | None:
+    def content_key(self, video: Video, pipeline) -> Hashable:
+        """The key of a request for ``video`` to ``pipeline``: the
+        serving model's :meth:`~repro.model.foundation.FoundationModel
+        .output_identity` of it (``video.content_hash`` unless the
+        model's outputs also depend on the video id), paired with the
+        id when the pipeline's own streams read it (test-time
+        refinement, retrieval).  In-flight dedup groups on it too."""
+        identity = pipeline.model.output_identity(video)
+        if pipeline.test_time_refine or pipeline.retriever is not None:
+            return (identity, video.video_id)
+        return identity
+
+    def get(self, key: Hashable) -> Any | None:
         """The cached value, or ``None`` on a miss (values are never
         ``None``)."""
         fault_point("cache.get")
@@ -104,7 +119,7 @@ class LRUCache:
                         else profiling.STAGE_CACHE_HIT)
         return value
 
-    def put(self, key: Any, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         if self.capacity == 0:
             return
         with self._lock:
@@ -122,34 +137,9 @@ class LRUCache:
         with self._lock:
             self._data.clear()
 
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses,
-                              evictions=self._evictions,
-                              size=len(self._data), capacity=self.capacity)
-
-
-class StageCaches:
-    """The chain-result cache one service (or ``predict_many`` call)
-    owns: one :class:`LRUCache` of chain cores by request key."""
-
-    def __init__(self, capacity: int = 4096):
-        self.chain = LRUCache(capacity)
-
-    def content_key(self, video: Video, pipeline) -> Hashable:
-        """The key of a request for ``video`` to ``pipeline``: the
-        serving model's :meth:`~repro.model.foundation.FoundationModel
-        .output_identity` of it (``video.content_hash`` unless the
-        model's outputs also depend on the video id), paired with the
-        id when the pipeline's own streams read it (test-time
-        refinement, retrieval).  In-flight dedup groups on it too."""
-        identity = pipeline.model.output_identity(video)
-        if pipeline.test_time_refine or pipeline.retriever is not None:
-            return (identity, video.video_id)
-        return identity
-
-    def clear(self) -> None:
-        self.chain.clear()
-
     def stats(self) -> dict[str, CacheStats]:
-        return {"chain": self.chain.stats()}
+        with self._lock:
+            return {"chain": CacheStats(
+                hits=self._hits, misses=self._misses,
+                evictions=self._evictions, size=len(self._data),
+                capacity=self.capacity)}

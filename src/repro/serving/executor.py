@@ -96,15 +96,18 @@ class ChainBatchExecutor:
     one pipeline: the chain core only reads weights, and the model's
     feature cache fills through an atomic ``setdefault``.
 
+    The executor owns its chain cache: it builds it from
+    ``cache_capacity`` (0 disables it) and never hands it out, because
+    a cached answer is valid only for the weights that computed it.
     Its public methods are the whole interface a
     :class:`~repro.serving.service.StressService` uses, so a process
     replica's pipe executor (:mod:`repro.serving.pool`) can stand in
     for it by forwarding each call to a child that owns the real one.
     """
 
-    def __init__(self, pipeline, caches: StageCaches | None = None):
+    def __init__(self, pipeline, cache_capacity: int = 4096):
         self.pipeline = _checked_pipeline(pipeline)
-        self.caches = caches if caches is not None else StageCaches()
+        self._cache = StageCaches(cache_capacity)
 
     # ------------------------------------------------------------------
 
@@ -118,14 +121,13 @@ class ChainBatchExecutor:
         duplicates).
         """
         pipeline = self.pipeline
-        caches = self.caches
-        chain = caches.chain
+        cache = self._cache
         outcomes: list[object] = [None] * len(videos)
         groups: dict[Hashable, list[int]] = {}
         with span("serve.execute_batch", size=len(videos)) as sp:
             for i, video in enumerate(videos):
                 try:
-                    key = caches.content_key(video, pipeline)
+                    key = cache.content_key(video, pipeline)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     outcomes[i] = exc
                     continue
@@ -138,10 +140,10 @@ class ChainBatchExecutor:
                     # requests of that group (a transient, retryable
                     # error), never the whole batch.
                     fault_point("serve.execute")
-                    core = chain.get(key)
+                    core = cache.get(key)
                     if core is None:
                         core = _run_core(pipeline, videos[indices[0]])
-                        chain.put(key, core)
+                        cache.put(key, core)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     for i in indices:
                         outcomes[i] = exc
@@ -159,8 +161,7 @@ class ChainBatchExecutor:
         cached (it was produced by the chain core, so it is the
         bitwise-normal response), flagged ``degraded=True``.
         """
-        core = self.caches.chain.get(
-            self.caches.content_key(video, self.pipeline))
+        core = self._cache.get(self._cache.content_key(video, self.pipeline))
         return None if core is None else _materialize(core, degraded=True)
 
     def swap(self, source) -> None:
@@ -178,10 +179,10 @@ class ChainBatchExecutor:
 
             source = load_pipeline(source)
         self.pipeline = _checked_pipeline(source)
-        self.caches.clear()
+        self._cache.clear()
 
     def cache_stats(self) -> dict[str, CacheStats]:
-        return self.caches.stats()
+        return self._cache.stats()
 
     def fingerprint(self) -> str:
         """The served model's fingerprint (equal fingerprints imply

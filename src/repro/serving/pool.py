@@ -59,7 +59,6 @@ from repro.observability import tracing
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
 from repro.reliability.breaker import OPEN, BreakerConfig, CircuitBreaker
-from repro.serving.cache import StageCaches
 # video_content_hash stays importable from here: perfbench's ledger
 # wraps it under this module's name.  Routes read Video.content_hash.
 from repro.serving.cache import video_content_hash  # noqa: F401
@@ -119,18 +118,19 @@ def resolve_pool_replicas(num_replicas: int | None = None) -> int:
 class _HashRing:
     """A consistent-hash ring over replica indices.
 
-    Each replica owns ``vnodes`` points on a SHA-1 ring; a key routes
-    to the first point at or after its own hash (wrapping).  The map
-    is stable: repeats of one key always land on the same replica, and
-    resizing the pool moves only the arcs the changed replica owned.
-    A one-replica ring owns every arc, so it routes without hashing.
+    Each replica owns :data:`DEFAULT_VNODES` points on a SHA-1 ring; a
+    key routes to the first point at or after its own hash (wrapping).
+    The map is stable: repeats of one key always land on the same
+    replica, and resizing the pool moves only the arcs the changed
+    replica owned.  A one-replica ring owns every arc, so it routes
+    without hashing.
     """
 
-    def __init__(self, num_replicas: int, vnodes: int = DEFAULT_VNODES):
+    def __init__(self, num_replicas: int):
         self._single = num_replicas == 1
         points: list[tuple[int, int]] = []
         for replica in range(num_replicas):
-            for vnode in range(vnodes):
+            for vnode in range(DEFAULT_VNODES):
                 digest = hashlib.sha1(
                     f"replica-{replica}:vnode-{vnode}".encode()).digest()
                 points.append((int.from_bytes(digest[:8], "big"), replica))
@@ -252,8 +252,7 @@ def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
     """Child-process loop of one ``"process"`` replica: a dispatcher
     over a :class:`ChainBatchExecutor`'s methods, answering
     ``("ok", result)`` / ``("error", exc)`` per call until ``close``."""
-    executor = ChainBatchExecutor(pipeline,
-                                  StageCaches(config.cache_capacity))
+    executor = ChainBatchExecutor(pipeline, config.cache_capacity)
     try:
         while True:
             try:
@@ -329,15 +328,14 @@ class ReplicaPool:
     def __init__(self, pipeline, *, num_replicas: int | None = None,
                  backend: str | None = None,
                  config: ServiceConfig | None = None,
-                 registry=None, version: str | None = None,
-                 vnodes: int = DEFAULT_VNODES):
+                 registry=None, version: str | None = None):
         self.num_replicas = resolve_pool_replicas(num_replicas)
         self.backend = resolve_pool_backend(backend)
         self.config = (config if config is not None
                        else ServiceConfig(breaker=BreakerConfig()))
         self.registry = registry
         self.version = version
-        self._ring = _HashRing(self.num_replicas, vnodes=vnodes)
+        self._ring = _HashRing(self.num_replicas)
         self._deploy_lock = threading.Lock()
         self._closed = False
         initial = (pipeline, version)

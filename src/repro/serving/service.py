@@ -58,7 +58,6 @@ from repro.reliability.breaker import CLOSED, BreakerConfig, CircuitBreaker
 from repro.reliability.deadlines import Deadline
 from repro.reliability.retry import RetryPolicy, is_retryable
 from repro.serving.batcher import MicroBatcher
-from repro.serving.cache import StageCaches
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.stats import ServiceStats, ServiceStatsSnapshot
 from repro.video.frame import Video
@@ -115,8 +114,8 @@ class StressService:
 
     def __init__(self, pipeline, config: ServiceConfig | None = None):
         config = config or ServiceConfig()
-        self._setup(ChainBatchExecutor(
-            pipeline, StageCaches(config.cache_capacity)), config)
+        self._setup(ChainBatchExecutor(pipeline, config.cache_capacity),
+                    config)
 
     @classmethod
     def _over(cls, executor, config: ServiceConfig) -> "StressService":
@@ -143,14 +142,6 @@ class StressService:
             stats=self._stats,
             name="stress-service",
         )
-
-    @property
-    def pipeline(self):
-        return self.executor.pipeline
-
-    @property
-    def caches(self) -> StageCaches:
-        return self.executor.caches
 
     @property
     def breaker(self) -> CircuitBreaker | None:

@@ -20,7 +20,7 @@ from repro.nn.optim import Adam
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
 from repro.rng import make_rng
-from repro.training.losses import description_nll
+from repro.training.losses import assess_nll, description_nll
 
 
 def train_describe(
@@ -154,9 +154,8 @@ def _train_assess_epochs(
         for inputs in epoch_inputs:
             optimizer.zero_grad()
             logits = model.assess_logits_batch(inputs, desc_vectors)
-            loss, grad = description_nll(logits[:, np.newaxis],
-                                         labels[:, np.newaxis])
-            model.backward_assess_batch(grad[:, 0] * weights)
+            loss, grad = assess_nll(logits, labels)
+            model.backward_assess_batch(grad * weights)
             optimizer.step()
             curve.append(loss)
     return curve

@@ -15,7 +15,6 @@ from repro.video.keyframes import expressiveness, extract_keyframes
 from repro.video.landmarks import segments_for_au
 from repro.video.perturb import (
     gaussian_perturb_segments,
-    mosaic_region,
     zero_segments,
 )
 from repro.video.segmentation import slic_segments
@@ -28,7 +27,6 @@ __all__ = [
     "expressiveness",
     "extract_keyframes",
     "gaussian_perturb_segments",
-    "mosaic_region",
     "segments_for_au",
     "slic_segments",
     "zero_segments",

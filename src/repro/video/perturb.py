@@ -1,13 +1,13 @@
 """Frame perturbation primitives.
 
-Two protocols in the paper remove visual evidence from a frame:
-
-- the *deletion metric* (Section IV-H) places Gaussian noise on the
-  top-scoring SLIC segments named by an explainer
-  (:func:`gaussian_perturb_segments`);
-- the *rationale self-verification* (Section III-D) places a mosaic on
-  the facial region named by a highlighted description
-  (:func:`mosaic_region`).
+The *deletion metric* (Section IV-H) places Gaussian noise on the
+top-scoring SLIC segments named by an explainer
+(:func:`gaussian_perturb_segments`); the post-hoc explainers query the
+chain on frames with segments masked out (:func:`apply_masks_batch`).
+The rationale self-verification of Section III-D, the paper's mosaic
+test, removes evidence in
+:func:`~repro.training.faithfulness.rationale_flip_count` instead: it
+fills the SLIC segment each highlighted action grounds to.
 
 All functions return new arrays; inputs are never modified.
 """
@@ -19,7 +19,6 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import ExplainerError
-from repro.facs.regions import FacialRegion
 
 
 def _validate_frame(frame: np.ndarray) -> np.ndarray:
@@ -129,24 +128,3 @@ def apply_masks_batch(frame: np.ndarray, labels: np.ndarray,
         )
     kept = keeps[:, labels] > 0.5          # (N, H, W) per-pixel keep map
     return np.where(kept, frame[np.newaxis, :, :], fill)
-
-
-def mosaic_region(frame: np.ndarray, region: FacialRegion,
-                  block_size: int = 8) -> np.ndarray:
-    """Pixelate (mosaic) a facial region, as in the paper's Figure 5
-    self-verification: "place mosaic on the exact region of each
-    frame"."""
-    frame = _validate_frame(frame)
-    if block_size < 1:
-        raise ExplainerError("block_size must be positive")
-    mask = region.mask(frame.shape[0])
-    mosaicked = frame.copy()
-    rows, cols = np.where(mask)
-    r0, r1 = rows.min(), rows.max() + 1
-    c0, c1 = cols.min(), cols.max() + 1
-    for br in range(r0, r1, block_size):
-        for bc in range(c0, c1, block_size):
-            block = mosaicked[br:min(br + block_size, r1),
-                              bc:min(bc + block_size, c1)]
-            block[...] = block.mean()
-    return mosaicked

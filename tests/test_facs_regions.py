@@ -8,7 +8,6 @@ from repro.facs.regions import (
     FRAME_SIZE,
     FacialRegion,
     REGIONS,
-    region_by_key,
     region_for_au,
 )
 
@@ -49,9 +48,6 @@ class TestLookups:
         for au_id in AU_IDS:
             assert isinstance(region_for_au(au_id), FacialRegion)
 
-    def test_region_by_key(self):
-        assert region_by_key("cheek").key == "cheek"
-
     def test_unknown_key_raises(self):
         with pytest.raises(KeyError):
-            region_by_key("forehead")
+            region_for_au(3)

@@ -11,6 +11,7 @@ from repro.facs.descriptions import FacialDescription
 from repro.model.features import video_features
 from repro.model.foundation import STRESSED, UNSTRESSED
 from repro.model.generation import GenerationConfig, bernoulli_set_logprob
+from repro.model.instructions import DESCRIBE_INSTRUCTION
 from repro.model.session import DialogueSession
 from repro.video import frame
 from repro.video.frame import Video, video_content_hash
@@ -39,13 +40,6 @@ class TestDescribe:
             for s in range(8)
         }
         assert len(outs) > 1
-
-    def test_session_records_turn(self, fresh_model, sample_video):
-        session = DialogueSession()
-        fresh_model.describe(sample_video, GenerationConfig(temperature=0),
-                             session=session)
-        assert len(session) == 1
-        assert "facial expressions" in session.turns[0].response
 
     def test_logprob_is_negative(self, fresh_model, sample_video):
         description = fresh_model.describe(
@@ -164,9 +158,8 @@ class TestVerify:
     def test_requires_fresh_session(self, fresh_model, micro_uvsd):
         videos = self._videos(micro_uvsd, 3)
         session = DialogueSession()
-        session.record.__self__.turns.append  # no-op, keep lint quiet
-        fresh_model.describe(videos[0], GenerationConfig(temperature=0),
-                             session=session)
+        session.record(DESCRIBE_INSTRUCTION, fresh_model.describe(
+            videos[0], GenerationConfig(temperature=0)).render())
         with pytest.raises(ModelError):
             fresh_model.verify(FacialDescription((1,)), videos,
                                GenerationConfig(), session)

@@ -40,7 +40,7 @@ from repro.reliability.retry import RetryPolicy
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving.pool import (
-    DEFAULT_VNODES,
+    POOL_BACKENDS,
     ReplicaPool,
     _HashRing,
     resolve_pool_backend,
@@ -172,7 +172,7 @@ class TestEquivalence:
                 failures.append(exc)
 
         with ReplicaPool(pipeline, num_replicas=4, backend="thread") as pool:
-            assert all(replica.service.pipeline is pipeline
+            assert all(replica.service.executor.pipeline is pipeline
                        for replica in pool._replicas)
             threads = [threading.Thread(target=client,
                                         args=(pool, videos[i::8]))
@@ -212,7 +212,7 @@ class TestRouting:
         assert 0 < moved < len(keys)
 
     def test_ring_spreads_keys(self):
-        ring = _HashRing(4, vnodes=DEFAULT_VNODES)
+        ring = _HashRing(4)
         counts = Counter(ring.route(f"key-{i}") for i in range(4_000))
         assert set(counts) == {0, 1, 2, 3}
         assert min(counts.values()) > 4_000 // 4 // 3
@@ -393,10 +393,10 @@ class TestDeploy:
         restored pool computes correct results."""
         with ReplicaPool(_pipeline(), num_replicas=3, backend="thread",
                          registry=registry) as pool:
-            before = [r.service.pipeline for r in pool._replicas]
+            before = [r.service.executor.pipeline for r in pool._replicas]
             deployment = pool.deploy("v2")
             deployment.rollback()
-            after = [r.service.pipeline for r in pool._replicas]
+            after = [r.service.executor.pipeline for r in pool._replicas]
             assert all(a is b for a, b in zip(after, before))
             assert pool.version is None
             for video in _videos(3):
@@ -411,13 +411,14 @@ class TestDeploy:
         with ReplicaPool(pipeline, num_replicas=3, backend="thread",
                          registry=registry, version="v1") as pool:
             deployment = pool.deploy("v2")
-            deployed = {id(r.service.pipeline) for r in pool._replicas}
+            deployed = {id(r.service.executor.pipeline)
+                        for r in pool._replicas}
             assert len(deployed) == 1
-            assert pool._replicas[0].service.pipeline is not pipeline
+            assert pool._replicas[0].service.executor.pipeline is not pipeline
             _assert_same_result(pool.predict(video, timeout=30),
                                 registry.load("v2").predict(video))
             deployment.rollback()
-            assert all(r.service.pipeline is pipeline
+            assert all(r.service.executor.pipeline is pipeline
                        for r in pool._replicas)
             assert pool.version == "v1"
 
@@ -532,6 +533,30 @@ class TestProcessBackend:
         assert snapshot.failed == 0
 
 
+class TestReplicaServiceSurface:
+    @pytest.mark.parametrize("backend", POOL_BACKENDS)
+    def test_every_public_attribute_reads_on_both_backends(self, backend):
+        """A replica's service has one surface whatever runs its
+        executor: nothing public reaches past the executor interface."""
+        if backend == "process" and not hasattr(os, "fork"):
+            pytest.skip("needs fork")
+        videos = _videos(4)
+        with ReplicaPool(_pipeline(), num_replicas=2,
+                         backend=backend) as pool:
+            for video in videos + videos:
+                pool.predict(video, timeout=60)
+            caches = []
+            for replica in pool._replicas:
+                service = replica.service
+                for name in dir(service):
+                    if not name.startswith("_"):
+                        getattr(service, name)
+                caches.append(service.stats().cache["chain"])
+        assert sum(cache.size for cache in caches) == len(videos)
+        assert sum(cache.hits for cache in caches) == len(videos)
+        assert sum(cache.misses for cache in caches) == len(videos)
+
+
 class TestConfig:
     def test_replica_count_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_REPLICAS", "3")
@@ -570,9 +595,9 @@ class TestServiceSwap:
         want = new_pipeline.predict(video)
         with StressService(_pipeline()) as service:
             service.predict(video, timeout=30)
-            assert len(service.caches.chain) > 0
+            assert service.stats().cache["chain"].size > 0
             service.swap_pipeline(new_pipeline)
-            assert len(service.caches.chain) == 0
+            assert service.stats().cache["chain"].size == 0
             _assert_same_result(service.predict(video, timeout=30), want)
 
     def test_swap_rejects_non_pipeline(self):

@@ -68,20 +68,14 @@ ALLOWED = {
     "StressChainPipeline.predict_many":
         "offline batch API over the serving executor",
     "save_model": "writes the archive load_model reads",
-    "retry_call": "seeded retry primitive behind RetryPolicy",
     "active_plan": "reports the armed fault plan",
     "uninstall_plan": "disarms fault injection",
     "ListExporter": "in-memory span exporter for reading a trace",
     "MetricsRegistry.reset": "empties a registry between runs",
-    # Left for the next deletion pass.
-    "all_action_units": "not yet triaged",
-    "assess_nll": "not yet triaged",
-    "logsumexp": "not yet triaged",
-    "mosaic_region": "not yet triaged",
-    "one_hot": "not yet triaged",
-    "region_by_key": "not yet triaged",
-    "spawn": "not yet triaged",
 }
+
+#: A reason containing this defers the decision instead of giving one.
+PLACEHOLDER_REASON = "not yet triaged"
 
 
 def _python_files(directory: Path) -> list[Path]:
@@ -185,3 +179,14 @@ def test_allow_list_is_current():
         or qualname.rsplit(".", 1)[-1] in references
     )
     assert not stale, f"remove from ALLOWED: {stale}"
+
+
+def test_allow_list_reasons_are_real():
+    """Every allowed name says why it stays: an empty reason or a
+    "not yet triaged" IOU lets the list grow without a decision."""
+    placeholders = sorted(
+        qualname for qualname, reason in ALLOWED.items()
+        if not reason.strip() or PLACEHOLDER_REASON in reason.lower()
+    )
+    assert not placeholders, (
+        f"give these a reason or delete them: {placeholders}")

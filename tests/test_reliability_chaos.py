@@ -35,7 +35,6 @@ from repro.reliability.faults import (
     uninstall_plan,
 )
 from repro.reliability.retry import RetryPolicy
-from repro.serving.cache import StageCaches
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.service import ServiceConfig, StressService
 
@@ -171,7 +170,7 @@ class TestConcurrentChaos:
     def test_fault_schedule_is_deterministic(self, pipeline, video_pool):
         def signature(seed: int) -> list:
             out = []
-            executor = ChainBatchExecutor(pipeline, StageCaches())
+            executor = ChainBatchExecutor(pipeline)
             with injected(FaultPlan(
                     [FaultSpec(site="serve.execute", rate=0.4)], seed=seed)):
                 for video in video_pool:

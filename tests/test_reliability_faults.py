@@ -18,7 +18,7 @@ from repro.reliability.faults import (
     uninstall_plan,
 )
 from repro.rng import make_rng
-from repro.serving.cache import LRUCache
+from repro.serving.cache import StageCaches
 
 
 @pytest.fixture(autouse=True)
@@ -157,7 +157,7 @@ class TestArming:
         plan = FaultPlan([FaultSpec(site="cache.get", rate=1.0,
                                     mode="delay", delay_ms=0.1)])
         with injected(plan):
-            cache = LRUCache(4)
+            cache = StageCaches(4)
             assert cache.get("missing") is None
         assert plan.counts()["cache.get"].faults > 0
 
@@ -173,7 +173,7 @@ class TestCompiledSites:
         assert model.embed_video(sample_video).shape[0] == 1
 
     def test_cache_get_site(self):
-        cache = LRUCache(4)
+        cache = StageCaches(4)
         cache.put("k", 1)
         with injected(FaultPlan([FaultSpec(site="cache.get", rate=1.0)])):
             with pytest.raises(FaultInjectedError):

@@ -19,7 +19,7 @@ from repro.reliability.breaker import (
     BreakerConfig,
     CircuitBreaker,
 )
-from repro.reliability.retry import RetryPolicy, is_retryable, retry_call
+from repro.reliability.retry import RetryPolicy, is_retryable
 
 
 class FakeClock:
@@ -80,58 +80,7 @@ class TestRetryPolicy:
         assert RetryPolicy(max_attempts=1).delays_s() == []
 
 
-class TestRetryCall:
-    def test_succeeds_after_transient_failures(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise FaultInjectedError("boom")
-            return "ok"
-
-        slept = []
-        result = retry_call(flaky, RetryPolicy(max_attempts=3),
-                            sleep=slept.append)
-        assert result == "ok"
-        assert len(calls) == 3 and len(slept) == 2
-
-    def test_fatal_error_not_retried(self):
-        calls = []
-
-        def fatal():
-            calls.append(1)
-            raise ModelError("deterministic")
-
-        with pytest.raises(ModelError):
-            retry_call(fatal, RetryPolicy(max_attempts=5), sleep=lambda s: None)
-        assert len(calls) == 1
-
-    def test_budget_exhaustion_reraises_last(self):
-        calls = []
-
-        def always():
-            calls.append(1)
-            raise FaultInjectedError("again")
-
-        with pytest.raises(FaultInjectedError):
-            retry_call(always, RetryPolicy(max_attempts=3),
-                       sleep=lambda s: None)
-        assert len(calls) == 3
-
-    def test_on_retry_hook_sees_attempts(self):
-        seen = []
-
-        def flaky():
-            if len(seen) < 1:
-                raise FaultInjectedError("x")
-            return 1
-
-        retry_call(flaky, RetryPolicy(max_attempts=2), sleep=lambda s: None,
-                   on_retry=lambda attempt, exc: seen.append((attempt, exc)))
-        assert len(seen) == 1
-        assert seen[0][0] == 1 and isinstance(seen[0][1], FaultInjectedError)
-
+class TestIsRetryable:
     def test_classification_rule(self):
         assert is_retryable(FaultInjectedError("x"))
         assert is_retryable(TransientError("x"))

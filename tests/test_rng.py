@@ -1,10 +1,9 @@
 """Tests for deterministic RNG management."""
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.rng import derive_seed, make_rng, spawn
+from repro.rng import derive_seed, make_rng
 
 
 class TestDeriveSeed:
@@ -37,18 +36,3 @@ class TestMakeRng:
         b = make_rng(9, "y").random(5)
         assert not np.array_equal(a, b)
 
-
-class TestSpawn:
-    def test_children_are_independent(self):
-        parent = make_rng(0, "parent")
-        children = spawn(parent, 3)
-        draws = [child.random(4) for child in children]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_count_zero(self):
-        assert spawn(make_rng(0, "p"), 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn(make_rng(0, "p"), -1)

@@ -1,6 +1,6 @@
 """Unit tests for the serving layer's building blocks.
 
-Covers the LRU caches (bounds, eviction, counters, disable mode), the
+Covers the chain cache's LRU (bounds, eviction, counters, disable mode), the
 content hash, the micro-batcher's flush/backpressure/shutdown
 behaviour, config validation, and the service stats surface.
 """
@@ -25,7 +25,6 @@ from repro.reliability.deadlines import Deadline
 from repro.rng import make_rng
 from repro.serving import (
     ChainBatchExecutor,
-    LRUCache,
     MicroBatcher,
     ServiceConfig,
     ServiceStats,
@@ -52,18 +51,20 @@ def pipeline():
 
 
 class TestLRUCache:
+    """The LRU behaviour of the chain cache (:class:`StageCaches`)."""
+
     def test_basic_round_trip_and_counters(self):
-        cache = LRUCache(capacity=2)
+        cache = StageCaches(capacity=2)
         assert cache.get("a") is None
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1
-        stats = cache.stats()
+        stats = cache.stats()["chain"]
         assert (stats.hits, stats.misses, stats.size) == (1, 1, 2)
         assert stats.hit_rate == 0.5
 
     def test_lru_eviction_order(self):
-        cache = LRUCache(capacity=2)
+        cache = StageCaches(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")          # refresh "a"; "b" is now least recent
@@ -71,17 +72,17 @@ class TestLRUCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.stats().evictions == 1
+        assert cache.stats()["chain"].evictions == 1
 
     def test_zero_capacity_disables(self):
-        cache = LRUCache(capacity=0)
+        cache = StageCaches(capacity=0)
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigError):
-            LRUCache(capacity=-1)
+            StageCaches(capacity=-1)
 
 
 class TestContentHash:
@@ -95,7 +96,7 @@ class TestContentHash:
         assert video_content_hash(_video("x", 1, noise=0.1)) != base
 
     def test_memoized_key_matches_direct_hash(self, pipeline):
-        caches = StageCaches()
+        caches = StageCaches(capacity=1)
         video = _video("memo", 3)
         assert caches.content_key(video, pipeline) == video_content_hash(video)
         assert caches.content_key(video, pipeline) == video_content_hash(video)
@@ -327,16 +328,18 @@ class TestStressService:
             stats = svc.stats()
         assert stats.cache["chain"].hits == 0
 
-    def test_predict_many_reuses_service_caches(self, pipeline):
-        videos = [_video("rm-a", 61), _video("rm-b", 62)]
-        serial = [pipeline.predict(v) for v in videos]
+    def test_predict_many_answers_with_its_own_weights(self, pipeline):
+        """A warm service over one pipeline lends nothing to another
+        pipeline's ``predict_many``: a cache lives in its executor."""
+        other = StressChainPipeline(
+            FoundationModel(make_rng(10, "serving-unit-v2")))
+        videos = [_video(f"own-{i}", 600 + i) for i in range(20)]
         with StressService(pipeline) as svc:
             for video in videos:
                 svc.predict(video, timeout=30)
-            results = pipeline.predict_many(videos * 2, caches=svc.caches)
-        for want, got in zip(serial * 2, results):
-            assert got.prob_stressed == want.prob_stressed
-            assert got.session.transcript() == want.session.transcript()
+            results = other.predict_many(videos)
+        assert [_signature(r) for r in results] == \
+            [_signature(other.predict(v)) for v in videos]
 
 
 def _signature(result) -> tuple:
@@ -414,7 +417,6 @@ class TestChainCacheHitPath:
             assert svc.stats().cache["chain"].size == 1
             svc.swap_pipeline(other)
             assert svc.stats().cache["chain"].size == 0
-            assert len(svc.caches.chain) == 0
             before = svc.stats().cache["chain"].misses
             got = svc.predict(video, timeout=30)
             assert svc.stats().cache["chain"].misses == before + 1

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ExplainerError
-from repro.facs.regions import REGIONS
 from repro.rng import make_rng
 from repro.video.perturb import (
     apply_mask,
     gaussian_perturb_segments,
-    mosaic_region,
     zero_segments,
 )
 
@@ -90,19 +88,3 @@ class TestZeroAndMask:
         with pytest.raises(ExplainerError):
             apply_mask(frame, labels, np.ones(5))
 
-
-class TestMosaic:
-    def test_mosaic_pixelates_region(self):
-        rng = make_rng(3, "mosaic")
-        frame = rng.random((96, 96))
-        region = REGIONS["lips"]
-        out = mosaic_region(frame, region, block_size=6)
-        mask = region.mask(96)
-        # Inside: variance collapses within blocks.
-        assert out[mask].std() < frame[mask].std()
-        # Outside: untouched.
-        assert np.array_equal(out[~mask], frame[~mask])
-
-    def test_bad_block_size_raises(self):
-        with pytest.raises(ExplainerError):
-            mosaic_region(np.zeros((96, 96)), REGIONS["lips"], block_size=0)
