@@ -7,8 +7,7 @@ superpixels, each spending a ~1000-evaluation budget per sample as in
 the paper's setup; :mod:`~repro.explainers.evaluation` implements the
 top-k deletion metric of Table II and
 :mod:`~repro.explainers.timing` the per-sample cost comparison of
-Figure 6.  RISE (:mod:`~repro.explainers.rise`) is not in the paper; it
-stays because the engine benchmark's deletion-metric workload runs it.
+Figure 6.
 """
 
 from repro.explainers.base import (
@@ -25,7 +24,6 @@ from repro.explainers.evaluation import (
     rationale_ranker,
 )
 from repro.explainers.lime import LimeExplainer
-from repro.explainers.rise import RiseExplainer
 from repro.explainers.shap import KernelShapExplainer
 from repro.explainers.sobol import SobolExplainer
 from repro.explainers.timing import time_explainers
@@ -36,7 +34,6 @@ __all__ = [
     "Explainer",
     "KernelShapExplainer",
     "LimeExplainer",
-    "RiseExplainer",
     "SegmentAttribution",
     "SobolExplainer",
     "chain_predict_fn",

@@ -6,8 +6,7 @@ Public surface:
   predict front-end with micro-batching, an LRU cache of whole chain
   results, bounded-queue backpressure, graceful shutdown, and
   counters;
-- :class:`SerialDispatcher` -- the global-lock baseline;
-- :class:`MicroBatcher` -- the reusable batching primitive;
+- :class:`MicroBatcher` -- the batching worker under each service;
 - :class:`ChainBatchExecutor` -- batch execution over the one chain
   core that serial :meth:`StressChainPipeline.predict` also runs (also
   behind :meth:`StressChainPipeline.predict_many`); it owns its chain
@@ -36,7 +35,6 @@ from repro.serving.pool import (
     resolve_pool_replicas,
 )
 from repro.serving.service import (
-    SerialDispatcher,
     ServiceConfig,
     StressService,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "MicroBatcher",
     "PoolStatsSnapshot",
     "ReplicaPool",
-    "SerialDispatcher",
     "ServiceConfig",
     "ServiceStats",
     "ServiceStatsSnapshot",

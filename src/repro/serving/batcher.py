@@ -69,18 +69,17 @@ class MicroBatcher:
         Callback receiving the list of batched items; must return one
         outcome per item, in order.  An outcome that is an exception
         instance fails that item's future; anything else resolves it.
+    stats:
+        The :class:`ServiceStats` fed with per-request latencies and
+        rejection counts.
     max_batch_size / max_queue_depth:
         The largest batch the worker takes from the queue, and the
         backpressure limit, as described in the module docstring.
-    stats:
-        Optional :class:`ServiceStats` fed with per-request latencies
-        and rejection counts.
     """
 
     def __init__(self, on_batch: Callable[[list[Any]], Sequence[Any]],
-                 max_batch_size: int = 32, max_queue_depth: int = 256,
-                 stats: ServiceStats | None = None,
-                 name: str = "micro-batcher"):
+                 stats: ServiceStats, max_batch_size: int = 32,
+                 max_queue_depth: int = 256):
         if max_batch_size < 1:
             raise ConfigError(
                 f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -96,8 +95,8 @@ class MicroBatcher:
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
         self._drain_on_close = True
-        self._worker = threading.Thread(target=self._run, name=name,
-                                        daemon=True)
+        self._worker = threading.Thread(target=self._run,
+                                        name="stress-service", daemon=True)
         self._worker.start()
 
     # ------------------------------------------------------------------
@@ -115,15 +114,13 @@ class MicroBatcher:
                 raise ServiceClosedError(
                     "service is shut down; no new requests accepted")
             if len(self._queue) >= self.max_queue_depth:
-                if self._stats is not None:
-                    self._stats.record_rejected()
+                self._stats.record_rejected()
                 raise ServiceOverloadedError(
                     f"request queue is full ({self.max_queue_depth} pending); "
                     "retry later or raise max_queue_depth"
                 )
             self._queue.append(pending)
-            if self._stats is not None:
-                self._stats.record_submitted()
+            self._stats.record_submitted()
             self._wakeup.notify()
         return pending.future
 
@@ -195,8 +192,7 @@ class MicroBatcher:
         live: list[_Pending] = []
         for pending in batch:
             if pending.deadline is not None and pending.deadline.expired(now):
-                if self._stats is not None:
-                    self._stats.record_shed(now - pending.enqueued_at)
+                self._stats.record_shed(now - pending.enqueued_at)
                 pending.future.set_exception(DeadlineExceededError(
                     "deadline expired after "
                     f"{now - pending.enqueued_at:.3f}s in queue; request "
@@ -228,13 +224,12 @@ class MicroBatcher:
             now = time.monotonic()
             failed = [isinstance(outcome, BaseException)
                       for outcome in outcomes]
-            if self._stats is not None:
-                # Latency split: time each request sat queued before
-                # this batch started vs the batch's execution time.
-                self._stats.record_batch_split(
-                    [started - p.enqueued_at for p in batch], now - started)
-                self._stats.record_completions(
-                    [now - p.enqueued_at for p in batch], failed)
+            # Latency split: time each request sat queued before this
+            # batch started vs the batch's execution time.
+            self._stats.record_batch_split(
+                [started - p.enqueued_at for p in batch], now - started)
+            self._stats.record_completions(
+                [now - p.enqueued_at for p in batch], failed)
             for pending, outcome, bad in zip(batch, outcomes, failed):
                 if bad:
                     pending.future.set_exception(outcome)

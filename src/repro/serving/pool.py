@@ -343,15 +343,21 @@ class ReplicaPool:
                 and version is not None):
             initial = self._payload(registry, version)
         self._replicas: list[_Replica] = []
-        for index in range(self.num_replicas):
-            if self.backend == "process":
-                service = StressService._over(
-                    _PipeExecutor(pipeline, self.config,
-                                  f"pool-replica-{index}"),
-                    self.config)
-            else:
-                service = StressService(pipeline, self.config)
-            self._replicas.append(_Replica(service, initial))
+        try:
+            for index in range(self.num_replicas):
+                if self.backend == "process":
+                    service = StressService._over(
+                        _PipeExecutor(pipeline, self.config,
+                                      f"pool-replica-{index}"),
+                        self.config)
+                else:
+                    service = StressService(pipeline, self.config)
+                self._replicas.append(_Replica(service, initial))
+        except BaseException:
+            # A failed build stops the batcher threads and children of
+            # the replicas it already started.
+            self.close(drain=False)
+            raise
         metrics = global_metrics()
         metrics.gauge("pool.replicas").set(self.num_replicas)
         self._m_deploys = metrics.counter("pool.deploys")

@@ -40,10 +40,6 @@ Guarantees:
   (the thread replicas of a pool) may serve one pipeline object at
   once -- which must not be trained while it serves (DESIGN.md
   section 10).
-
-:class:`SerialDispatcher` is the no-batching baseline -- a global
-lock around ``pipeline.predict`` -- used by the throughput benchmark
-and the equivalence tests as the reference dispatch strategy.
 """
 
 from __future__ import annotations
@@ -136,11 +132,9 @@ class StressService:
         self._breaker = (CircuitBreaker(config.breaker)
                          if config.breaker is not None else None)
         self._batcher = MicroBatcher(
-            self._process_batch,
+            self._process_batch, self._stats,
             max_batch_size=config.max_batch_size,
             max_queue_depth=config.max_queue_depth,
-            stats=self._stats,
-            name="stress-service",
         )
 
     @property
@@ -288,37 +282,3 @@ class StressService:
                     "fully cached; retry after the breaker's open window"))
         return outcomes
 
-
-class SerialDispatcher:
-    """The pre-serving baseline: concurrent callers are serialized
-    through one global lock around ``pipeline.predict``.
-
-    The lock is the baseline's semantics -- one request at a time, no
-    batching -- not a safety requirement: unlocked concurrent
-    ``predict`` calls on one pipeline are also bitwise-serial.  The
-    throughput benchmark measures the service against this dispatcher
-    under identical client load.
-
-    Interface parity with :class:`StressService` includes the context
-    manager protocol, so benchmark and test harnesses can swap the two
-    freely inside ``with`` blocks.
-    """
-
-    def __init__(self, pipeline):
-        self.pipeline = pipeline
-        self._lock = threading.Lock()
-
-    def predict(self, video: Video):
-        with self._lock:
-            return self.pipeline.predict(video)
-
-    def close(self) -> bool:  # interface parity with StressService
-        """No-op; the dispatcher owns no worker state.  Returns
-        ``True`` (there is never anything left to drain)."""
-        return True
-
-    def __enter__(self) -> "SerialDispatcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -70,14 +70,6 @@ class ServiceStatsSnapshot:
     execute_p50_s: float = 0.0
     execute_p95_s: float = 0.0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Aggregate hit rate across the service's caches."""
-        hits = sum(s.hits for s in self.cache.values())
-        misses = sum(s.misses for s in self.cache.values())
-        total = hits + misses
-        return hits / total if total else 0.0
-
 
 class ServiceStats:
     """Thread-safe recorder and view over one service's metrics scope.

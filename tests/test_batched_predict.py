@@ -14,7 +14,6 @@ from repro.explainers import (
     BatchPredictFn,
     KernelShapExplainer,
     LimeExplainer,
-    RiseExplainer,
     SobolExplainer,
     chain_predict_fn,
     deletion_metric,
@@ -127,7 +126,6 @@ class TestPerturbBatchHelpers:
 ALL_EXPLAINERS = [
     LimeExplainer(num_samples=60),
     KernelShapExplainer(num_samples=60),
-    RiseExplainer(num_samples=60),
     SobolExplainer(num_designs=4),
 ]
 
@@ -182,6 +180,53 @@ class TestDeletionMetricBatched:
         )
         assert batched.base_accuracy == looped.base_accuracy
         assert batched.accuracy_after == looped.accuracy_after
+
+    @pytest.mark.parametrize("explainer, single_calls, batch_calls", [
+        (LimeExplainer(num_samples=16), 2, 4),
+        (KernelShapExplainer(num_samples=16), 2, 4),
+        (SobolExplainer(num_designs=4), 2, 6),
+    ], ids=["LIME", "SHAP", "SOBOL"])
+    def test_chain_black_box_scores_each_stack_in_one_pass(
+            self, model, sample_video, monkeypatch, explainer,
+            single_calls, batch_calls):
+        """Over ``chain_predict_fn``, the deletion metric queries the
+        single-frame path once per sample (the clean base frame) and
+        scores every perturbation stack -- the explainer's and the
+        top-k one -- through ``chain_prob_from_frames_batch``."""
+        from dataclasses import replace
+
+        from repro.datasets.base import Sample
+        from repro.video.frame import Video
+
+        pipeline = StressChainPipeline(model)
+        other = Video(replace(sample_video.spec, video_id="batched-video-1",
+                              seed=43))
+        samples = [
+            Sample(video=sample_video, label=1, true_aus=np.zeros(12)),
+            Sample(video=other, label=0, true_aus=np.zeros(12)),
+        ]
+        calls = {"single": 0, "batch": 0}
+        single = model.chain_prob_from_frames
+        batch = model.chain_prob_from_frames_batch
+
+        def counted_single(*args):
+            calls["single"] += 1
+            return single(*args)
+
+        def counted_batch(*args):
+            calls["batch"] += 1
+            return batch(*args)
+
+        monkeypatch.setattr(model, "chain_prob_from_frames", counted_single)
+        monkeypatch.setattr(model, "chain_prob_from_frames_batch",
+                            counted_batch)
+        deletion_metric(
+            samples, explainer_ranker(explainer),
+            lambda s: chain_predict_fn(pipeline, s),
+            ks=(1, 2, 3), num_segments=16, seed=3,
+        )
+        assert calls["single"] <= single_calls
+        assert calls["batch"] == batch_calls
 
     def test_ranker_reuses_base_prediction(self, model, sample_video):
         """The sign-normalisation query on the clean frame is gone:

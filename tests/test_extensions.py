@@ -1,10 +1,9 @@
-"""Tests for the extension modules: ANN indexes, persistence, RISE."""
+"""Tests for the extension modules: ANN indexes and persistence."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.explainers.rise import RiseExplainer
 from repro.model.persistence import (
     load_model,
     load_pipeline,
@@ -126,28 +125,3 @@ class TestPersistence:
         with pytest.raises(ModelError):
             load_pipeline(path)
 
-
-class TestRise:
-    def test_finds_important_segment(self):
-        rng = make_rng(3, "rise-test")
-        frame = rng.random((48, 48)) * 0.2 + 0.4
-        from repro.video.segmentation import slic_segments
-
-        labels = slic_segments(frame, num_segments=9)
-        target = int(labels.max())
-
-        def predict(perturbed):
-            mask = labels == target
-            intact = 1.0 - np.abs(perturbed[mask] - frame[mask]).mean() / 0.5
-            return float(np.clip(0.5 + 0.5 * (intact - 0.5), 0, 1))
-
-        attribution = RiseExplainer(num_samples=400).attribute(
-            frame, labels, predict, seed=0
-        )
-        assert attribution.ranking()[0] == target
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            RiseExplainer(num_samples=2)
-        with pytest.raises(ValueError):
-            RiseExplainer(keep_prob=1.0)

@@ -39,6 +39,7 @@ from repro.reliability.faults import FaultPlan, FaultSpec, injected
 from repro.reliability.retry import RetryPolicy
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
+from repro.serving import pool as pool_module
 from repro.serving.pool import (
     POOL_BACKENDS,
     ReplicaPool,
@@ -270,6 +271,44 @@ class TestConcurrency:
             for thread in threads:
                 thread.join()
         assert failures == []
+
+    @pytest.mark.parametrize("backend", POOL_BACKENDS)
+    def test_sharded_caches_miss_each_clip_once(self, backend):
+        """16 clients each request all 16 clips, in their own order,
+        from 4 replicas: routing on content sends every repeat of a
+        clip to the replica that already holds it, so the pool misses
+        each clip exactly once -- as one service's cache would."""
+        if backend == "process" and not hasattr(os, "fork"):
+            pytest.skip("needs fork")
+        num_clients = 16
+        videos = _videos(16, offset=300)
+        reference = {v.video_id: _pipeline().predict(v) for v in videos}
+        failures: list[BaseException] = []
+
+        def client(pool: ReplicaPool, seed: int) -> None:
+            order = np.random.default_rng(seed).permutation(len(videos))
+            try:
+                for index in order:
+                    video = videos[index]
+                    result = pool.predict(video, timeout=60)
+                    _assert_same_result(result, reference[video.video_id])
+            except BaseException as exc:  # noqa: BLE001 - collected
+                failures.append(exc)
+
+        with ReplicaPool(_pipeline(), num_replicas=4,
+                         backend=backend) as pool:
+            threads = [threading.Thread(target=client, args=(pool, seed))
+                       for seed in range(num_clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
+            snapshot = pool.stats()
+        assert failures == []
+        assert snapshot.requests == num_clients * len(videos)
+        assert sum(replica.cache["chain"].misses
+                   for replica in snapshot.replicas) == len(videos)
 
 
 # ----------------------------------------------------------------------
@@ -586,6 +625,51 @@ class TestConfig:
     def test_from_registry_empty_registry(self, tmp_path):
         with pytest.raises(PoolError, match="no versions"):
             ReplicaPool.from_registry(ModelRegistry(tmp_path / "empty"))
+
+
+class TestFailedBuild:
+    """A pool whose construction raises leaves nothing running: every
+    replica it had already started is closed before the error
+    propagates."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_process_build_failure_closes_started_replicas(self,
+                                                           monkeypatch):
+        real = pool_module._PipeExecutor
+        built = []
+
+        def second_fails(*args, **kwargs):
+            if built:
+                raise OSError("no more pipes")
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(pool_module, "_PipeExecutor", second_fails)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(OSError, match="no more pipes"):
+            ReplicaPool(_pipeline(), num_replicas=3, backend="process")
+        assert len(built) == 1
+        assert not built[0]._process.is_alive()
+        assert not [t for t in threading.enumerate()
+                    if t not in threads_before and t.is_alive()]
+
+    def test_thread_build_failure_closes_started_replicas(self,
+                                                          monkeypatch):
+        built = []
+
+        class SecondFails(StressService):
+            def __init__(self, *args, **kwargs):
+                if built:
+                    raise RuntimeError("cannot start replica")
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(pool_module, "StressService", SecondFails)
+        with pytest.raises(RuntimeError, match="cannot start replica"):
+            ReplicaPool(_pipeline(), num_replicas=3, backend="thread")
+        assert len(built) == 1
+        assert built[0].closed
+        assert not built[0]._batcher._worker.is_alive()
 
 
 class TestServiceSwap:

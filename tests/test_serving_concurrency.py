@@ -14,6 +14,9 @@ bitwise-serial results, because inference only reads weights (the
 feature cache fills through an atomic ``setdefault``, and the input a
 ``Linear`` layer keeps is read only by training's backward pass).
 Every response also gets its own dialogue session.
+
+Concurrent hot load is coalesced: requests that queue together leave
+in one batch, and warmed clips cost no model work.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from repro.errors import ServiceOverloadedError
 from repro.model.foundation import FoundationModel
 from repro.model.session import DialogueSession
 from repro.rng import make_rng
-from repro.serving import SerialDispatcher, ServiceConfig, StressService
+from repro.serving import ServiceConfig, StressService
 from repro.video.frame import Video, VideoSpec
 
 JOIN_TIMEOUT_S = 120.0  # deadlock guard: generous, never hit when healthy
+QUEUE_TIMEOUT_S = 10.0  # how long 32 started clients get to queue up
 
 
 def _videos(count: int, base_seed: int) -> list[Video]:
@@ -186,37 +190,81 @@ def test_concurrent_requests_do_not_interleave_sessions(pipeline):
     assert len({id(session) for __, session in collected}) == len(collected)
 
 
-def test_serial_dispatcher_is_thread_safe_baseline(pipeline):
-    """The benchmark baseline holds under the same client load: the
-    global lock serializes model access, so concurrent results equal
-    unshared serial ones."""
-    videos = _videos(3, base_seed=500)
+def test_concurrent_hot_load_is_coalesced_without_model_work():
+    """32 clients over 8 warmed clips, queued behind a held batch,
+    leave in at most two batches, run no trunk pass, and each get
+    serial ``predict``'s answer bitwise.
+
+    Clients that cannot all reach the queue at once -- for example
+    because something serializes ``predict`` -- fail the queue-depth
+    check after ``QUEUE_TIMEOUT_S`` instead of hanging the test.
+    """
+    num_clients = 32
+    pipeline = StressChainPipeline(
+        FoundationModel(make_rng(47, "serving-concurrency")))
+    videos = _videos(8, base_seed=700)
     serial = {v.video_id: pipeline.predict(v) for v in videos}
-    dispatcher = SerialDispatcher(pipeline)
+    embeds: list[str] = []
+    embed_video = pipeline.model.embed_video
 
-    mismatches = []
-    lock = threading.Lock()
+    def counted_embed(video):
+        embeds.append(video.video_id)
+        return embed_video(video)
 
-    def client(thread_id: int) -> None:
-        rng = random.Random(thread_id * 7)
-        for __ in range(5):
-            video = videos[rng.randrange(len(videos))]
-            result = dispatcher.predict(video)
-            want = serial[video.video_id]
-            if (result.prob_stressed != want.prob_stressed
-                    or result.session.transcript()
-                    != want.session.transcript()):
-                with lock:
-                    mismatches.append(video.video_id)
+    pipeline.model.embed_video = counted_embed
+    results: list[object] = [None] * num_clients
 
-    threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(JOIN_TIMEOUT_S)
-        assert not thread.is_alive()
-    dispatcher.close()
-    assert not mismatches
+    def client(index: int) -> None:
+        results[index] = service.predict(videos[index % len(videos)],
+                                         timeout=JOIN_TIMEOUT_S)
+
+    with StressService(pipeline) as service:
+        for video in videos:
+            service.predict(video, timeout=JOIN_TIMEOUT_S)
+        warm_embeds = len(embeds)
+        busy, release = threading.Event(), threading.Event()
+        run_batch = service.executor.run_batch
+
+        def gated_run_batch(batch):
+            busy.set()
+            release.wait(JOIN_TIMEOUT_S)
+            return run_batch(batch)
+
+        service.executor.run_batch = gated_run_batch
+        held = service.submit(videos[0])
+        assert busy.wait(JOIN_TIMEOUT_S)
+        batches_before = service.stats().batches
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(num_clients)]
+        for thread in threads:
+            thread.start()
+        try:
+            give_up = time.monotonic() + QUEUE_TIMEOUT_S
+            while (service.queue_depth() < num_clients
+                   and time.monotonic() < give_up):
+                time.sleep(0.001)
+            queued = service.queue_depth()
+        finally:
+            release.set()
+            held.result(JOIN_TIMEOUT_S)
+            for thread in threads:
+                thread.join(JOIN_TIMEOUT_S)
+        assert not any(thread.is_alive() for thread in threads), \
+            "client thread deadlocked"
+        stats = service.stats()
+
+    assert queued == num_clients, "clients did not reach the queue together"
+    # The held batch, then the queued requests in at most two more.
+    assert stats.batches - batches_before - 1 <= 2
+    assert warm_embeds == len(videos)
+    assert len(embeds) == warm_embeds
+    for index, result in enumerate(results):
+        want = serial[videos[index % len(videos)].video_id]
+        assert result.label == want.label
+        assert result.prob_stressed == want.prob_stressed
+        assert tuple(result.rationale) == tuple(want.rationale)
+        assert result.session.transcript() == want.session.transcript()
+        assert result.degraded is False
 
 
 def test_unlocked_concurrent_predict_on_one_pipeline_is_serial_identical():

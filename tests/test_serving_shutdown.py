@@ -14,8 +14,14 @@ import time
 import pytest
 
 from repro.errors import ServiceClosedError, ServiceOverloadedError
+from repro.observability.metrics import MetricsRegistry
 from repro.serving.batcher import MicroBatcher
-from repro.serving.service import SerialDispatcher
+from repro.serving.stats import ServiceStats
+
+
+def _stats() -> ServiceStats:
+    """Batcher counters over a private registry, off the global one."""
+    return ServiceStats(registry=MetricsRegistry())
 
 
 class BlockingBatch:
@@ -35,14 +41,15 @@ class BlockingBatch:
 
 class TestCloseReturnValue:
     def test_clean_drain_returns_true(self):
-        batcher = MicroBatcher(lambda items: [i * 2 for i in items])
+        batcher = MicroBatcher(lambda items: [i * 2 for i in items],
+                               _stats())
         future = batcher.submit(21)
         assert batcher.close(timeout=5) is True
         assert future.result(timeout=0) == 42
 
     def test_timed_out_close_returns_false_then_true(self):
         blocker = BlockingBatch()
-        batcher = MicroBatcher(blocker)
+        batcher = MicroBatcher(blocker, _stats())
         future = batcher.submit(1)
         assert blocker.started.wait(timeout=5)
         # Worker is parked inside on_batch: a short-timeout close must
@@ -54,7 +61,7 @@ class TestCloseReturnValue:
         assert future.result(timeout=0) == 2
 
     def test_close_idempotent(self):
-        batcher = MicroBatcher(lambda items: list(items))
+        batcher = MicroBatcher(lambda items: list(items), _stats())
         assert batcher.close(timeout=5) is True
         assert batcher.close(timeout=5) is True
 
@@ -62,7 +69,7 @@ class TestCloseReturnValue:
 class TestDrainFalseRace:
     def test_mid_flight_batch_finishes_queued_work_fails(self):
         blocker = BlockingBatch()
-        batcher = MicroBatcher(blocker, max_batch_size=1)
+        batcher = MicroBatcher(blocker, _stats(), max_batch_size=1)
         in_flight = batcher.submit(1)
         assert blocker.started.wait(timeout=5)
         queued = [batcher.submit(2), batcher.submit(3)]
@@ -85,7 +92,7 @@ class TestDrainFalseRace:
         """A done-callback on an abandoned future may re-enter the
         batcher: the worker fails those futures outside its lock."""
         blocker = BlockingBatch()
-        batcher = MicroBatcher(blocker, max_batch_size=1)
+        batcher = MicroBatcher(blocker, _stats(), max_batch_size=1)
         in_flight = batcher.submit(1)
         assert blocker.started.wait(timeout=5)
         queued = batcher.submit(2)
@@ -104,7 +111,7 @@ class TestDrainFalseRace:
         assert seen == [(0, True)]
 
     def test_submit_after_close_rejected(self):
-        batcher = MicroBatcher(lambda items: list(items))
+        batcher = MicroBatcher(lambda items: list(items), _stats())
         batcher.close(timeout=5)
         with pytest.raises(ServiceClosedError):
             batcher.submit(1)
@@ -114,6 +121,7 @@ class TestConcurrentClose:
     def test_concurrent_submitters_and_closers(self):
         batcher = MicroBatcher(
             lambda items: [time.sleep(0.0005) or i * 2 for i in items],
+            _stats(),
             max_batch_size=4, max_queue_depth=64)
         futures, futures_lock = [], threading.Lock()
         stop_submitting = threading.Event()
@@ -163,7 +171,7 @@ class TestWorkerSurvival:
                 raise KeyboardInterrupt("operator ctrl-C mid-batch")
             return [i * 2 for i in items]
 
-        batcher = MicroBatcher(fragile, max_batch_size=2)
+        batcher = MicroBatcher(fragile, _stats(), max_batch_size=2)
         first = batcher.submit(1)
         assert isinstance(first.exception(timeout=5), KeyboardInterrupt)
         # The worker survived: the next request is served normally.
@@ -171,14 +179,3 @@ class TestWorkerSurvival:
         assert second.result(timeout=5) == 10
         assert batcher.close(timeout=5) is True
 
-
-class TestSerialDispatcherContext:
-    def test_context_manager_protocol(self, trained, sample_video):
-        from repro.cot.chain import StressChainPipeline
-
-        model, __, __, __ = trained
-        pipeline = StressChainPipeline(model)
-        with SerialDispatcher(pipeline) as dispatcher:
-            result = dispatcher.predict(sample_video)
-        assert result.label in (0, 1)
-        assert dispatcher.close() is True  # idempotent, parity with service

@@ -158,7 +158,7 @@ class TestBatchRecording:
             return [ValueError("odd") if item % 2 else item
                     for item in items]
 
-        batcher = MicroBatcher(on_batch, max_batch_size=8, stats=stats)
+        batcher = MicroBatcher(on_batch, stats, max_batch_size=8)
         try:
             first = batcher.submit(0)
             assert busy.wait(10)  # the worker holds item 0 at the gate
