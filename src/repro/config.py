@@ -24,7 +24,6 @@ variable                 meaning
 ``REPRO_TRACE``          path: install the JSONL span exporter at import
 ``REPRO_FAULTS``         fault-plan spec: arm deterministic fault injection
 ``REPRO_POOL_REPLICAS``  default replica count for ``ReplicaPool``
-``REPRO_POOL_BACKEND``   default replica backend (thread|process)
 ``REPRO_HYPOTHESIS_PROFILE`` hypothesis profile for the property suites
 ======================== =====================================================
 """
@@ -43,7 +42,6 @@ __all__ = [
     "FAULTS_ENV",
     "HYPOTHESIS_PROFILE_ENV",
     "NUM_WORKERS_ENV",
-    "POOL_BACKEND_ENV",
     "POOL_REPLICAS_ENV",
     "Settings",
     "TRACE_ENV",
@@ -66,9 +64,6 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: Environment variable naming the default replica-pool size.
 POOL_REPLICAS_ENV = "REPRO_POOL_REPLICAS"
 
-#: Environment variable naming the default replica-pool backend.
-POOL_BACKEND_ENV = "REPRO_POOL_BACKEND"
-
 #: Environment variable selecting the hypothesis settings profile.
 HYPOTHESIS_PROFILE_ENV = "REPRO_HYPOTHESIS_PROFILE"
 
@@ -87,9 +82,8 @@ ENV_VARS: dict[str, tuple[str, str]] = {
         "fault-plan spec armed at repro.reliability import",
         "unset (no faults)"),
     POOL_REPLICAS_ENV: (
-        "default ReplicaPool size", "1"),
-    POOL_BACKEND_ENV: (
-        "default ReplicaPool backend: thread | process", "thread"),
+        "default ReplicaPool size (more than 1 forks one process per "
+        "replica)", "1"),
     HYPOTHESIS_PROFILE_ENV: (
         "hypothesis profile for the property suites: fast | ci", "fast"),
 }
@@ -139,7 +133,6 @@ class Settings:
     trace_path: str | None = None
     faults_spec: str | None = None
     pool_replicas: int | None = None
-    pool_backend: str | None = None
     hypothesis_profile: str = "fast"
 
     @classmethod
@@ -163,7 +156,6 @@ class Settings:
             pool_replicas=(_parse_positive_int(POOL_REPLICAS_ENV,
                                                pool_replicas)
                            if pool_replicas is not None else None),
-            pool_backend=env.get(POOL_BACKEND_ENV) or None,
             hypothesis_profile=env.get(HYPOTHESIS_PROFILE_ENV) or "fast",
         )
 

@@ -16,8 +16,9 @@ Public surface:
   its counters, and the content digest its request keys start from;
 - :class:`ServiceStats` / :class:`ServiceStatsSnapshot`;
 - :class:`ReplicaPool` / :class:`Deployment` /
-  :class:`PoolStatsSnapshot` -- the sharded replica pool with
-  consistent-hash routing and versioned hot-swap deploys.
+  :class:`PoolStatsSnapshot` -- the sharded replica pool (one
+  in-process service, or N forked replicas) with consistent-hash
+  routing and versioned hot-swap deploys.
 """
 
 from repro.serving.batcher import MicroBatcher
@@ -31,7 +32,6 @@ from repro.serving.pool import (
     Deployment,
     PoolStatsSnapshot,
     ReplicaPool,
-    resolve_pool_backend,
     resolve_pool_replicas,
 )
 from repro.serving.service import (
@@ -52,7 +52,6 @@ __all__ = [
     "ServiceStatsSnapshot",
     "StageCaches",
     "StressService",
-    "resolve_pool_backend",
     "resolve_pool_replicas",
     "video_content_hash",
 ]

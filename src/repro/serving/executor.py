@@ -92,17 +92,19 @@ class ChainBatchExecutor:
     """Runs chain requests in batches against one pipeline.
 
     One thread drives an executor (the micro-batcher worker, or an
-    offline ``predict_many`` loop), but several executors may share
-    one pipeline: the chain core only reads weights, and the model's
-    feature cache fills through an atomic ``setdefault``.
+    offline ``predict_many`` loop), but other threads may read its
+    pipeline at the same time (thread fold workers of
+    ``evaluate_offtheshelf``): the chain core only reads weights, and
+    the model's feature cache fills through an atomic ``setdefault``.
 
     The executor owns its chain cache: it builds it from
     ``cache_capacity`` (0 disables it) and never hands it out, because
     a cached answer is valid only for the weights that computed it.
     Its public methods are the whole interface a
-    :class:`~repro.serving.service.StressService` uses, so a process
-    replica's pipe executor (:mod:`repro.serving.pool`) can stand in
-    for it by forwarding each call to a child that owns the real one.
+    :class:`~repro.serving.service.StressService` uses, so the pipe
+    executor of a forked pool replica (:mod:`repro.serving.pool`) can
+    stand in for it by forwarding each call to a child that owns the
+    real one.
     """
 
     def __init__(self, pipeline, cache_capacity: int = 4096):

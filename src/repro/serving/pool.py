@@ -2,10 +2,23 @@
 
 One :class:`~repro.serving.service.StressService` serializes all model
 work on a single batcher thread (DESIGN.md section 10).  A
-:class:`ReplicaPool` shards that hot path across ``num_replicas``
-replicas, each owning its own micro-batch worker, chain cache, and
-circuit breaker:
+:class:`ReplicaPool` serves through ``num_replicas`` replicas, each a
+:class:`StressService` with its own micro-batch worker, chain cache,
+and circuit breaker:
 
+- **One replica runs in process; more replicas fork.**
+  ``num_replicas=1`` is one in-process service over the caller's
+  pipeline.  ``num_replicas > 1`` gives each replica's service a pipe
+  executor that forwards every executor call to a forked child owning
+  the real executor and chain cache (POSIX only: without ``os.fork``
+  such a pool raises :class:`~repro.errors.PoolError`).  Replicas in
+  one process would share one model and one GIL, so they add routing
+  and batcher threads but no parallel model work; only forked
+  replicas run the chain on more than one core.  Hot, cache-bound
+  traffic is fastest on one replica, because a forked replica pays a
+  pipe round trip even for a cache hit; forked replicas pay off on
+  cold, compute-bound traffic.  The default count comes from
+  ``REPRO_POOL_REPLICAS`` via :func:`repro.config.settings`.
 - **Routing is consistent-hash on content.**  Every request is routed
   by its video's :attr:`~repro.video.frame.Video.content_hash` (the
   one digest the chain cache and the model's feature cache also
@@ -14,25 +27,15 @@ circuit breaker:
   routing would shred the hit rate across replicas.  Adding or
   removing a replica remaps only the ring arcs it owns, not the whole
   keyspace.
-- **Two replica backends, one batch path.**  Every replica is a
-  :class:`StressService`.  The ``"thread"`` replicas' services run
-  their executors in process over one shared pipeline (serving only
-  reads weights, so concurrent forward passes are safe); a
-  ``"process"`` replica's service runs over a pipe executor that
-  forwards each executor call to a forked child owning the real
-  executor and chain cache (POSIX only -- mirrors
-  :mod:`repro.evaluation.parallel`'s fork backend, and falls back to
-  threads the same way).  Retry, degraded mode, and cache stats are
-  therefore the same on both backends.  Defaults come from
-  ``REPRO_POOL_REPLICAS`` / ``REPRO_POOL_BACKEND`` via
-  :func:`repro.config.settings`.
-- **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` loads a version
-  from a :class:`~repro.model.registry.ModelRegistry`, swaps a canary
-  subset first (each replica drains its in-flight batch before its
-  weights change, so zero in-flight requests fail), and
-  :meth:`Deployment.promote` rolls the canaries back and raises
-  :class:`~repro.errors.DeploymentError` if any canary's circuit
-  breaker tripped during the bake.
+- **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` hands a
+  :class:`~repro.model.registry.ModelRegistry` version's verified
+  artifact path to a canary subset first (each replica drains its
+  in-flight batch before its weights change, so zero in-flight
+  requests fail), and :meth:`Deployment.promote` rolls the canaries
+  back and raises :class:`~repro.errors.DeploymentError` if any
+  canary's circuit breaker tripped during the bake.  A swap that
+  fails part-way swaps the replicas it already changed back before
+  the error propagates.
 - **Single-replica equivalence.**  ``ReplicaPool(num_replicas=1)``
   returns bitwise-identical :class:`~repro.cot.chain.ChainResult`
   objects to a plain :class:`StressService` (the pool equivalence
@@ -48,7 +51,7 @@ import os
 import threading
 from dataclasses import dataclass
 
-from repro.config import POOL_BACKEND_ENV, POOL_REPLICAS_ENV, settings
+from repro.config import POOL_REPLICAS_ENV, settings
 from repro.errors import (
     ConfigError,
     DeploymentError,
@@ -58,7 +61,7 @@ from repro.errors import (
 from repro.observability import tracing
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
-from repro.reliability.breaker import OPEN, BreakerConfig, CircuitBreaker
+from repro.reliability.breaker import OPEN, BreakerConfig
 # video_content_hash stays importable from here: perfbench's ledger
 # wraps it under this module's name.  Routes read Video.content_hash.
 from repro.serving.cache import video_content_hash  # noqa: F401
@@ -68,37 +71,16 @@ from repro.serving.stats import ServiceStatsSnapshot
 from repro.video.frame import Video
 
 __all__ = [
-    "POOL_BACKENDS",
     "Deployment",
     "PoolStatsSnapshot",
     "ReplicaPool",
-    "resolve_pool_backend",
     "resolve_pool_replicas",
 ]
-
-#: Recognised replica backends (named after the evaluation backends).
-POOL_BACKENDS = ("thread", "process")
 
 #: Virtual nodes per replica on the hash ring.  Enough that the
 #: keyspace split between replicas stays near-even, small enough that
 #: building the ring is trivial.
 DEFAULT_VNODES = 64
-
-
-def resolve_pool_backend(backend: str | None = None) -> str:
-    """Pick the replica backend: explicit argument, then the
-    ``REPRO_POOL_BACKEND`` environment variable, then threads."""
-    if backend is None:
-        backend = settings().pool_backend or "thread"
-    if backend not in POOL_BACKENDS:
-        raise ConfigError(
-            f"unknown pool backend {backend!r} "
-            f"({POOL_BACKEND_ENV}); known: {POOL_BACKENDS}")
-    if backend == "process" and not hasattr(os, "fork"):
-        # Same honest fallback as repro.evaluation.parallel: fork is
-        # what lets an arbitrary pipeline cross into the child.
-        return "thread"
-    return backend
 
 
 def resolve_pool_replicas(num_replicas: int | None = None) -> int:
@@ -150,39 +132,14 @@ class _HashRing:
 
 
 # ----------------------------------------------------------------------
-# Replicas
+# Forked replicas
 # ----------------------------------------------------------------------
-
-
-class _Replica:
-    """One replica: a :class:`StressService` plus the deploy payload
-    ``(source, version)`` its current weights came from (what a
-    rollback re-installs).
-
-    Both backends are the same service -- one batch path with retry,
-    degraded mode, and cache stats.  A ``"process"`` replica's service
-    runs over a :class:`_PipeExecutor` instead of an in-process
-    :class:`~repro.serving.executor.ChainBatchExecutor`.
-    """
-
-    def __init__(self, service: StressService, payload):
-        self.service = service
-        self.payload = payload
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        return self.service.breaker
-
-    def swap(self, payload) -> None:
-        """Install ``payload``'s source: a registry artifact path (a
-        process replica's child loads it itself) or a pipeline."""
-        self.service.swap_pipeline(payload[0])
-        self.payload = payload
 
 
 class _PipeExecutor:
     """The executor interface of a :class:`StressService`, forwarded
-    over a pipe to a forked child.
+    over a pipe to a forked child: what each replica of a
+    multi-replica pool serves through.
 
     The child inherits ``pipeline`` through fork (nothing is pickled on
     the way in) and owns the real executor and chain cache; the
@@ -249,7 +206,7 @@ class _PipeExecutor:
 
 
 def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
-    """Child-process loop of one ``"process"`` replica: a dispatcher
+    """Child-process loop of one forked replica: a dispatcher
     over a :class:`ChainBatchExecutor`'s methods, answering
     ``("ok", result)`` / ``("error", exc)`` per call until ``close``."""
     executor = ChainBatchExecutor(pipeline, config.cache_capacity)
@@ -282,7 +239,6 @@ class PoolStatsSnapshot:
     :class:`ServiceStatsSnapshot`, and the totals derived from them."""
 
     num_replicas: int
-    backend: str
     version: str | None
     replicas: tuple[ServiceStatsSnapshot, ...]
 
@@ -303,14 +259,14 @@ class ReplicaPool:
     Parameters
     ----------
     pipeline:
-        The pipeline every replica starts from.  Thread replicas all
-        serve this object; process replicas inherit it through fork.
-        It must not be trained while the pool serves it.
+        The pipeline every replica starts from.  One replica serves
+        this object in process; forked replicas inherit it.  It must
+        not be trained while the pool serves it.
     num_replicas:
-        Replica count (default: ``REPRO_POOL_REPLICAS``, then 1).
-    backend:
-        ``"thread"`` or ``"process"`` (default: ``REPRO_POOL_BACKEND``,
-        then threads).
+        Replica count (default: ``REPRO_POOL_REPLICAS``, then 1).  One
+        replica is an in-process :class:`StressService`; more fork one
+        child process each, and raise :class:`PoolError` where
+        ``os.fork`` is missing.
     config:
         Per-replica :class:`ServiceConfig`.  The default attaches a
         :class:`~repro.reliability.breaker.BreakerConfig` so every
@@ -321,16 +277,19 @@ class ReplicaPool:
         :meth:`deploy` resolves versions against.
     version:
         Optional name of the version ``pipeline`` was loaded from
-        (reported in stats; lets a process pool roll back by artifact
+        (reported in stats; lets a rollback re-install it by artifact
         path instead of pickling weights).
     """
 
     def __init__(self, pipeline, *, num_replicas: int | None = None,
-                 backend: str | None = None,
                  config: ServiceConfig | None = None,
                  registry=None, version: str | None = None):
         self.num_replicas = resolve_pool_replicas(num_replicas)
-        self.backend = resolve_pool_backend(backend)
+        if self.num_replicas > 1 and not hasattr(os, "fork"):
+            raise PoolError(
+                f"num_replicas={self.num_replicas} forks one process per "
+                "replica, and this platform has no os.fork; serve one "
+                "replica in process instead")
         self.config = (config if config is not None
                        else ServiceConfig(breaker=BreakerConfig()))
         self.registry = registry
@@ -339,20 +298,22 @@ class ReplicaPool:
         self._deploy_lock = threading.Lock()
         self._closed = False
         initial = (pipeline, version)
-        if (self.backend == "process" and registry is not None
-                and version is not None):
+        if registry is not None and version is not None:
             initial = self._payload(registry, version)
-        self._replicas: list[_Replica] = []
+        # Each replica's service, and the ``(source, version)`` deploy
+        # payload its current weights came from (what a rollback
+        # re-installs).
+        self._replicas: list[StressService] = []
+        self._payloads: list[tuple] = [initial] * self.num_replicas
         try:
             for index in range(self.num_replicas):
-                if self.backend == "process":
-                    service = StressService._over(
-                        _PipeExecutor(pipeline, self.config,
-                                      f"pool-replica-{index}"),
-                        self.config)
-                else:
-                    service = StressService(pipeline, self.config)
-                self._replicas.append(_Replica(service, initial))
+                executor = (
+                    ChainBatchExecutor(pipeline, self.config.cache_capacity)
+                    if self.num_replicas == 1
+                    else _PipeExecutor(pipeline, self.config,
+                                       f"pool-replica-{index}"))
+                self._replicas.append(
+                    StressService._over(executor, self.config))
         except BaseException:
             # A failed build stops the batcher threads and children of
             # the replicas it already started.
@@ -375,13 +336,13 @@ class ReplicaPool:
         pipeline = registry.load(version)
         return cls(pipeline, registry=registry, version=version, **kwargs)
 
-    def _payload(self, registry, version: str) -> tuple:
-        """The ``(source, version)`` payload that serves ``version``: a
-        process replica's child loads the verified artifact path
-        itself; thread replicas share one pipeline loaded here."""
-        if self.backend == "process":
-            return (registry.verified_artifact(version), version)
-        return (registry.load(version), version)
+    @staticmethod
+    def _payload(registry, version: str) -> tuple:
+        """The ``(source, version)`` payload that serves ``version``:
+        its verified artifact path, which each replica's executor
+        loads itself (a forked child in its own process), so weights
+        never cross a pipe."""
+        return (registry.verified_artifact(version), version)
 
     # -- the hot path --------------------------------------------------
 
@@ -399,9 +360,9 @@ class ReplicaPool:
             raise ServiceClosedError(
                 "replica pool is shut down; no new requests accepted")
         index = self.route(video)
-        with span("pool.route", replica=index, backend=self.backend):
-            return self._replicas[index].service.submit(
-                video, deadline_ms=deadline_ms)
+        with span("pool.route", replica=index):
+            return self._replicas[index].submit(video,
+                                                deadline_ms=deadline_ms)
 
     def predict(self, video: Video, timeout: float | None = None,
                 deadline_ms: float | None = None):
@@ -414,15 +375,13 @@ class ReplicaPool:
         """Each replica's model fingerprint (asserts which weights a
         replica actually serves -- equal fingerprints imply bitwise-
         equal forward passes)."""
-        return [replica.service.executor.fingerprint()
-                for replica in self._replicas]
+        return [service.executor.fingerprint() for service in self._replicas]
 
     def stats(self) -> PoolStatsSnapshot:
         return PoolStatsSnapshot(
             num_replicas=self.num_replicas,
-            backend=self.backend,
             version=self.version,
-            replicas=tuple(r.service.stats() for r in self._replicas),
+            replicas=tuple(service.stats() for service in self._replicas),
         )
 
     # -- deploys -------------------------------------------------------
@@ -442,8 +401,12 @@ class ReplicaPool:
         one-replica pool), the deployment completes immediately and a
         subsequent :meth:`Deployment.promote` is a no-op.  Each
         replica drains its in-flight batch before its weights change,
-        so zero in-flight requests fail during a swap.
+        so zero in-flight requests fail during a swap.  If a swap
+        fails, the replicas already swapped are swapped back before
+        the error propagates, so the pool still serves its previous
+        version everywhere.
         """
+        self._check_open()
         registry = registry if registry is not None else self.registry
         if registry is None:
             raise DeploymentError(
@@ -461,10 +424,7 @@ class ReplicaPool:
                                             * self.num_replicas)))
         with self._deploy_lock:
             canaries = tuple(range(canary_count))
-            previous = {i: self._replicas[i].payload for i in canaries}
-            for index in canaries:
-                with span("pool.swap", replica=index, version=version):
-                    self._replicas[index].swap(payload)
+            previous = self._swap_in(canaries, payload)
             self._m_deploys.inc()
             deployment = Deployment(self, version, payload, canaries,
                                     previous)
@@ -472,15 +432,45 @@ class ReplicaPool:
                 deployment._complete()
         return deployment
 
+    def _swap_in(self, indices, payload: tuple) -> dict[int, tuple]:
+        """Swap ``payload`` into the replicas at ``indices``, all or
+        none: returns the payloads they served before, and if a swap
+        raises, swaps the replicas already changed back first.  The
+        caller holds the deploy lock."""
+        previous: dict[int, tuple] = {}
+        try:
+            for index in indices:
+                with span("pool.swap", replica=index, version=payload[1]):
+                    self._replicas[index].swap_pipeline(payload[0])
+                previous[index] = self._payloads[index]
+                self._payloads[index] = payload
+        except BaseException:
+            self._restore(previous)
+            raise
+        return previous
+
+    def _restore(self, previous: dict[int, tuple]) -> None:
+        """Swap each replica in ``previous`` back to its payload there."""
+        for index, payload in previous.items():
+            with span("pool.swap", replica=index, rollback=True):
+                self._replicas[index].swap_pipeline(payload[0])
+            self._payloads[index] = payload
+
     # -- lifecycle -----------------------------------------------------
+
+    def _check_open(self) -> None:
+        """Refuse a deploy up front, as :meth:`submit` refuses a
+        request: nothing serves a closed pool."""
+        if self._closed:
+            raise ServiceClosedError(
+                "replica pool is shut down; nothing to deploy to")
 
     def close(self, drain: bool = True, timeout: float | None = None) -> bool:
         """Shut every replica down; ``True`` iff all drained fully."""
         self._closed = True
         drained = True
-        for replica in self._replicas:
-            drained = (replica.service.close(drain=drain, timeout=timeout)
-                       and drained)
+        for service in self._replicas:
+            drained = service.close(drain=drain, timeout=timeout) and drained
         return drained
 
     @property
@@ -534,7 +524,10 @@ class Deployment:
         auto-completes when the canary set covers the whole pool (for
         example, any fraction on a one-replica pool), and an
         unconditional ``promote()`` after that is not an error.
-        Promoting a rolled-back deployment still raises.
+        Promoting a rolled-back deployment still raises.  If a swap
+        fails while rolling forward, the replicas this call already
+        swapped are swapped back, and the deployment stays in its
+        canary state.
         """
         if self.state == "complete":
             return
@@ -542,6 +535,7 @@ class Deployment:
             raise DeploymentError(
                 f"deployment of {self.version!r} is {self.state}; only a "
                 "canary-state deployment can be promoted")
+        self.pool._check_open()
         tripped = self.tripped_canaries()
         if tripped:
             self.rollback()
@@ -549,12 +543,9 @@ class Deployment:
                 f"canary breaker open on replica(s) {tripped} while baking "
                 f"{self.version!r}; canaries rolled back")
         with self.pool._deploy_lock:
-            for index in range(self.pool.num_replicas):
-                if index in self._previous:
-                    continue
-                self._previous[index] = self.pool._replicas[index].payload
-                with span("pool.swap", replica=index, version=self.version):
-                    self.pool._replicas[index].swap(self._payload)
+            rest = [index for index in range(self.pool.num_replicas)
+                    if index not in self._previous]
+            self._previous.update(self.pool._swap_in(rest, self._payload))
         self._complete()
 
     def rollback(self) -> None:
@@ -562,9 +553,7 @@ class Deployment:
         if self.state == "rolled_back":
             return
         with self.pool._deploy_lock:
-            for index, payload in self._previous.items():
-                with span("pool.swap", replica=index, rollback=True):
-                    self.pool._replicas[index].swap(payload)
+            self.pool._restore(self._previous)
         self.pool._m_rollbacks.inc()
         previous_versions = {payload[1]
                              for payload in self._previous.values()}

@@ -36,10 +36,9 @@ Guarantees:
   broken executor;
 - ``close()`` drains in-flight work before returning and reports
   whether the drain actually completed;
-- the service only reads the pipeline's weights, so several services
-  (the thread replicas of a pool) may serve one pipeline object at
-  once -- which must not be trained while it serves (DESIGN.md
-  section 10).
+- the service only reads the pipeline's weights, so it may serve a
+  pipeline other threads also read -- which must not be trained while
+  it serves (DESIGN.md section 10).
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ class StressService:
     @classmethod
     def _over(cls, executor, config: ServiceConfig) -> "StressService":
         """A service over a ready executor: anything with the
-        :class:`ChainBatchExecutor` methods, such as a process
+        :class:`ChainBatchExecutor` methods, such as a forked
         replica's pipe executor."""
         service = cls.__new__(cls)
         service._setup(executor, config)

@@ -35,7 +35,7 @@ class VerificationPool:
     video's logits once, through :meth:`FoundationModel.au_logits`.
 
     The caller owns the pool and drops it when the pass ends.  It is
-    never a model attribute: thread replicas share one model, so a
+    never a model attribute: concurrent servers share one model, so a
     model-level memo would outlive the weights it was computed under
     and be visible across requests.  Logits are keyed on
     :attr:`Video.content_hash`, which makes the reuse exact for any

@@ -188,11 +188,26 @@ class Video:
         """
         self._slic_cache[num_segments] = labels
 
+    def __reduce__(self):
+        # A clip crosses a process boundary as its spec and frame size:
+        # the renderer is a pure function of its frame size (the world
+        # seed is fixed), so the receiver rebuilds the shared one and
+        # renders what it needs.  Cached frames and segmentations stay
+        # behind; the content hash is recomputed equal.
+        return _rebuild_video, (self.spec, self.frame_size)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Video(id={self.video_id!r}, subject={self.subject_id!r}, "
             f"frames={self.num_frames})"
         )
+
+
+def _rebuild_video(spec: VideoSpec, frame_size: int) -> Video:
+    """Unpickle a :class:`Video` (see :meth:`Video.__reduce__`)."""
+    from repro.video.face_synth import default_renderer
+
+    return Video(spec, default_renderer(frame_size))
 
 
 def video_content_hash(video: Video) -> str:

@@ -12,7 +12,6 @@ from repro.config import (
     FAULTS_ENV,
     HYPOTHESIS_PROFILE_ENV,
     NUM_WORKERS_ENV,
-    POOL_BACKEND_ENV,
     POOL_REPLICAS_ENV,
     TRACE_ENV,
     Settings,
@@ -31,13 +30,12 @@ class TestDefaults:
         assert got.trace_path is None
         assert got.faults_spec is None
         assert got.pool_replicas is None
-        assert got.pool_backend is None
         assert got.hypothesis_profile == "fast"
 
     def test_empty_string_counts_as_unset(self):
         got = Settings.from_env({
             BACKEND_ENV: "", TRACE_ENV: "", FAULTS_ENV: "",
-            POOL_BACKEND_ENV: "", HYPOTHESIS_PROFILE_ENV: "",
+            HYPOTHESIS_PROFILE_ENV: "",
             NUM_WORKERS_ENV: "", POOL_REPLICAS_ENV: "",
         })
         assert got == Settings()
@@ -51,7 +49,6 @@ class TestParsing:
             TRACE_ENV: "/tmp/trace.jsonl",
             FAULTS_ENV: "serve.execute:rate=0.5",
             POOL_REPLICAS_ENV: "3",
-            POOL_BACKEND_ENV: "process",
             HYPOTHESIS_PROFILE_ENV: "ci",
         })
         assert got.num_workers == 4
@@ -59,7 +56,6 @@ class TestParsing:
         assert got.trace_path == "/tmp/trace.jsonl"
         assert got.faults_spec == "serve.execute:rate=0.5"
         assert got.pool_replicas == 3
-        assert got.pool_backend == "process"
         assert got.hypothesis_profile == "ci"
 
     @pytest.mark.parametrize("var", [NUM_WORKERS_ENV, POOL_REPLICAS_ENV])

@@ -164,8 +164,7 @@ class TestForkSafeTraces:
                     pass
             pipeline = StressChainPipeline(
                 FoundationModel(make_rng(5, "fork-trace")))
-            with ReplicaPool(pipeline, num_replicas=2,
-                             backend="process") as pool:
+            with ReplicaPool(pipeline, num_replicas=2) as pool:
                 for video in videos + videos:
                     pool.predict(video, timeout=60)
         finally:

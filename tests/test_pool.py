@@ -2,12 +2,15 @@
 
 The load-bearing guarantees (DESIGN.md section 13):
 
-- a one-replica pool returns results bitwise-identical to a plain
-  :class:`StressService` (which is itself pinned bitwise to serial
-  ``pipeline.predict`` by the golden and equivalence suites);
+- a one-replica pool is one in-process :class:`StressService` and
+  returns results bitwise-identical to a plain one (which is itself
+  pinned bitwise to serial ``pipeline.predict`` by the golden and
+  equivalence suites); a pool of more replicas forks one child per
+  replica and needs ``os.fork``;
 - routing is sticky on content -- repeats of a clip land on the same
   replica, so that replica's caches stay hot;
-- a hot-swap deploy fails zero in-flight requests;
+- a hot-swap deploy fails zero in-flight requests, and a deploy that
+  fails part-way leaves every replica on its previous version;
 - a canary whose circuit breaker trips is rolled back and the deploy
   raises :class:`DeploymentError`.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import threading
 from collections import Counter
 from pathlib import Path
@@ -24,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.config import ENV_VARS, env_value
 from repro.cot.chain import ChainResult, StressChainPipeline
 from repro.errors import (
     CircuitOpenError,
@@ -41,15 +46,18 @@ from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving import pool as pool_module
 from repro.serving.pool import (
-    POOL_BACKENDS,
     ReplicaPool,
     _HashRing,
-    resolve_pool_backend,
     resolve_pool_replicas,
 )
 from repro.video.frame import Video, VideoSpec
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "chain_golden.json"
+
+#: Marks a test that builds a pool of more than one replica: each
+#: replica is a forked child process.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="replicas beyond one fork")
 
 
 def _golden_videos() -> list[Video]:
@@ -98,6 +106,24 @@ def _assert_same_result(got: ChainResult, want: ChainResult) -> None:
     assert got.session.transcript() == want.session.transcript()
 
 
+def _routed_to(pool: ReplicaPool, index: int, count: int,
+               offset: int = 0) -> list[Video]:
+    """``count`` distinct clips that ``pool`` routes to replica
+    ``index``."""
+    videos = [video for video in _videos(40 * count, offset)
+              if pool.route(video) == index]
+    assert len(videos) >= count
+    return videos[:count]
+
+
+def _kill_replica(pool: ReplicaPool, index: int) -> None:
+    """SIGKILL replica ``index``'s child process and reap it."""
+    process = pool._replicas[index].executor._process
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(30)
+    assert not process.is_alive()
+
+
 def _open_breaker(pool: ReplicaPool, index: int = 0) -> None:
     breaker = pool._replicas[index].breaker
     for __ in range(breaker.config.window):
@@ -135,28 +161,19 @@ class TestEquivalence:
             for video, want in zip(videos, reference):
                 _assert_same_result(pool.predict(video, timeout=30), want)
 
-    def test_multi_replica_thread_matches_serial(self):
-        videos = _videos(8)
-        reference = [_pipeline().predict(v) for v in videos]
-        with ReplicaPool(_pipeline(), num_replicas=4,
-                         backend="thread") as pool:
-            for video, want in zip(videos, reference):
-                _assert_same_result(pool.predict(video, timeout=30), want)
-            assert sum(pool.stats().routed) == len(videos)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @needs_fork
     def test_multi_replica_process_matches_serial(self):
         videos = _videos(6)
         reference = [_pipeline().predict(v) for v in videos]
-        with ReplicaPool(_pipeline(), num_replicas=2,
-                         backend="process") as pool:
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
             for video, want in zip(videos, reference):
                 _assert_same_result(pool.predict(video, timeout=60), want)
+            assert sum(pool.stats().routed) == len(videos)
 
-    def test_thread_replicas_share_the_callers_pipeline(self):
-        """Every thread replica serves the caller's pipeline object, and
-        concurrent replicas over cold clips (each one a feature-cache
-        miss on the shared model) still match serial ``predict`` on a
+    def test_single_replica_serves_the_callers_pipeline(self):
+        """A one-replica pool serves the caller's pipeline object in
+        process, and concurrent clients over cold clips (each one a
+        feature-cache miss) still match serial ``predict`` on a
         separately built pipeline."""
         videos = _videos(64, offset=200)
         reference = _pipeline()
@@ -172,9 +189,8 @@ class TestEquivalence:
             except BaseException as exc:  # noqa: BLE001 - collected
                 failures.append(exc)
 
-        with ReplicaPool(pipeline, num_replicas=4, backend="thread") as pool:
-            assert all(replica.service.executor.pipeline is pipeline
-                       for replica in pool._replicas)
+        with ReplicaPool(pipeline, num_replicas=1) as pool:
+            assert pool._replicas[0].executor.pipeline is pipeline
             threads = [threading.Thread(target=client,
                                         args=(pool, videos[i::8]))
                        for i in range(8)]
@@ -184,8 +200,7 @@ class TestEquivalence:
                 thread.join()
             routed = pool.stats().routed
         assert failures == []
-        assert sum(routed) == len(videos)
-        assert all(count > 0 for count in routed)
+        assert routed == (len(videos),)
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +209,7 @@ class TestEquivalence:
 
 
 class TestRouting:
+    @needs_fork
     def test_repeats_land_on_the_same_replica(self):
         videos = _videos(10)
         with ReplicaPool(_pipeline(), num_replicas=4) as pool:
@@ -218,6 +234,7 @@ class TestRouting:
         assert set(counts) == {0, 1, 2, 3}
         assert min(counts.values()) > 4_000 // 4 // 3
 
+    @needs_fork
     def test_routed_counters_track_submissions(self):
         videos = _videos(9)
         with ReplicaPool(_pipeline(), num_replicas=3) as pool:
@@ -229,6 +246,7 @@ class TestRouting:
         assert snapshot.num_replicas == 3
         assert len(snapshot.replicas) == 3
 
+    @needs_fork
     def test_duplicate_content_keeps_one_replica_cache_hot(self):
         video = _videos(1)[0]
         with ReplicaPool(_pipeline(), num_replicas=4) as pool:
@@ -247,6 +265,7 @@ class TestRouting:
 
 
 class TestConcurrency:
+    @needs_fork
     def test_concurrent_clients_get_correct_results(self):
         videos = _videos(8)
         reference = {v.video_id: _pipeline().predict(v) for v in videos}
@@ -272,14 +291,12 @@ class TestConcurrency:
                 thread.join()
         assert failures == []
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_sharded_caches_miss_each_clip_once(self, backend):
+    @needs_fork
+    def test_sharded_caches_miss_each_clip_once(self):
         """16 clients each request all 16 clips, in their own order,
         from 4 replicas: routing on content sends every repeat of a
         clip to the replica that already holds it, so the pool misses
         each clip exactly once -- as one service's cache would."""
-        if backend == "process" and not hasattr(os, "fork"):
-            pytest.skip("needs fork")
         num_clients = 16
         videos = _videos(16, offset=300)
         reference = {v.video_id: _pipeline().predict(v) for v in videos}
@@ -295,8 +312,7 @@ class TestConcurrency:
             except BaseException as exc:  # noqa: BLE001 - collected
                 failures.append(exc)
 
-        with ReplicaPool(_pipeline(), num_replicas=4,
-                         backend=backend) as pool:
+        with ReplicaPool(_pipeline(), num_replicas=4) as pool:
             threads = [threading.Thread(target=client, args=(pool, seed))
                        for seed in range(num_clients)]
             for thread in threads:
@@ -325,6 +341,7 @@ def registry(tmp_path):
 
 
 class TestDeploy:
+    @needs_fork
     def test_full_deploy_swaps_every_replica(self, registry):
         want = registry.load("v2").model.fingerprint()
         with ReplicaPool.from_registry(registry, "v1",
@@ -343,9 +360,11 @@ class TestDeploy:
             pool.deploy("v2")
             _assert_same_result(pool.predict(video, timeout=30), v2_result)
 
+    @needs_fork
     def test_hot_swap_fails_zero_in_flight_requests(self, registry):
         """Deploy mid-load: every already-submitted and every
-        subsequent request resolves; none fails."""
+        subsequent request resolves, none fails, and every request
+        submitted after the deploy returned gets v2's answer."""
         videos = _videos(24)
         with ReplicaPool.from_registry(registry, "v1",
                                        num_replicas=2) as pool:
@@ -355,7 +374,11 @@ class TestDeploy:
             results = [f.result(timeout=60) for f in first + second]
         assert deployment.state == "complete"
         assert all(isinstance(r, ChainResult) for r in results)
+        v2 = registry.load("v2")
+        for video, got in zip(videos, results[len(videos):]):
+            _assert_same_result(got, v2.predict(video))
 
+    @needs_fork
     def test_canary_then_promote(self, registry):
         v1 = registry.load("v1").model.fingerprint()
         v2 = registry.load("v2").model.fingerprint()
@@ -372,6 +395,7 @@ class TestDeploy:
             assert set(pool.fingerprints()) == {v2}
             assert pool.version == "v2"
 
+    @needs_fork
     def test_canary_breaker_trip_rolls_back(self, registry):
         v1 = registry.load("v1").model.fingerprint()
         with ReplicaPool.from_registry(registry, "v1",
@@ -387,6 +411,7 @@ class TestDeploy:
             assert set(pool.fingerprints()) == {v1}
             assert pool.version == "v1"
 
+    @needs_fork
     def test_promote_on_complete_deployment_is_a_noop(self, registry):
         """A full deploy auto-completes; an unconditional promote()
         after it must not raise (nothing failed)."""
@@ -409,6 +434,7 @@ class TestDeploy:
             deployment.promote()
             assert pool.version == "v2"
 
+    @needs_fork
     def test_promote_after_rollback_raises(self, registry):
         with ReplicaPool.from_registry(registry, "v1",
                                        num_replicas=4) as pool:
@@ -417,6 +443,7 @@ class TestDeploy:
             with pytest.raises(DeploymentError, match="rolled_back"):
                 deployment.promote()
 
+    @needs_fork
     def test_explicit_rollback_restores_previous(self, registry):
         v1 = registry.load("v1").model.fingerprint()
         with ReplicaPool.from_registry(registry, "v1",
@@ -426,65 +453,51 @@ class TestDeploy:
             assert set(pool.fingerprints()) == {v1}
             assert pool.version == "v1"
 
-    def test_rollback_restores_each_thread_replica_pipeline(self, registry):
-        """A thread pool seeded from a bare pipeline rolls every replica
-        back to the pipeline it served before the deploy, and the
-        restored pool computes correct results."""
-        with ReplicaPool(_pipeline(), num_replicas=3, backend="thread",
+    def test_rollback_restores_the_callers_pipeline(self, registry):
+        """A one-replica pool seeded from a bare pipeline serves the
+        deployed version, and a rollback puts the caller's pipeline
+        object back, computing correct results."""
+        pipeline = _pipeline()
+        videos = _videos(3)
+        with ReplicaPool(pipeline, num_replicas=1,
                          registry=registry) as pool:
-            before = [r.service.executor.pipeline for r in pool._replicas]
             deployment = pool.deploy("v2")
+            assert pool._replicas[0].executor.pipeline is not pipeline
+            v2 = registry.load("v2")
+            for video in videos:
+                _assert_same_result(pool.predict(video, timeout=30),
+                                    v2.predict(video))
             deployment.rollback()
-            after = [r.service.executor.pipeline for r in pool._replicas]
-            assert all(a is b for a, b in zip(after, before))
+            assert pool._replicas[0].executor.pipeline is pipeline
             assert pool.version is None
-            for video in _videos(3):
+            for video in videos:
                 _assert_same_result(pool.predict(video, timeout=30),
                                     _pipeline().predict(video))
 
-    def test_thread_deploy_shares_one_pipeline(self, registry):
-        """A deploy loads the version once and every thread replica
-        serves that one object; a rollback brings back the original."""
-        pipeline = registry.load("v1")
-        video = _videos(1)[0]
-        with ReplicaPool(pipeline, num_replicas=3, backend="thread",
-                         registry=registry, version="v1") as pool:
-            deployment = pool.deploy("v2")
-            deployed = {id(r.service.executor.pipeline)
-                        for r in pool._replicas}
-            assert len(deployed) == 1
-            assert pool._replicas[0].service.executor.pipeline is not pipeline
-            _assert_same_result(pool.predict(video, timeout=30),
-                                registry.load("v2").predict(video))
-            deployment.rollback()
-            assert all(r.service.executor.pipeline is pipeline
-                       for r in pool._replicas)
-            assert pool.version == "v1"
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @needs_fork
     def test_process_pool_deploy_and_rollback(self, registry):
         v1 = registry.load("v1").model.fingerprint()
         v2 = registry.load("v2").model.fingerprint()
         video = _videos(1)[0]
-        with ReplicaPool.from_registry(registry, "v1", num_replicas=2,
-                                       backend="process") as pool:
+        with ReplicaPool.from_registry(registry, "v1",
+                                       num_replicas=2) as pool:
             deployment = pool.deploy("v2")
             assert set(pool.fingerprints()) == {v2}
             assert isinstance(pool.predict(video, timeout=60), ChainResult)
             deployment.rollback()
             assert set(pool.fingerprints()) == {v1}
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @needs_fork
     def test_process_replica_counts_breaker_shed_batches(self):
-        """Batches failed fast on an open breaker still show up in the
-        replica's stats snapshot, matching the thread path."""
+        """Batches failed fast on an open breaker still show up in a
+        forked replica's stats snapshot, as in process."""
         config = ServiceConfig(breaker=BreakerConfig())
-        with ReplicaPool(_pipeline(), num_replicas=1, backend="process",
+        with ReplicaPool(_pipeline(), num_replicas=2,
                          config=config) as pool:
-            _open_breaker(pool)
+            _open_breaker(pool, 1)
             # Hold the worker on a first batch so the next three
             # requests queue behind it and leave as one batch.
-            batcher = pool._replicas[0].service._batcher
+            batcher = pool._replicas[1]._batcher
             process_batch = batcher._on_batch
             busy, release = threading.Event(), threading.Event()
 
@@ -494,7 +507,7 @@ class TestDeploy:
                 return process_batch(items)
 
             batcher._on_batch = gated
-            videos = _videos(4)
+            videos = _routed_to(pool, 1, 4)
             futures = [pool.submit(videos[0])]
             assert busy.wait(60)
             futures += [pool.submit(video) for video in videos[1:]]
@@ -502,7 +515,7 @@ class TestDeploy:
             for future in futures:
                 assert isinstance(future.exception(timeout=60),
                                   CircuitOpenError)
-            snapshot = pool.stats().replicas[0]
+            snapshot = pool.stats().replicas[1]
         assert snapshot.batches == 2
         assert snapshot.mean_batch_occupancy == 2.0
 
@@ -517,41 +530,91 @@ class TestDeploy:
             with pytest.raises(ConfigError, match="canary_fraction"):
                 pool.deploy("v2", canary_fraction=0.0)
 
+    @needs_fork
+    def test_failed_deploy_swaps_done_replicas_back(self, registry):
+        """A deploy whose second swap fails (that replica's child is
+        dead) swaps the first replica back before it raises: the pool
+        serves v1 everywhere and still says so."""
+        v1 = registry.load("v1").model.fingerprint()
+        with ReplicaPool.from_registry(registry, "v1",
+                                       num_replicas=2) as pool:
+            _kill_replica(pool, 1)
+            with pytest.raises(PoolError, match="exited"):
+                pool.deploy("v2")
+            assert pool._replicas[0].executor.fingerprint() == v1
+            assert pool.version == "v1"
+            video = _routed_to(pool, 0, 1)[0]
+            _assert_same_result(pool.predict(video, timeout=60),
+                                registry.load("v1").predict(video))
+
+    @needs_fork
+    def test_failed_promote_swaps_rolled_forward_replicas_back(self,
+                                                               registry):
+        """A promote whose last swap fails swaps the replicas it had
+        rolled forward back: only the canary serves v2, and the
+        deployment is still a canary."""
+        v1 = registry.load("v1").model.fingerprint()
+        v2 = registry.load("v2").model.fingerprint()
+        with ReplicaPool.from_registry(registry, "v1",
+                                       num_replicas=3) as pool:
+            deployment = pool.deploy("v2", canary_fraction=0.34)
+            assert deployment.canaries == (0,)
+            _kill_replica(pool, 2)
+            with pytest.raises(PoolError, match="exited"):
+                deployment.promote()
+            assert deployment.state == "canary"
+            assert pool.version == "v1"
+            assert [pool._replicas[i].executor.fingerprint()
+                    for i in (0, 1)] == [v2, v1]
+            deployment.rollback()
+            assert pool._replicas[0].executor.fingerprint() == v1
+
+    @pytest.mark.parametrize("num_replicas", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_deploy_on_closed_pool_raises(self, registry, num_replicas):
+        """Nothing serves a closed pool, so a deploy is refused up
+        front, as a submit is, and the version does not move."""
+        pool = ReplicaPool.from_registry(registry, "v1",
+                                         num_replicas=num_replicas)
+        pool.close()
+        with pytest.raises(ServiceClosedError):
+            pool.deploy("v2")
+        assert pool.version == "v1"
+
 
 # ----------------------------------------------------------------------
 # Configuration and lifecycle
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@needs_fork
 class TestProcessBackend:
-    """A process replica is a StressService over a pipe executor, so it
-    has the thread backend's degraded mode, cache stats and retry."""
+    """A forked replica is a StressService over a pipe executor, so it
+    has the in-process service's degraded mode, cache stats and
+    retry."""
 
     def test_open_breaker_serves_cached_clip_degraded(self):
-        video = _videos(1)[0]
-        want = _pipeline().predict(video)
-        with ReplicaPool(_pipeline(), num_replicas=1,
-                         backend="process") as pool:
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
+            video, other = _routed_to(pool, 1, 2)
+            want = _pipeline().predict(video)
             pool.predict(video, timeout=60)  # fills the child's caches
-            _open_breaker(pool)
+            _open_breaker(pool, 1)
             got = pool.predict(video, timeout=60)
             assert got.degraded is True
             _assert_same_result(got, want)
             with pytest.raises(CircuitOpenError):
-                pool.predict(_videos(1, offset=50)[0], timeout=60)
-            assert pool.stats().replicas[0].degraded == 1
+                pool.predict(other, timeout=60)
+            assert pool.stats().replicas[1].degraded == 1
 
     def test_stats_report_the_child_stage_caches(self):
-        videos = _videos(3)
-        with ReplicaPool(_pipeline(), num_replicas=1,
-                         backend="process") as pool:
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
+            videos = _routed_to(pool, 1, 3)
             for video in videos + videos:
                 pool.predict(video, timeout=60)
-            cache = pool.stats().replicas[0].cache
+            cache = pool.stats().replicas[1].cache
         assert set(cache) == {"chain"}
         assert cache["chain"].size == 3
-        assert cache["chain"].hits >= 3 and cache["chain"].misses >= 3
+        assert cache["chain"].hits == 3 and cache["chain"].misses == 3
 
     def test_retry_policy_retries_a_transient_execute_fault(self):
         video = _videos(1)[0]
@@ -562,31 +625,29 @@ class TestProcessBackend:
         # its first serve.execute faults and the retry succeeds.
         plan = FaultPlan([FaultSpec(site="serve.execute", rate=1.0,
                                     max_faults=1)], seed=1)
-        with injected(plan), ReplicaPool(_pipeline(), num_replicas=1,
-                                         backend="process",
+        with injected(plan), ReplicaPool(_pipeline(), num_replicas=2,
                                          config=config) as pool:
             got = pool.predict(video, timeout=60)
-            snapshot = pool.stats().replicas[0]
+            snapshot = pool.stats().replicas[pool.route(video)]
         _assert_same_result(got, want)
         assert snapshot.retries == 1
         assert snapshot.failed == 0
 
 
 class TestReplicaServiceSurface:
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_every_public_attribute_reads_on_both_backends(self, backend):
-        """A replica's service has one surface whatever runs its
-        executor: nothing public reaches past the executor interface."""
-        if backend == "process" and not hasattr(os, "fork"):
-            pytest.skip("needs fork")
+    @pytest.mark.parametrize("num_replicas", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_public_surface_reads_in_and_out_of_process(self,
+                                                         num_replicas):
+        """A replica's service has one surface whether its executor
+        runs in process or in a forked child: nothing public reaches
+        past the executor interface."""
         videos = _videos(4)
-        with ReplicaPool(_pipeline(), num_replicas=2,
-                         backend=backend) as pool:
+        with ReplicaPool(_pipeline(), num_replicas=num_replicas) as pool:
             for video in videos + videos:
                 pool.predict(video, timeout=60)
             caches = []
-            for replica in pool._replicas:
-                service = replica.service
+            for service in pool._replicas:
                 for name in dir(service):
                     if not name.startswith("_"):
                         getattr(service, name)
@@ -603,14 +664,18 @@ class TestConfig:
         assert resolve_pool_replicas(2) == 2
 
     def test_backend_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_BACKEND", "process")
-        assert resolve_pool_backend() in ("process", "thread")
-        monkeypatch.delenv("REPRO_POOL_BACKEND")
-        assert resolve_pool_backend() == "thread"
+        """``REPRO_POOL_BACKEND`` is gone: the replica count alone sets
+        a pool's shape, so the variable is not read, even set."""
+        monkeypatch.setenv("REPRO_POOL_BACKEND", "thread")
+        assert "REPRO_POOL_BACKEND" not in ENV_VARS
+        with pytest.raises(ConfigError, match="unknown configuration"):
+            env_value("REPRO_POOL_BACKEND")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="unknown pool backend"):
-            resolve_pool_backend("gpu")
+        """Every backend is unknown now: ``backend=`` is not a
+        parameter, so no caller can ask for in-process replicas."""
+        with pytest.raises(TypeError, match="backend"):
+            ReplicaPool(_pipeline(), num_replicas=1, backend="thread")
 
     def test_bad_replica_count_rejected(self):
         with pytest.raises(PoolError, match="num_replicas"):
@@ -626,13 +691,25 @@ class TestConfig:
         with pytest.raises(PoolError, match="no versions"):
             ReplicaPool.from_registry(ModelRegistry(tmp_path / "empty"))
 
+    def test_multi_replica_without_fork_raises(self, monkeypatch):
+        """Replicas beyond one are forked processes: without
+        ``os.fork`` the pool refuses to build instead of serving
+        something else, while one in-process replica still builds."""
+        monkeypatch.delattr(os, "fork", raising=False)
+        with pytest.raises(PoolError, match="os.fork"):
+            ReplicaPool(_pipeline(), num_replicas=2)
+        with ReplicaPool(_pipeline(), num_replicas=1) as pool:
+            video = _videos(1)[0]
+            _assert_same_result(pool.predict(video, timeout=30),
+                                _pipeline().predict(video))
+
 
 class TestFailedBuild:
     """A pool whose construction raises leaves nothing running: every
     replica it had already started is closed before the error
     propagates."""
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @needs_fork
     def test_process_build_failure_closes_started_replicas(self,
                                                            monkeypatch):
         real = pool_module._PipeExecutor
@@ -647,29 +724,11 @@ class TestFailedBuild:
         monkeypatch.setattr(pool_module, "_PipeExecutor", second_fails)
         threads_before = set(threading.enumerate())
         with pytest.raises(OSError, match="no more pipes"):
-            ReplicaPool(_pipeline(), num_replicas=3, backend="process")
+            ReplicaPool(_pipeline(), num_replicas=3)
         assert len(built) == 1
         assert not built[0]._process.is_alive()
         assert not [t for t in threading.enumerate()
                     if t not in threads_before and t.is_alive()]
-
-    def test_thread_build_failure_closes_started_replicas(self,
-                                                          monkeypatch):
-        built = []
-
-        class SecondFails(StressService):
-            def __init__(self, *args, **kwargs):
-                if built:
-                    raise RuntimeError("cannot start replica")
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(pool_module, "StressService", SecondFails)
-        with pytest.raises(RuntimeError, match="cannot start replica"):
-            ReplicaPool(_pipeline(), num_replicas=3, backend="thread")
-        assert len(built) == 1
-        assert built[0].closed
-        assert not built[0]._batcher._worker.is_alive()
 
 
 class TestServiceSwap:

@@ -3,7 +3,8 @@
 - Clips that share ``video_id`` and render seed but differ in content
   each get their own answer, bitwise equal to their own serial
   ``predict``, through a service and through one- and two-replica
-  pools; the pool routes on the content hash alone.
+  pools (the two replicas are forked children); the pool routes on
+  the content hash alone.
 - Ids that share content each get their own answer from a model whose
   outputs depend on the id (the off-the-shelf proxies seed their
   per-query noise from it), and from a pipeline whose own streams read
@@ -16,6 +17,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -34,6 +36,11 @@ from repro.serving import ServiceConfig, StressService
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.pool import ReplicaPool, _HashRing
 from repro.video.frame import Video, VideoSpec
+
+#: Marks a test that builds a pool of more than one replica: each
+#: replica is a forked child process.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="replicas beyond one fork")
 
 
 def _spec(index: int, video_id: str = "shared-id",
@@ -92,11 +99,11 @@ class TestSameIdDifferentContent:
             assert _mismatches(_through(service), pipeline,
                                self.SPECS) == 0
 
-    @pytest.mark.parametrize("num_replicas", [1, 2])
+    @pytest.mark.parametrize("num_replicas", [
+        1, pytest.param(2, marks=needs_fork)])
     def test_pool_answers_each_content(self, num_replicas):
         pipeline = _pipeline()
-        with ReplicaPool(pipeline, num_replicas=num_replicas,
-                         backend="thread") as pool:
+        with ReplicaPool(pipeline, num_replicas=num_replicas) as pool:
             assert _mismatches(_through(pool), pipeline, self.SPECS) == 0
 
     def test_predict_many_answers_each_content(self):
@@ -104,10 +111,10 @@ class TestSameIdDifferentContent:
         assert _mismatches(pipeline.predict_many, pipeline,
                            self.SPECS) == 0
 
+    @needs_fork
     def test_route_is_a_function_of_content_hash(self):
         ring = _HashRing(2)
-        with ReplicaPool(_pipeline(), num_replicas=2,
-                         backend="thread") as pool:
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
             routes = [pool.route(Video(spec)) for spec in self.SPECS]
             # Same content under another id routes the same way.
             renamed = [pool.route(Video(replace(spec, video_id="other")))
@@ -158,15 +165,18 @@ class TestOffTheShelfTwinIds:
             assert _mismatches(_through(service), pipeline,
                                self.SPECS) == 0
 
+    @needs_fork
     def test_pool_answers_each_id(self, gpt4o):
+        """Each twin crosses into its forked replica with its own id,
+        so the proxy's per-query noise reads the same id there."""
         pipeline = StressChainPipeline(gpt4o)
-        with ReplicaPool(pipeline, num_replicas=2,
-                         backend="thread") as pool:
+        with ReplicaPool(pipeline, num_replicas=2) as pool:
             assert _mismatches(_through(pool), pipeline, self.SPECS) == 0
 
+    @needs_fork
     def test_twins_still_route_together(self, gpt4o):
-        with ReplicaPool(StressChainPipeline(gpt4o), num_replicas=2,
-                         backend="thread") as pool:
+        with ReplicaPool(StressChainPipeline(gpt4o),
+                         num_replicas=2) as pool:
             routes = [pool.route(Video(spec)) for spec in self.SPECS]
         assert routes[0::2] == routes[1::2]
 

@@ -1,8 +1,11 @@
 """Tests for Video / VideoSpec."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.video.face_synth import FaceRenderer
 from repro.video.frame import DEFAULT_NUM_FRAMES, IDENTITY_DIM, Video, VideoSpec
 
 
@@ -80,3 +83,30 @@ class TestVideo:
         labels2 = video.segmentation(32)
         assert labels1 is labels2
         assert labels1.shape == (96, 96)
+
+
+class TestPickle:
+    """A clip crosses a process boundary (a forked pool replica's pipe)
+    as its spec and frame size, not as its renderer's arrays or its
+    cached frames."""
+
+    @pytest.mark.parametrize("frame_size", [None, 32])
+    def test_round_trip_keeps_content_and_frames(self, frame_size):
+        renderer = (FaceRenderer(frame_size=frame_size)
+                    if frame_size is not None else None)
+        spec = _spec(au_intensities=np.random.default_rng(3).random((12, 12)),
+                     noise_scale=0.05, occlusion_rate=0.5)
+        video = Video(spec, renderer)
+        frames = video.frames()
+        copy = pickle.loads(pickle.dumps(video))
+        assert copy.video_id == video.video_id
+        assert copy.frame_size == video.frame_size
+        assert copy.content_hash == video.content_hash
+        assert np.array_equal(copy.frames(), frames)
+        assert copy.frames().tobytes() == frames.tobytes()
+
+    def test_pickled_size_is_bounded_by_the_spec(self):
+        video = Video(_spec())
+        video.frames()
+        video.segmentation()
+        assert len(pickle.dumps(video)) < 8 * 1024
