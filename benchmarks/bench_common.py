@@ -1,12 +1,10 @@
 """Shared helpers for the benchmark scripts.
 
 Each bench script owns one top-level section of ``BENCH_eval.json``
-(``bench_reliability.py`` owns ``reliability``,
-``bench_observability.py`` owns ``observability``).  ``merge_report``
-updates only the caller's section, so the scripts can run
-independently without clobbering each other's recorded numbers, or the
-sections no script writes any more (``deletion_metric``,
-``parallel_cv``, ``serving`` and ``pool`` are a frozen record).
+(``bench_observability.py`` owns ``observability``).  ``merge_report``
+updates only the caller's section, so it never clobbers the sections
+no script writes any more (``deletion_metric``, ``parallel_cv``,
+``serving``, ``pool`` and ``reliability`` are a frozen record).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ A handful of *fault sites* are compiled into the library's hot paths:
 site                      where it fires
 ========================  ====================================================
 ``model.forward``         :meth:`FoundationModel.embed_video` (the trunk pass
-                          every served request performs)
+                          of every chain run)
 ``serve.execute``         :meth:`ChainBatchExecutor.run_batch`, once per
                           unique request key before its cache lookup
 ``cache.get``             :meth:`StageCaches.get` (the serving chain cache)
@@ -16,8 +16,8 @@ site                      where it fires
 ========================  ====================================================
 
 When no :class:`FaultPlan` is installed every site is a no-op costing
-one global read and a ``None`` check (the disabled-path benchmark in
-``benchmarks/bench_reliability.py`` pins this).  When a plan is armed,
+one global read and a ``None`` check, calling nothing (pinned by
+``tests/test_serving_service.py``).  When a plan is armed,
 each site draws from its *own* seeded RNG stream -- derived from
 ``(plan seed, site name)`` exactly like every other stream in the repo
 (see :mod:`repro.rng`) -- so a failure schedule is a pure function of

@@ -33,7 +33,9 @@ chain cache and the model's feature cache all read one digest.
 A cache holds the answers of one pipeline, so it belongs to the
 executor that fills it: a :class:`~repro.serving.executor
 .ChainBatchExecutor` builds its own from a capacity, never hands it
-out, and clears it when its pipeline is swapped.  Entries are frozen
+out, and clears it when its pipeline is swapped.  A forked pool
+replica's executor keeps it in the parent process too, so a hit never
+crosses the pipe and only misses reach the child.  Entries are frozen
 and carry their dialogue turns already rendered, so a hit builds no
 text and requests can share an entry.
 """

@@ -9,8 +9,9 @@ it:
   lookup, and one trunk pass per call;
 - :class:`ChainBatchExecutor` answers each unique request key of a
   batch with one lookup in its chain cache
-  (:class:`~repro.serving.cache.StageCaches`), and runs the core and
-  stores its result only on a miss, so served results are
+  (:class:`~repro.serving.cache.StageCaches`), and runs the core over
+  the misses only (a forked pool replica runs them in its child, see
+  :mod:`repro.serving.pool`), so served results are
   **bitwise-identical** to serial ``predict`` by construction.
 
 The guarantee is structural, not numerical luck:
@@ -101,14 +102,11 @@ class ChainBatchExecutor:
     ``cache_capacity`` (0 disables it) and never hands it out, because
     a cached answer is valid only for the weights that computed it.
     Its public methods are the whole interface a
-    :class:`~repro.serving.service.StressService` uses, so the pipe
-    executor of a forked pool replica (:mod:`repro.serving.pool`) can
-    stand in for it by forwarding each call to a child that owns the
-    real one.
+    :class:`~repro.serving.service.StressService` uses.
     """
 
     def __init__(self, pipeline, cache_capacity: int = 4096):
-        self.pipeline = _checked_pipeline(pipeline)
+        self.pipeline = _as_pipeline(pipeline)
         self._cache = StageCaches(cache_capacity)
 
     # ------------------------------------------------------------------
@@ -135,6 +133,7 @@ class ChainBatchExecutor:
                     continue
                 groups.setdefault(key, []).append(i)
             sp.set("unique", len(groups))
+            misses: list[tuple[Hashable, list[int]]] = []
             for key, indices in groups.items():
                 try:
                     # The serve.execute fault site fires per unique
@@ -143,16 +142,40 @@ class ChainBatchExecutor:
                     # error), never the whole batch.
                     fault_point("serve.execute")
                     core = cache.get(key)
-                    if core is None:
-                        core = _run_core(pipeline, videos[indices[0]])
-                        cache.put(key, core)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     for i in indices:
                         outcomes[i] = exc
                     continue
+                if core is None:
+                    misses.append((key, indices))
+                    continue
                 for i in indices:
                     outcomes[i] = _materialize(core)
+            if misses:
+                cores = self._run_misses(
+                    [videos[indices[0]] for __, indices in misses])
+                for (key, indices), core in zip(misses, cores):
+                    if isinstance(core, BaseException):
+                        for i in indices:
+                            outcomes[i] = core
+                        continue
+                    cache.put(key, core)
+                    for i in indices:
+                        outcomes[i] = _materialize(core)
         return outcomes, len(groups)
+
+    def _run_misses(self, videos: list[Video]) -> list[object]:
+        """The chain core over a batch's unique misses: per video, its
+        :class:`_ChainCore` or the exception its run raised.  A forked
+        replica's executor overrides this, ``swap`` and ``close``."""
+        pipeline = self.pipeline
+        cores: list[object] = []
+        for video in videos:
+            try:
+                cores.append(_run_core(pipeline, video))
+            except Exception as exc:  # noqa: BLE001 - per-request failure
+                cores.append(exc)
+        return cores
 
     def run_cached(self, video: Video) -> ChainResult | None:
         """Cache-only answer: the stored chain result for ``video``'s
@@ -176,11 +199,7 @@ class ChainBatchExecutor:
         synchronization: the service swaps under its swap lock, so no
         batch is mid-execution.
         """
-        if isinstance(source, (str, os.PathLike)):
-            from repro.model.persistence import load_pipeline
-
-            source = load_pipeline(source)
-        self.pipeline = _checked_pipeline(source)
+        self.pipeline = _as_pipeline(source)
         self._cache.clear()
 
     def cache_stats(self) -> dict[str, CacheStats]:
@@ -192,8 +211,8 @@ class ChainBatchExecutor:
         return self.pipeline.model.fingerprint()
 
     def close(self) -> None:
-        """Nothing to release in process; a pipe executor stops its
-        child here."""
+        """Nothing to release in process; a forked replica's executor
+        stops its child here."""
 
 
 # ----------------------------------------------------------------------
@@ -320,8 +339,13 @@ def _check_deadline(deadline: Deadline | None, stage: str) -> None:
             "no further model work was spent")
 
 
-def _checked_pipeline(pipeline) -> StressChainPipeline:
-    if not isinstance(pipeline, StressChainPipeline):
+def _as_pipeline(source) -> StressChainPipeline:
+    """``source``: a pipeline, or the path of a saved pipeline."""
+    if isinstance(source, (str, os.PathLike)):
+        from repro.model.persistence import load_pipeline
+
+        source = load_pipeline(source)
+    if not isinstance(source, StressChainPipeline):
         raise TypeError(
-            f"expected a StressChainPipeline, got {type(pipeline).__name__}")
-    return pipeline
+            f"expected a StressChainPipeline, got {type(source).__name__}")
+    return source

@@ -8,16 +8,13 @@ and circuit breaker:
 
 - **One replica runs in process; more replicas fork.**
   ``num_replicas=1`` is one in-process service over the caller's
-  pipeline.  ``num_replicas > 1`` gives each replica's service a pipe
-  executor that forwards every executor call to a forked child owning
-  the real executor and chain cache (POSIX only: without ``os.fork``
-  such a pool raises :class:`~repro.errors.PoolError`).  Replicas in
-  one process would share one model and one GIL, so they add routing
-  and batcher threads but no parallel model work; only forked
-  replicas run the chain on more than one core.  Hot, cache-bound
-  traffic is fastest on one replica, because a forked replica pays a
-  pipe round trip even for a cache hit; forked replicas pay off on
-  cold, compute-bound traffic.  The default count comes from
+  pipeline.  Beyond one, each replica's chain cache stays in the
+  parent and only its batches' misses run in a forked child (POSIX
+  only: without ``os.fork`` such a pool raises
+  :class:`~repro.errors.PoolError`), so a cache hit never crosses the
+  pipe and a dead child takes no cached answer with it.  Forking pays
+  off on cold, compute-bound traffic, where each child runs the chain
+  on its own core.  The default count comes from
   ``REPRO_POOL_REPLICAS`` via :func:`repro.config.settings`.
 - **Routing is consistent-hash on content.**  Every request is routed
   by its video's :attr:`~repro.video.frame.Video.content_hash` (the
@@ -29,17 +26,9 @@ and circuit breaker:
   keyspace.
 - **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` hands a
   :class:`~repro.model.registry.ModelRegistry` version's verified
-  artifact path to a canary subset first (each replica drains its
-  in-flight batch before its weights change, so zero in-flight
-  requests fail), and :meth:`Deployment.promote` rolls the canaries
-  back and raises :class:`~repro.errors.DeploymentError` if any
-  canary's circuit breaker tripped during the bake.  A swap that
-  fails part-way swaps the replicas it already changed back before
-  the error propagates.
-- **Single-replica equivalence.**  ``ReplicaPool(num_replicas=1)``
-  returns bitwise-identical :class:`~repro.cot.chain.ChainResult`
-  objects to a plain :class:`StressService` (the pool equivalence
-  suite pins this): routing picks a replica, never changes the math.
+  artifact path to a canary subset first, and
+  :meth:`Deployment.promote` rolls the rest forward or, if a canary's
+  circuit breaker tripped, rolls the canaries back.
 """
 
 from __future__ import annotations
@@ -65,7 +54,7 @@ from repro.reliability.breaker import OPEN, BreakerConfig
 # video_content_hash stays importable from here: perfbench's ledger
 # wraps it under this module's name.  Routes read Video.content_hash.
 from repro.serving.cache import video_content_hash  # noqa: F401
-from repro.serving.executor import ChainBatchExecutor
+from repro.serving.executor import ChainBatchExecutor, _as_pipeline
 from repro.serving.service import ServiceConfig, StressService
 from repro.serving.stats import ServiceStatsSnapshot
 from repro.video.frame import Video
@@ -136,25 +125,21 @@ class _HashRing:
 # ----------------------------------------------------------------------
 
 
-class _PipeExecutor:
-    """The executor interface of a :class:`StressService`, forwarded
-    over a pipe to a forked child: what each replica of a
-    multi-replica pool serves through.
+class _PipeExecutor(ChainBatchExecutor):
+    """A forked replica's executor: the in-process one, whose batch
+    misses run in a child that inherits the pipeline through fork.
+    Everything else runs in the parent.  The pipe carries three calls
+    -- run misses, swap, close -- strictly request/response under a
+    lock, so calls never interleave."""
 
-    The child inherits ``pipeline`` through fork (nothing is pickled on
-    the way in) and owns the real executor and chain cache; the
-    parent's service keeps the request plumbing -- micro-batcher,
-    retry, circuit breaker, stats.  The pipe is strictly
-    request/response and guarded by a lock, so calls never interleave.
-    """
-
-    def __init__(self, pipeline, config: ServiceConfig, name: str):
+    def __init__(self, pipeline, cache_capacity: int, name: str):
+        super().__init__(pipeline, cache_capacity)
         context = multiprocessing.get_context("fork")
         self._conn, child_conn = context.Pipe()
         self._lock = threading.Lock()
         self._process = context.Process(
             target=_process_replica_worker,
-            args=(child_conn, pipeline, config),
+            args=(child_conn, self.pipeline),
             name=name,
             daemon=True,
         )
@@ -172,44 +157,47 @@ class _PipeExecutor:
             raise payload
         return payload
 
-    def run_batch(self, videos: list[Video]) -> tuple[list[object], int]:
+    def _run_misses(self, videos: list[Video]) -> list[object]:
         try:
-            return self._call("run_batch", videos)
-        except Exception as exc:  # noqa: BLE001 - fail the batch
-            return [exc] * len(videos), len(videos)
-
-    def run_cached(self, video: Video):
-        return self._call("run_cached", video)
+            return self._call("run_misses", videos)
+        except Exception as exc:  # noqa: BLE001 - fail the misses
+            return [exc] * len(videos)
 
     def swap(self, source) -> None:
-        self._call("swap", source)
+        """Swap the child, then the parent's copy that keys read; a
+        child serving another fingerprint raises :class:`PoolError`
+        and leaves the parent's pipeline and cache as they were."""
+        pipeline = _as_pipeline(source)
+        served = self._call("swap", source)
+        if served != pipeline.model.fingerprint():
+            raise PoolError(
+                f"{self._process.name} serves fingerprint {served}, "
+                f"not the swapped-in {pipeline.model.fingerprint()}")
+        super().swap(pipeline)
 
-    def cache_stats(self) -> dict:
-        """The child's chain-cache stats; empty once it has exited."""
-        try:
-            return self._call("cache_stats")
-        except PoolError:
-            return {}
-
-    def fingerprint(self) -> str:
-        return self._call("fingerprint")
-
-    def close(self, timeout: float = 5.0) -> None:
+    def close(self) -> None:
         try:
             self._call("close")
         except (PoolError, OSError, EOFError):
             pass
-        self._process.join(timeout)
+        self._process.join(5.0)
         if self._process.is_alive():  # pragma: no cover - hung child
             self._process.terminate()
         self._conn.close()
 
 
-def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
-    """Child-process loop of one forked replica: a dispatcher
-    over a :class:`ChainBatchExecutor`'s methods, answering
-    ``("ok", result)`` / ``("error", exc)`` per call until ``close``."""
-    executor = ChainBatchExecutor(pipeline, config.cache_capacity)
+def _process_replica_worker(conn, pipeline) -> None:
+    """Child-process loop of one forked replica: answers
+    ``("ok", result)`` / ``("error", exc)`` per call until ``close``;
+    a swap replies with the fingerprint it now serves."""
+    executor = ChainBatchExecutor(pipeline, cache_capacity=0)
+
+    def swap(source) -> str:
+        executor.swap(source)
+        return executor.fingerprint()
+
+    calls = {"run_misses": executor._run_misses, "swap": swap,
+             "close": lambda: None}
     try:
         while True:
             try:
@@ -217,7 +205,7 @@ def _process_replica_worker(conn, pipeline, config: ServiceConfig) -> None:
             except EOFError:
                 return
             try:
-                conn.send(("ok", getattr(executor, method)(*args)))
+                conn.send(("ok", calls[method](*args)))
             except Exception as exc:  # noqa: BLE001 - child must survive
                 conn.send(("error", exc))
             if method == "close":
@@ -310,7 +298,7 @@ class ReplicaPool:
                 executor = (
                     ChainBatchExecutor(pipeline, self.config.cache_capacity)
                     if self.num_replicas == 1
-                    else _PipeExecutor(pipeline, self.config,
+                    else _PipeExecutor(pipeline, self.config.cache_capacity,
                                        f"pool-replica-{index}"))
                 self._replicas.append(
                     StressService._over(executor, self.config))

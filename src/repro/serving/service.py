@@ -114,9 +114,9 @@ class StressService:
 
     @classmethod
     def _over(cls, executor, config: ServiceConfig) -> "StressService":
-        """A service over a ready executor: anything with the
-        :class:`ChainBatchExecutor` methods, such as a forked
-        replica's pipe executor."""
+        """A service over a ready executor: a
+        :class:`ChainBatchExecutor`, such as a forked replica's
+        subclass of it."""
         service = cls.__new__(cls)
         service._setup(executor, config)
         return service

@@ -542,6 +542,9 @@ class TestDeploy:
             with pytest.raises(PoolError, match="exited"):
                 pool.deploy("v2")
             assert pool._replicas[0].executor.fingerprint() == v1
+            # The dead replica's parent side kept v1 too: its swap
+            # raised before the parent's copy changed.
+            assert pool._replicas[1].executor.fingerprint() == v1
             assert pool.version == "v1"
             video = _routed_to(pool, 0, 1)[0]
             _assert_same_result(pool.predict(video, timeout=60),
@@ -569,6 +572,44 @@ class TestDeploy:
             deployment.rollback()
             assert pool._replicas[0].executor.fingerprint() == v1
 
+    @needs_fork
+    def test_forked_swap_clears_the_parent_cache(self, registry):
+        """The chain cache of a forked replica lives in the parent, and
+        a deploy clears it there: the warmed clip misses again and
+        gets v2's answer."""
+        v2 = registry.load("v2")
+        with ReplicaPool.from_registry(registry, "v1",
+                                       num_replicas=2) as pool:
+            video = _routed_to(pool, 1, 1)[0]
+            pool.predict(video, timeout=60)
+            assert pool.stats().replicas[1].cache["chain"].size == 1
+            pool.deploy("v2")
+            assert pool.stats().replicas[1].cache["chain"].size == 0
+            _assert_same_result(pool.predict(video, timeout=60),
+                                v2.predict(video))
+            assert pool._replicas[1].executor.fingerprint() == \
+                v2.model.fingerprint()
+
+    @needs_fork
+    def test_forked_swap_refuses_a_fingerprint_mismatch(self, registry,
+                                                        monkeypatch):
+        """The child's swap reply is its fingerprint; one that differs
+        from the parent's copy raises, and the parent keeps its
+        pipeline and its cache."""
+        with ReplicaPool.from_registry(registry, "v1",
+                                       num_replicas=2) as pool:
+            executor = pool._replicas[1].executor
+            served = executor.pipeline
+            pool.predict(_routed_to(pool, 1, 1)[0], timeout=60)
+            other = _pipeline(seed=5, scope="pool-other")
+            monkeypatch.setattr(pool_module, "_as_pipeline",
+                                lambda source: other)
+            with pytest.raises(PoolError, match="fingerprint"):
+                pool._replicas[1].swap_pipeline(
+                    registry.verified_artifact("v2"))
+            assert executor.pipeline is served
+            assert pool.stats().replicas[1].cache["chain"].size == 1
+
     @pytest.mark.parametrize("num_replicas", [
         1, pytest.param(2, marks=needs_fork)])
     def test_deploy_on_closed_pool_raises(self, registry, num_replicas):
@@ -585,6 +626,45 @@ class TestDeploy:
 # ----------------------------------------------------------------------
 # Configuration and lifecycle
 # ----------------------------------------------------------------------
+
+
+@needs_fork
+class TestDeadChild:
+    """A forked replica's chain cache lives in the parent, so a replica
+    whose child was killed still answers the clips it cached; only
+    misses need the child."""
+
+    def _warm_then_kill(self, pool: ReplicaPool) -> tuple[Video, Video]:
+        warm, cold = _routed_to(pool, 1, 2)
+        pool.predict(warm, timeout=60)
+        _kill_replica(pool, 1)
+        return warm, cold
+
+    def test_closed_breaker_answers_warm_clip_and_fails_cold(self):
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
+            warm, cold = self._warm_then_kill(pool)
+            got = pool.predict(warm, timeout=60)
+            assert got.degraded is False
+            _assert_same_result(got, _pipeline().predict(warm))
+            with pytest.raises(PoolError, match="exited"):
+                pool.predict(cold, timeout=60)
+
+    def test_open_breaker_answers_warm_clip_degraded(self):
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
+            warm, cold = self._warm_then_kill(pool)
+            _open_breaker(pool, 1)
+            got = pool.predict(warm, timeout=60)
+            assert got.degraded is True
+            _assert_same_result(got, _pipeline().predict(warm))
+            with pytest.raises(CircuitOpenError):
+                pool.predict(cold, timeout=60)
+
+    def test_cache_stats_outlive_the_child(self):
+        with ReplicaPool(_pipeline(), num_replicas=2) as pool:
+            self._warm_then_kill(pool)
+            cache = pool.stats().replicas[1].cache
+        assert set(cache) == {"chain"}
+        assert (cache["chain"].size, cache["chain"].misses) == (1, 1)
 
 
 @needs_fork
@@ -607,6 +687,8 @@ class TestProcessBackend:
             assert pool.stats().replicas[1].degraded == 1
 
     def test_stats_report_the_child_stage_caches(self):
+        """The chain cache of a forked replica is counted where it
+        lives, in the parent: one miss and one hit per clip."""
         with ReplicaPool(_pipeline(), num_replicas=2) as pool:
             videos = _routed_to(pool, 1, 3)
             for video in videos + videos:
@@ -621,8 +703,8 @@ class TestProcessBackend:
         want = _pipeline().predict(video)
         config = ServiceConfig(retry_policy=RetryPolicy(
             max_attempts=2, base_delay_ms=0.1, max_delay_ms=0.5))
-        # Armed before the pool forks, so the child inherits the plan:
-        # its first serve.execute faults and the retry succeeds.
+        # serve.execute fires in the parent, before the cache lookup:
+        # its first hit faults and the retry succeeds.
         plan = FaultPlan([FaultSpec(site="serve.execute", rate=1.0,
                                     max_faults=1)], seed=1)
         with injected(plan), ReplicaPool(_pipeline(), num_replicas=2,

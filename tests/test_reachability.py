@@ -70,6 +70,7 @@ ALLOWED = {
     "save_model": "writes the archive load_model reads",
     "active_plan": "reports the armed fault plan",
     "uninstall_plan": "disarms fault injection",
+    "injected": "arms a fault plan for one with block, as a chaos drill does",
     "ListExporter": "in-memory span exporter for reading a trace",
     "MetricsRegistry.reset": "empties a registry between runs",
 }

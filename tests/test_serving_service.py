@@ -7,6 +7,7 @@ behaviour, config validation, and the service stats surface.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -21,8 +22,16 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.model.foundation import FoundationModel
+from repro.cot.chain import ChainResult
 from repro.observability.metrics import MetricsRegistry
 from repro.reliability.deadlines import Deadline
+from repro.reliability.faults import (
+    FAULT_SITES,
+    FaultPlan,
+    FaultSpec,
+    fault_point,
+    injected,
+)
 from repro.rng import make_rng
 from repro.serving import (
     ChainBatchExecutor,
@@ -259,6 +268,45 @@ class TestDeadline:
                            deadline_ms=float("nan"))
             assert svc.stats().requests == 0
 
+    def test_never_expiring_deadline_is_checked_once_per_request(
+            self, pipeline, monkeypatch):
+        """A deadline that never expires costs one ``expired`` check
+        per request, at batch collection, however the queue batches:
+        17 warm requests with an hour's budget, 16 of them queued
+        behind a held batch of one, make 17 checks."""
+        videos = [_video(f"deadline-cost-{i}", 90 + i) for i in range(4)]
+        checks = []
+        expired = Deadline.expired
+
+        def counted(deadline, now=None):
+            checks.append(deadline)
+            return expired(deadline, now)
+
+        monkeypatch.setattr(Deadline, "expired", counted)
+        hour_ms = 3_600_000.0
+        with StressService(pipeline,
+                           ServiceConfig(max_batch_size=4)) as svc:
+            for video in videos:
+                svc.predict(video, timeout=30)
+            assert checks == []
+            busy, release = threading.Event(), threading.Event()
+            run_batch = svc.executor.run_batch
+
+            def gated(batch):
+                busy.set()
+                release.wait(30)
+                return run_batch(batch)
+
+            svc.executor.run_batch = gated
+            futures = [svc.submit(videos[0], deadline_ms=hour_ms)]
+            assert busy.wait(30)
+            futures += [svc.submit(videos[i % 4], deadline_ms=hour_ms)
+                        for i in range(16)]
+            release.set()
+            results = [future.result(30) for future in futures]
+        assert all(isinstance(result, ChainResult) for result in results)
+        assert len(checks) == len(futures)
+
 
 class TestStressService:
     def test_predict_and_stats_counters(self, pipeline):
@@ -383,6 +431,45 @@ class TestChainCacheHitPath:
             == (1, 0)
         assert _signature(warm) == _signature(cold) == \
             _signature(pipeline.predict(video))
+
+    def test_disarmed_fault_point_calls_nothing(self):
+        """With no plan armed, a fault site is a global read and a
+        ``None`` check: it calls no other function."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call" and arg is not sys.setprofile:
+                calls.append(arg.__name__)
+
+        sys.setprofile(profile)
+        try:
+            fault_point("serve.execute")
+        finally:
+            sys.setprofile(None)
+        assert calls == ["fault_point"]
+
+    def test_warm_hit_passes_each_serving_site_once_per_key(self):
+        """A warm batch passes ``serve.execute`` and ``cache.get`` once
+        per unique key and reaches no model stage: four requests over
+        two warm clips make two hits at each site and none elsewhere."""
+        pipeline, calls = self._counting_pipeline()
+        first, second = _video("sites-a", 76), _video("sites-b", 77)
+        executor = ChainBatchExecutor(pipeline)
+        executor.run_batch([first, second])
+        embeds = len(calls)
+        plan = FaultPlan([FaultSpec(site=site, rate=0.0)
+                          for site in FAULT_SITES])
+        with injected(plan):
+            outcomes, unique = executor.run_batch(
+                [first, Video(second.spec), Video(first.spec), first])
+        assert unique == 2
+        assert all(isinstance(outcome, ChainResult) for outcome in outcomes)
+        assert len(calls) == embeds
+        hits = {site: counts.hits for site, counts in plan.counts().items()}
+        assert hits == {site: 0 for site in FAULT_SITES} | {
+            "serve.execute": 2, "cache.get": 2}
 
     def test_zero_capacity_serves_bitwise_serial(self, pipeline):
         videos = [_video("cap0-a", 72), _video("cap0-b", 73)]
