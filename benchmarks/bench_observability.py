@@ -104,7 +104,7 @@ def bench_observability(quick: bool) -> dict:
     model = FoundationModel(make_rng(3, "bench-observability"))
     pipeline = StressChainPipeline(model)
 
-    # Warm the feature cache so both measurements time pure model math.
+    # Warm the clips' features so both measurements time pure model math.
     for video in videos:
         pipeline.predict(video)
 

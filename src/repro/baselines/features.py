@@ -24,14 +24,6 @@ def frame_patch_features(frame: np.ndarray, grid: int = FRAME_GRID) -> np.ndarra
     return (patch_means(frame, grid) - 0.5) * 4.0
 
 
-def per_frame_features(video: Video, grid: int = FRAME_GRID) -> np.ndarray:
-    """Per-frame patch features, shape (T, grid*grid)."""
-    return np.stack([
-        frame_patch_features(video.frame(t), grid)
-        for t in range(video.num_frames)
-    ])
-
-
 def landmark_point_features(frame: np.ndarray,
                             points_per_region: int = 7) -> np.ndarray:
     """Pixel samples around each facial region's landmark lattice --
@@ -50,6 +42,31 @@ def landmark_point_features(frame: np.ndarray,
     return (np.asarray(values) - 0.5) * 4.0
 
 
+def _per_frame(video: Video) -> tuple[np.ndarray, np.ndarray]:
+    """Both per-frame feature matrices, kept on the clip: one pass
+    over its frames computes them together, so a clip renders its
+    frames once for every baseline, whichever reads first."""
+    def extract() -> tuple[np.ndarray, np.ndarray]:
+        patches, landmarks = [], []
+        for t in range(video.num_frames):
+            frame = video.frame(t)
+            patches.append(frame_patch_features(frame))
+            landmarks.append(landmark_point_features(frame))
+        return np.stack(patches), np.stack(landmarks)
+
+    return video.derive("baselines.per_frame", extract)
+
+
+def per_frame_features(video: Video) -> np.ndarray:
+    """Per-frame patch features, shape (T, FRAME_GRID**2)."""
+    return _per_frame(video)[0]
+
+
+def landmark_features(video: Video) -> np.ndarray:
+    """Per-frame :func:`landmark_point_features`, shape (T, 49)."""
+    return _per_frame(video)[1]
+
+
 def region_intensity_features(video: Video,
                               estimation_noise: float = 0.08) -> np.ndarray:
     """AAM-style per-region activation intensities: mean and standard
@@ -63,14 +80,17 @@ def region_intensity_features(video: Video,
     """
     from repro.rng import make_rng
 
-    expressive, neutral = video.keyframes
-    difference = expressive - neutral
-    features = []
-    for region in REGIONS.values():
-        mask = region.mask(expressive.shape[0])
-        features.append(difference[mask].mean() * 4.0)
-        features.append(difference[mask].std() * 4.0)
-    values = np.asarray(features)
+    def extract() -> np.ndarray:
+        expressive, neutral = video.keyframes
+        difference = expressive - neutral
+        features = []
+        for region in REGIONS.values():
+            mask = region.mask(expressive.shape[0])
+            features.append(difference[mask].mean() * 4.0)
+            features.append(difference[mask].std() * 4.0)
+        return np.asarray(features)
+
+    values = video.derive("baselines.region_intensity", extract)
     if estimation_noise > 0:
         rng = make_rng(video.spec.seed, f"aam-noise:{video.video_id}")
         values = values + rng.normal(0.0, estimation_noise, values.shape)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SupervisedBaseline, fit_logistic
-from repro.baselines.features import landmark_point_features
+from repro.baselines.features import landmark_features
 from repro.datasets.base import StressDataset
 from repro.nn.layers import Linear
 from repro.rng import make_rng
@@ -35,16 +35,10 @@ class GaoSVM(SupervisedBaseline):
         self._frame_clf: Linear | None = None
         self._threshold: float = 0.5
 
-    def _frame_matrix(self, video: Video) -> np.ndarray:
-        return np.stack([
-            landmark_point_features(video.frame(t))
-            for t in range(video.num_frames)
-        ])
-
     def fit(self, train_data: StressDataset, seed: int = 0) -> None:
         frames, labels = [], []
         for sample in train_data:
-            matrix = self._frame_matrix(sample.video)
+            matrix = landmark_features(sample.video)
             frames.append(matrix)
             labels.extend([sample.label] * matrix.shape[0])
         features = np.concatenate(frames, axis=0)
@@ -73,7 +67,7 @@ class GaoSVM(SupervisedBaseline):
         self._fitted = True
 
     def _negative_ratio(self, video: Video) -> float:
-        logits = self._frame_clf.forward(self._frame_matrix(video))[:, 0]
+        logits = self._frame_clf.forward(landmark_features(video))[:, 0]
         return float((logits > 0).mean())
 
     def predict_proba(self, video: Video) -> float:

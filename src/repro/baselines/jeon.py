@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SupervisedBaseline, probability
-from repro.baselines.features import landmark_point_features, per_frame_features
+from repro.baselines.features import landmark_features, per_frame_features
 from repro.datasets.base import StressDataset
 from repro.nn.layers import Linear
 from repro.nn.optim import Adam
@@ -38,12 +38,8 @@ class JeonSpatioTemporal(SupervisedBaseline):
         self._classify: Linear | None = None
 
     def _frame_matrix(self, video: Video) -> np.ndarray:
-        patches = per_frame_features(video)
-        landmarks = np.stack([
-            landmark_point_features(video.frame(t))
-            for t in range(video.num_frames)
-        ])
-        return np.concatenate([patches, landmarks], axis=1)
+        return np.concatenate([per_frame_features(video),
+                               landmark_features(video)], axis=1)
 
     def fit(self, train_data: StressDataset, seed: int = 0) -> None:
         rng = make_rng(seed, "jeon")

@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SupervisedBaseline, fit_logistic, probability
-from repro.baselines.features import frame_patch_features
+from repro.baselines.features import per_frame_features
 from repro.datasets.base import StressDataset
 from repro.nn.layers import MLP
 from repro.rng import make_rng
 from repro.video.frame import Video
+from repro.video.keyframes import extract_keyframes
 
 
 class SinghResNet(SupervisedBaseline):
@@ -37,9 +38,10 @@ class SinghResNet(SupervisedBaseline):
     @staticmethod
     def _features(video: Video) -> np.ndarray:
         # Surveillance-grade input: a single frame at coarse
-        # resolution, no neutral-frame differencing.
-        expressive, __ = video.keyframes
-        return frame_patch_features(expressive, grid=8)
+        # resolution, no neutral-frame differencing -- the expressive
+        # keyframe's row of the clip's per-frame patch features.
+        expressive, __ = extract_keyframes(video.spec)
+        return per_frame_features(video)[expressive]
 
     def fit(self, train_data: StressDataset, seed: int = 0) -> None:
         features = np.stack([

@@ -23,6 +23,7 @@ from repro.errors import ExperimentError
 from repro.rng import derive_seed
 from repro.training.self_refine import SelfRefineConfig
 from repro.training.trainer import train_stress_model, variant_config
+from repro.video.frame import clear_frame_working_set
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,9 @@ def eval_subset(dataset: StressDataset, count: int, seed: int = 0) -> list:
 
 
 def clear_caches() -> None:
-    """Drop all cached datasets/models (tests use this)."""
+    """Drop all cached datasets/models and the frame working set
+    (tests use this)."""
     _DATASET_CACHE.clear()
     _PAIRS_CACHE.clear()
     _MODEL_CACHE.clear()
+    clear_frame_working_set()

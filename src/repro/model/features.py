@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
+from repro.observability import profiling
 
 #: Patch grid side; a 96x96 frame becomes a 12x12 grid of 8x8 patches.
 PATCH_GRID: int = 12
@@ -107,6 +108,25 @@ def feature_dim(grid: int = PATCH_GRID) -> int:
 
 
 def video_features(video, grid: int = PATCH_GRID) -> np.ndarray:
-    """Convenience: features of a :class:`~repro.video.frame.Video`."""
-    expressive, neutral = video.keyframes
-    return keyframe_features(expressive, neutral, grid)
+    """Features of a :class:`~repro.video.frame.Video`'s keyframe pair,
+    computed once per clip and kept on it
+    (:meth:`~repro.video.frame.Video.derive`).
+
+    They are weight-independent, so every model -- each CV fold's
+    fresh one, a clone, an off-the-shelf proxy -- and the keyframe-pair
+    baselines read one copy.  Counts ``model.feature_cache_hit`` or
+    ``_miss`` per call while profiling is on.
+    """
+    missed = False
+
+    def extract() -> np.ndarray:
+        nonlocal missed
+        missed = True
+        expressive, neutral = video.keyframes
+        return keyframe_features(expressive, neutral, grid)
+
+    features = video.derive(("keyframe_features", grid), extract)
+    if profiling.enabled():
+        profiling.count(profiling.FEATURE_CACHE_MISS if missed
+                        else profiling.FEATURE_CACHE_HIT)
+    return features

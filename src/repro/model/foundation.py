@@ -26,8 +26,6 @@ optimiser steps the trunk.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Hashable
 
 import numpy as np
@@ -75,63 +73,6 @@ _REFLECT_LABEL_GAIN: float = 0.7
 _REFLECT_TEMPERATURE: float = 0.55
 
 
-class _FeatureCache:
-    """A thread-safe LRU map from a video's content hash to its patch
-    features.
-
-    :meth:`setdefault` keeps exactly one array per key, so concurrent
-    callers that both missed observe the same object.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._data: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> np.ndarray | None:
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def setdefault(self, key: str, value: np.ndarray) -> np.ndarray:
-        with self._lock:
-            existing = self._data.get(key)
-            if existing is not None:
-                self._data.move_to_end(key)
-                return existing
-            self._data[key] = value
-            if len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-            return value
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def copy(self) -> "_FeatureCache":
-        """A cache with the same entries (the arrays are shared)."""
-        clone = _FeatureCache(self.capacity)
-        with self._lock:
-            clone._data = self._data.copy()
-        return clone
-
-    # A lock neither pickles nor deep-copies: models cross process
-    # pipes and are deep-copied, so each copy gets its own lock.
-    def __getstate__(self) -> tuple:
-        with self._lock:
-            return self.capacity, self._data.copy()
-
-    def __setstate__(self, state: tuple) -> None:
-        self.capacity, self._data = state
-        self._lock = threading.Lock()
-
-
 class FoundationModel(Module):
     """Trainable stand-in for the paper's vision-language model.
 
@@ -145,14 +86,6 @@ class FoundationModel(Module):
         Patch grid of the visual front-end (see
         :mod:`repro.model.features`).
     """
-
-    #: Entries the feature cache keeps (least recently used go first).
-    #: It is above the reproduction's working set, so no reproduction
-    #: run evicts: the largest is an off-the-shelf proxy's, which holds
-    #: its 3,000 pre-training clips and then a full-scale UVSD and RSL
-    #: (2,092 + 706 clips).  A long-running service over ever-new clips
-    #: stays bounded: an entry is about 2.6 KiB, so about 42 MiB full.
-    FEATURE_CACHE_CAPACITY: int = 16384
 
     def __init__(self, rng: np.random.Generator, embed_dim: int = 48,
                  grid: int = 12):
@@ -173,7 +106,6 @@ class FoundationModel(Module):
         self.highlight_assess = Parameter("highlight_assess",
                                           rng.normal(0.0, 0.12, NUM_AUS))
         self.frozen = False
-        self._feature_cache = _FeatureCache(self.FEATURE_CACHE_CAPACITY)
 
     # ------------------------------------------------------------------
     # Features / embedding
@@ -189,31 +121,17 @@ class FoundationModel(Module):
         return video.content_hash
 
     def features(self, video: Video) -> np.ndarray:
-        """Patch features of a video's keyframe pair (cached: features
-        are weight-independent).
+        """Patch features of a video's keyframe pair.
 
-        The cache key is the video's content hash
-        (:attr:`Video.content_hash`, memoised on the video), not its id:
-        two clips with the same id and render seed but different content
-        never share features, and datasets that reuse human-readable ids
-        cannot collide.  The cache is an LRU bounded by
-        :attr:`FEATURE_CACHE_CAPACITY`.
-
-        Thread-safety: concurrent callers may both miss and render the
-        same video; ``setdefault`` keeps exactly one array in the cache
-        so every caller observes the same object (the duplicate render
-        is wasted work, never wrong results).
+        They are weight-independent, so the clip keeps them
+        (:func:`~repro.model.features.video_features`), not the model:
+        a model holds no per-clip state, and every model reading a
+        clip -- each CV fold's fresh one, a clone -- computes its
+        features at most once.  A clip is its content: two clips with
+        the same id and render seed but different content never share
+        features.
         """
-        key = video.content_hash
-        cached = self._feature_cache.get(key)
-        if cached is None:
-            if profiling.enabled():
-                profiling.count(profiling.FEATURE_CACHE_MISS)
-            cached = self._feature_cache.setdefault(
-                key, video_features(video, self.grid))
-        elif profiling.enabled():
-            profiling.count(profiling.FEATURE_CACHE_HIT)
-        return cached
+        return video_features(video, self.grid)
 
     def frame_pair_features(self, expressive: np.ndarray,
                             neutral: np.ndarray) -> np.ndarray:
@@ -626,14 +544,9 @@ class FoundationModel(Module):
                 "cannot be updated"
             )
 
-    def clear_feature_cache(self) -> None:
-        self._feature_cache.clear()
-
     def clone(self) -> "FoundationModel":
         """Deep copy (used for the frozen DPO reference model)."""
-        clone = self.copy()
-        clone._feature_cache = self._feature_cache.copy()
-        return clone
+        return self.copy()
 
     def fingerprint(self) -> str:
         """SHA-256 over the architecture and every parameter byte.

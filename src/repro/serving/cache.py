@@ -28,7 +28,7 @@ latent form, and hashing ~1 KB of latent state instead of ~150 KB of
 pixels keeps the hit path far cheaper than a model call.  The
 :class:`~repro.video.frame.Video` computes it once
 (:attr:`~repro.video.frame.Video.content_hash`), so the router, the
-chain cache and the model's feature cache all read one digest.
+chain cache and the frame working set all read one digest.
 
 A cache holds the answers of one pipeline, so it belongs to the
 executor that fills it: a :class:`~repro.serving.executor

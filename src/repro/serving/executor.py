@@ -96,7 +96,8 @@ class ChainBatchExecutor:
     offline ``predict_many`` loop), but other threads may read its
     pipeline at the same time (thread fold workers of
     ``evaluate_offtheshelf``): the chain core only reads weights, and
-    the model's feature cache fills through an atomic ``setdefault``.
+    a clip's features fill through an atomic ``setdefault`` on the
+    clip (:meth:`~repro.video.frame.Video.derive`).
 
     The executor owns its chain cache: it builds it from
     ``cache_capacity`` (0 disables it) and never hands it out, because
@@ -189,17 +190,17 @@ class ChainBatchExecutor:
         core = self._cache.get(self._cache.content_key(video, self.pipeline))
         return None if core is None else _materialize(core, degraded=True)
 
-    def swap(self, source) -> None:
+    def swap(self, source, loaded=None) -> None:
         """Serve ``source`` from now on: a pipeline, or the path of a
-        saved pipeline archive (loaded here, so a child process never
-        receives weights over its pipe).
+        saved pipeline archive (``loaded``, or loaded here, so a child
+        process never receives weights over its pipe).
 
         Also clears the chain cache -- cached results are only valid
         for the pipeline that produced them.  The caller owns
         synchronization: the service swaps under its swap lock, so no
         batch is mid-execution.
         """
-        self.pipeline = _as_pipeline(source)
+        self.pipeline = loaded if loaded is not None else _as_pipeline(source)
         self._cache.clear()
 
     def cache_stats(self) -> dict[str, CacheStats]:

@@ -18,15 +18,17 @@ and circuit breaker:
   ``REPRO_POOL_REPLICAS`` via :func:`repro.config.settings`.
 - **Routing is consistent-hash on content.**  Every request is routed
   by its video's :attr:`~repro.video.frame.Video.content_hash` (the
-  one digest the chain cache and the model's feature cache also
-  read) over a vnode hash ring, so one clip's repeats always land on
+  one digest the chain cache and the frame working set also read)
+  over a vnode hash ring, so one clip's repeats always land on
   the same replica and that replica's LRU cache stays hot -- random
   routing would shred the hit rate across replicas.  Adding or
   removing a replica remaps only the ring arcs it owns, not the whole
   keyspace.
-- **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` hands a
+- **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` loads a
   :class:`~repro.model.registry.ModelRegistry` version's verified
-  artifact path to a canary subset first, and
+  artifact once, hands its path (each forked child loads it) and that
+  one loaded copy (every replica's parent side keys on it) to a
+  canary subset first, and
   :meth:`Deployment.promote` rolls the rest forward or, if a canary's
   circuit breaker tripped, rolls the canaries back.
 """
@@ -163,11 +165,12 @@ class _PipeExecutor(ChainBatchExecutor):
         except Exception as exc:  # noqa: BLE001 - fail the misses
             return [exc] * len(videos)
 
-    def swap(self, source) -> None:
-        """Swap the child, then the parent's copy that keys read; a
-        child serving another fingerprint raises :class:`PoolError`
-        and leaves the parent's pipeline and cache as they were."""
-        pipeline = _as_pipeline(source)
+    def swap(self, source, loaded=None) -> None:
+        """Swap the child to ``source``, then the parent's copy that
+        keys read (``loaded``, or ``source`` loaded here); a child
+        serving another fingerprint raises :class:`PoolError` and
+        leaves the parent's pipeline and cache as they were."""
+        pipeline = loaded if loaded is not None else _as_pipeline(source)
         served = self._call("swap", source)
         if served != pipeline.model.fingerprint():
             raise PoolError(
@@ -285,12 +288,13 @@ class ReplicaPool:
         self._ring = _HashRing(self.num_replicas)
         self._deploy_lock = threading.Lock()
         self._closed = False
-        initial = (pipeline, version)
+        initial = (pipeline, version, pipeline)
         if registry is not None and version is not None:
-            initial = self._payload(registry, version)
-        # Each replica's service, and the ``(source, version)`` deploy
-        # payload its current weights came from (what a rollback
-        # re-installs).
+            initial = (registry.verified_artifact(version), version,
+                       pipeline)
+        # Each replica's service, and the ``(source, version,
+        # pipeline)`` deploy payload its current weights came from
+        # (what a rollback re-installs).
         self._replicas: list[StressService] = []
         self._payloads: list[tuple] = [initial] * self.num_replicas
         try:
@@ -326,11 +330,13 @@ class ReplicaPool:
 
     @staticmethod
     def _payload(registry, version: str) -> tuple:
-        """The ``(source, version)`` payload that serves ``version``:
-        its verified artifact path, which each replica's executor
-        loads itself (a forked child in its own process), so weights
-        never cross a pipe."""
-        return (registry.verified_artifact(version), version)
+        """The ``(source, version, pipeline)`` payload that serves
+        ``version``: its verified artifact path, which each forked
+        child loads itself, so weights never cross a pipe, and that
+        path loaded once here, which every replica's parent side
+        shares (its chain keys read the model)."""
+        path = registry.verified_artifact(version)
+        return (path, version, _as_pipeline(path))
 
     # -- the hot path --------------------------------------------------
 
@@ -429,7 +435,8 @@ class ReplicaPool:
         try:
             for index in indices:
                 with span("pool.swap", replica=index, version=payload[1]):
-                    self._replicas[index].swap_pipeline(payload[0])
+                    self._replicas[index].swap_pipeline(payload[0],
+                                                        payload[2])
                 previous[index] = self._payloads[index]
                 self._payloads[index] = payload
         except BaseException:
@@ -441,7 +448,7 @@ class ReplicaPool:
         """Swap each replica in ``previous`` back to its payload there."""
         for index, payload in previous.items():
             with span("pool.swap", replica=index, rollback=True):
-                self._replicas[index].swap_pipeline(payload[0])
+                self._replicas[index].swap_pipeline(payload[0], payload[2])
             self._payloads[index] = payload
 
     # -- lifecycle -----------------------------------------------------

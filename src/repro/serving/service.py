@@ -178,19 +178,21 @@ class StressService:
     def queue_depth(self) -> int:
         return self._batcher.queue_depth()
 
-    def swap_pipeline(self, pipeline) -> None:
+    def swap_pipeline(self, pipeline, loaded=None) -> None:
         """Hot-swap the served pipeline without dropping requests.
 
         Blocks until the in-flight batch (if any) finishes, then
         points the executor at ``pipeline`` -- a pipeline, or the path
         of a saved pipeline archive -- and clears the chain cache
         (cached results are only valid for the pipeline that produced
-        them).  Queued requests are untouched -- they simply
+        them).  ``loaded`` is that path already loaded: a pool loads a
+        deploy's artifact once and hands every replica the one copy.
+        Queued requests are untouched -- they simply
         execute against the new pipeline once the swap completes -- so
         a deploy fails zero in-flight requests.
         """
         with self._swap_lock:
-            self.executor.swap(pipeline)
+            self.executor.swap(pipeline, loaded)
 
     @property
     def closed(self) -> bool:

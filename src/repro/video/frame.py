@@ -7,14 +7,34 @@ frames are produced lazily.  Datasets store specs (cheap) and render
 pixels only when a consumer needs them, which keeps the full
 2092-sample UVSD corpus in memory at trivial cost while every consumer
 still works on genuine pixel arrays.
+
+A clip keeps what its consumers derive from pixels, not the pixels:
+
+- **Frames** live in one small process-wide working set, an LRU of the
+  last :data:`FRAME_WORKING_SET` rendered frames.  A frame is a pure
+  function of the spec and the frame size, so its key is the content
+  hash, the video id (the render noise is seeded from it, though the
+  content hash leaves it out) and the frame index, and clips with
+  equal specs share it.  A consumer that reads a clip's frames back to
+  back hits it; one that comes back after other clips re-renders,
+  bitwise the same.
+- **Derived values** -- the model's keyframe features, the baselines'
+  per-frame and landmark features, the SLIC map -- are small and
+  weight-independent, so each is computed once and kept on the clip
+  (:meth:`Video.derive`).  A 96-pixel clip holds about 22 KiB of them,
+  against 864 KiB for its twelve frames.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -25,6 +45,33 @@ IDENTITY_DIM: int = 8
 
 #: Default number of frames per synthetic clip.
 DEFAULT_NUM_FRAMES: int = 12
+
+#: Frames the process-wide working set keeps (least recently used go
+#: first): 2.3 MiB of 96-pixel frames.  It holds a few clips' frames,
+#: enough for every consumer that reads one clip's frames back to back
+#: -- a training pass's flip counts over a clip's candidates, a
+#: baseline's per-frame features -- to render each frame once.
+FRAME_WORKING_SET: int = 32
+
+_frames: OrderedDict[tuple[str, str, int], np.ndarray] = OrderedDict()
+_frames_lock = threading.Lock()
+
+
+def _new_frames_lock() -> None:
+    # A forked child inherits the lock in whatever state another
+    # parent thread held it; its copy of the working set is valid.
+    global _frames_lock
+    _frames_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_frames_lock)
+
+
+def clear_frame_working_set() -> None:
+    """Drop every frame the working set holds."""
+    with _frames_lock:
+        _frames.clear()
 
 
 @dataclass(frozen=True)
@@ -94,8 +141,11 @@ class VideoSpec:
 class Video:
     """A lazily-rendered synthetic face clip.
 
-    Frames are rendered on first access and cached; rendering is fully
-    deterministic given the spec (including its seed).
+    Rendering is fully deterministic given the spec (including its
+    seed) and the frame size.  A clip retains no frames: they come
+    from the process-wide working set (see the module docstring), and
+    what consumers derive from them is kept on the clip
+    (:meth:`derive`).
     """
 
     def __init__(self, spec: VideoSpec, renderer: "FaceRenderer | None" = None):
@@ -103,8 +153,7 @@ class Video:
 
         self.spec = spec
         self._renderer = renderer if renderer is not None else default_renderer()
-        self._frame_cache: dict[int, np.ndarray] = {}
-        self._slic_cache: dict[int, np.ndarray] = {}
+        self._derived: dict[Hashable, object] = {}
 
     # -- identity ------------------------------------------------------
 
@@ -132,22 +181,41 @@ class Video:
     # -- rendering -----------------------------------------------------
 
     def frame(self, index: int) -> np.ndarray:
-        """Render (and cache) frame ``index`` as ``(H, W)`` float64."""
+        """Frame ``index`` as a read-only ``(H, W)`` float64 array.
+
+        The one render entry point: answered from the process-wide
+        working set, or rendered into it.  Concurrent callers may both
+        render a missing frame; the working set keeps the first, so
+        every caller observes the same array.
+        """
         if not 0 <= index < self.num_frames:
             raise IndexError(
                 f"frame index {index} out of range [0, {self.num_frames})"
             )
-        cached = self._frame_cache.get(index)
-        if cached is None:
-            cached = self._renderer.render(self.spec, index)
-            self._frame_cache[index] = cached
-        return cached
+        key = (self.content_hash, self.video_id, index)
+        with _frames_lock:
+            cached = _frames.get(key)
+            if cached is not None:
+                _frames.move_to_end(key)
+                return cached
+        rendered = self._renderer.render(self.spec, index)
+        # Shared by every clip with this spec: nobody may write it.
+        rendered.flags.writeable = False
+        with _frames_lock:
+            cached = _frames.get(key)
+            if cached is not None:
+                _frames.move_to_end(key)
+                return cached
+            while len(_frames) >= FRAME_WORKING_SET:
+                _frames.popitem(last=False)
+            _frames[key] = rendered
+        return rendered
 
     def frames(self) -> np.ndarray:
         """Render all frames as ``(T, H, W)``."""
         return np.stack([self.frame(t) for t in range(self.num_frames)])
 
-    @cached_property
+    @property
     def keyframes(self) -> tuple[np.ndarray, np.ndarray]:
         """The (most-expressive, least-expressive) frame pair.
 
@@ -160,40 +228,59 @@ class Video:
         expressive_idx, neutral_idx = extract_keyframes(self.spec)
         return self.frame(expressive_idx), self.frame(neutral_idx)
 
+    # -- derived values --------------------------------------------------
+
+    def derive(self, key: Hashable, compute: Callable[[], object]):
+        """``compute()``, computed once per clip and kept on it.
+
+        For small, weight-independent values derived from this clip's
+        pixels (features, label maps): a clip keeps those instead of
+        its frames.  ``key`` names the value, parameters included.
+        Concurrent callers may both compute a missing value;
+        ``setdefault`` (atomic under the GIL) keeps the first, so every
+        caller observes the same object.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived.setdefault(key, compute())
+        return value
+
     def segmentation(self, num_segments: int = 64) -> np.ndarray:
-        """SLIC segmentation of the most-expressive keyframe (cached:
-        it is deterministic, and every faithfulness protocol reuses
-        it)."""
-        cached = self._slic_cache.get(num_segments)
-        if cached is None:
+        """SLIC segmentation of the most-expressive keyframe, as int64
+        labels (computed once per clip: it is deterministic, and every
+        faithfulness protocol reuses it)."""
+        def segment() -> np.ndarray:
+            from repro.video.keyframes import extract_keyframes
             from repro.video.segmentation import slic_segments
 
-            expressive, __ = self.keyframes
-            cached = slic_segments(expressive, num_segments)
-            self._slic_cache[num_segments] = cached
-        return cached
+            # Only f_e is segmented: render it alone.
+            expressive, __ = extract_keyframes(self.spec)
+            return _compact_labels(
+                slic_segments(self.frame(expressive), num_segments))
+
+        return self.derive(("slic", num_segments), segment).astype(np.int64)
 
     def has_segmentation(self, num_segments: int = 64) -> bool:
-        """Whether :meth:`segmentation` would answer from its cache."""
-        return num_segments in self._slic_cache
+        """Whether :meth:`segmentation` would answer without segmenting."""
+        return ("slic", num_segments) in self._derived
 
     def install_segmentation(self, labels: np.ndarray,
                              num_segments: int = 64) -> None:
-        """Cache a label map computed elsewhere, e.g. in a forked
+        """Keep a label map computed elsewhere, e.g. in a forked
         worker, so :meth:`segmentation` returns it without segmenting.
 
         ``labels`` must be :meth:`segmentation` of a clip with this
         clip's :attr:`content_hash`: SLIC is a pure function of the
         pixels, so that map is the one this clip would compute.
         """
-        self._slic_cache[num_segments] = labels
+        self._derived[("slic", num_segments)] = _compact_labels(labels)
 
     def __reduce__(self):
         # A clip crosses a process boundary as its spec and frame size:
         # the renderer is a pure function of its frame size (the world
         # seed is fixed), so the receiver rebuilds the shared one and
-        # renders what it needs.  Cached frames and segmentations stay
-        # behind; the content hash is recomputed equal.
+        # renders what it needs.  Derived values stay behind; the
+        # content hash is recomputed equal.
         return _rebuild_video, (self.spec, self.frame_size)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -201,6 +288,14 @@ class Video:
             f"Video(id={self.video_id!r}, subject={self.subject_id!r}, "
             f"frames={self.num_frames})"
         )
+
+
+def _compact_labels(labels: np.ndarray) -> np.ndarray:
+    """A non-negative label map in the smallest unsigned dtype that
+    holds its labels (uint8 for the protocols' 64 segments: 9 KiB
+    against 72 KiB of int64 at 96 pixels)."""
+    labels = np.asarray(labels)
+    return labels.astype(np.min_scalar_type(int(labels.max())))
 
 
 def _rebuild_video(spec: VideoSpec, frame_size: int) -> Video:

@@ -9,10 +9,11 @@ import pytest
 from repro.errors import ModelError
 from repro.facs.descriptions import FacialDescription
 from repro.model.features import video_features
-from repro.model.foundation import STRESSED, UNSTRESSED
+from repro.model.foundation import STRESSED, UNSTRESSED, FoundationModel
 from repro.model.generation import GenerationConfig, bernoulli_set_logprob
 from repro.model.instructions import DESCRIBE_INSTRUCTION
 from repro.model.session import DialogueSession
+from repro.rng import make_rng
 from repro.video import frame
 from repro.video.frame import Video, video_content_hash
 from tests.foundation_reference import (
@@ -209,11 +210,17 @@ class TestHousekeeping:
             fresh_model.backward_description(np.zeros(12))
 
     def test_feature_cache(self, fresh_model, sample_video):
+        """Features are kept on the clip, not the model: every model
+        reading the clip gets the one array, and another clip with the
+        same content computes its own, bitwise equal."""
         a = fresh_model.features(sample_video)
         b = fresh_model.features(sample_video)
         assert a is b
-        fresh_model.clear_feature_cache()
-        assert fresh_model.features(sample_video) is not a
+        other_model = FoundationModel(make_rng(7, "other-model"))
+        assert other_model.features(sample_video) is a
+        twin = Video(sample_video.spec)
+        assert fresh_model.features(twin) is not a
+        assert np.array_equal(fresh_model.features(twin), a)
 
     def test_au_patch_sensitivity_shape(self, fresh_model):
         sens = fresh_model.au_patch_sensitivity(4)

@@ -531,6 +531,38 @@ class TestDeploy:
                 pool.deploy("v2", canary_fraction=0.0)
 
     @needs_fork
+    def test_deploy_loads_the_artifact_once(self, registry, monkeypatch):
+        """A deploy to 4 forked replicas loads v2 once in the parent
+        and every replica's parent side keys on that one pipeline (each
+        child still loads the path and vouches for its fingerprint); a
+        rollback re-installs what the replicas served, loading
+        nothing."""
+        from repro.model import persistence
+
+        loads = []
+        load = persistence.load_pipeline
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        with ReplicaPool.from_registry(registry, "v1",
+                                       num_replicas=4) as pool:
+            before = pool._replicas[0].executor.pipeline
+            monkeypatch.setattr(persistence, "load_pipeline", counting_load)
+            deployment = pool.deploy("v2")
+            assert len(loads) == 1
+            served = {id(service.executor.pipeline)
+                      for service in pool._replicas}
+            assert len(served) == 1
+            assert set(pool.fingerprints()) == {
+                load(registry.verified_artifact("v2")).model.fingerprint()}
+            deployment.rollback()
+            assert len(loads) == 1
+            assert all(service.executor.pipeline is before
+                       for service in pool._replicas)
+
+    @needs_fork
     def test_failed_deploy_swaps_done_replicas_back(self, registry):
         """A deploy whose second swap fails (that replica's child is
         dead) swaps the first replica back before it raises: the pool

@@ -39,8 +39,6 @@ ALLOWED = {
         "exposes the prior's per-AU weights to the prior tests",
     "StressPrior.stress_direction":
         "exposes the prior's sign per AU to the prior tests",
-    "FoundationModel.clear_feature_cache":
-        "lets cache tests start from a cold feature cache",
     "DialogueSession.is_fresh":
         "one-line session-state predicate the chain tests assert on",
     "CacheStats.hit_rate":

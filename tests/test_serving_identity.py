@@ -10,7 +10,8 @@
   per-query noise from it), and from a pipeline whose own streams read
   the id (test-time refinement, retrieval), also when the twins leave
   in one batch.
-- The model's feature cache stays bounded under many distinct clips.
+- Serving many distinct clips grows neither the model nor the frame
+  working set, and no served clip keeps a frame.
 - Every served request gets its own dialogue session, also when the
   answer was deduplicated in a batch or replayed from the caches.
 """
@@ -18,6 +19,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import threading
 from dataclasses import replace
@@ -35,7 +37,14 @@ from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.pool import ReplicaPool, _HashRing
-from repro.video.frame import Video, VideoSpec
+from repro.video import frame as frame_module
+from repro.video.frame import (
+    FRAME_WORKING_SET,
+    Video,
+    VideoSpec,
+    clear_frame_working_set,
+)
+from tests.test_video_frame import retained_arrays
 
 #: Marks a test that builds a pool of more than one replica: each
 #: replica is a forked child process.
@@ -250,70 +259,90 @@ class TestPipelineTwinIds:
 
 
 # ----------------------------------------------------------------------
-# Bounded feature cache
+# Bounded per-clip state
 # ----------------------------------------------------------------------
 
 
 class TestFeatureCacheBound:
-    CAPACITY = 8
+    """Features live on the clip and frames in one bounded working set,
+    so serving ever-new clips grows neither the model nor the process."""
 
-    def test_soak_stays_within_capacity(self, monkeypatch):
-        monkeypatch.setattr(FoundationModel, "FEATURE_CACHE_CAPACITY",
-                            self.CAPACITY)
+    def test_soak_stays_within_capacity(self):
+        """40 distinct clips (10x the chain cache) through a one-replica
+        pool: the chain cache and the frame working set stay within
+        their capacities, the model gains no per-clip state, and no
+        served clip keeps a frame."""
         pipeline = _pipeline()
         model = pipeline.model
+        # One run first: the layers keep their last activation, whose
+        # size does not depend on how many clips came before.
+        pipeline.predict(Video(_spec(99, video_id="soak-warm")))
+        model_bytes = len(pickle.dumps(model))
         config = ServiceConfig(cache_capacity=4)
         specs = [_spec(index, video_id=f"soak-{index}", seed=index)
-                 for index in range(5 * self.CAPACITY)]
-        sizes = []
-        with StressService(pipeline, config) as service:
+                 for index in range(40)]
+        chain_sizes, frame_sizes, served = [], [], []
+        with ReplicaPool(pipeline, num_replicas=1, config=config) as pool:
             for begin in range(0, len(specs), 4):
-                for spec in specs[begin:begin + 4]:
-                    service.predict(Video(spec), timeout=60)
-                sizes.append(len(model._feature_cache))
-            cache_stats = service.stats().cache
-        assert max(sizes) <= self.CAPACITY
-        assert sizes[-1] == self.CAPACITY
-        for stats in cache_stats.values():
-            assert stats.size <= stats.capacity == 4
-            assert stats.evictions > 0
-        # Evicted features are recomputed, bitwise the same.
+                videos = [Video(spec) for spec in specs[begin:begin + 4]]
+                for video in videos:
+                    pool.predict(video, timeout=60)
+                served.extend(videos)
+                chain_sizes.append(pool.stats().replicas[0].cache["chain"].size)
+                frame_sizes.append(len(frame_module._frames))
+            chain = pool.stats().replicas[0].cache["chain"]
+        assert max(chain_sizes) <= chain.capacity == 4
+        assert chain.evictions > 0
+        assert max(frame_sizes) <= FRAME_WORKING_SET
+        assert len(pickle.dumps(model)) == model_bytes
+        for video in served:
+            assert not any(array.shape == (96, 96)
+                           for array in retained_arrays(video))
+        # Evicted answers are recomputed, bitwise the same.
         for spec in specs[:3]:
             again = pipeline.predict(Video(spec))
             fresh = _pipeline().predict(Video(spec))
             assert _signature(again) == _signature(fresh)
 
     def test_lru_keeps_recent_entries(self, monkeypatch):
-        monkeypatch.setattr(FoundationModel, "FEATURE_CACHE_CAPACITY", 2)
-        model = FoundationModel(make_rng(31, "identity"))
+        monkeypatch.setattr(frame_module, "FRAME_WORKING_SET", 2)
+        clear_frame_working_set()
         first, second, third = (Video(_spec(i, video_id=f"lru-{i}"))
                                 for i in range(3))
-        kept = model.features(first)
-        model.features(second)
-        assert model.features(first) is kept   # refresh: second is oldest
-        model.features(third)
-        assert len(model._feature_cache) == 2
-        assert model.features(first) is kept
+        kept = first.frame(0)
+        second.frame(0)
+        assert first.frame(0) is kept   # refresh: second is oldest
+        third.frame(0)
+        assert len(frame_module._frames) == 2
+        assert (second.content_hash, second.video_id, 0) \
+            not in frame_module._frames
+        assert first.frame(0) is kept
 
     def test_threads_share_the_bounded_cache(self, monkeypatch):
-        """Eight threads over twelve clips and four slots: the bound
-        holds and every caller gets the clip's own features."""
-        monkeypatch.setattr(FoundationModel, "FEATURE_CACHE_CAPACITY", 4)
+        """Eight threads over twelve clips and four frame slots: the
+        bound holds, every caller gets the clip's own frames and
+        features, and all callers of one clip get one feature array."""
+        monkeypatch.setattr(frame_module, "FRAME_WORKING_SET", 4)
+        clear_frame_working_set()
         model = FoundationModel(make_rng(31, "identity"))
-        videos = [Video(_spec(i, video_id=f"race-{i}")) for i in range(12)]
-        reference = [FoundationModel(make_rng(31, "identity")).features(v)
-                     for v in videos]
+        specs = [_spec(i, video_id=f"race-{i}") for i in range(12)]
+        reference = [model.features(Video(spec)) for spec in specs]
+        frames = [Video(spec).frame(5) for spec in specs]
+        videos = [Video(spec) for spec in specs]
         start = threading.Barrier(8)
-        wrong, sizes = [], []
+        wrong, sizes, seen = [], [], [set() for _ in videos]
 
         def hammer(offset: int) -> None:
             start.wait(10)
             for step in range(60):
                 index = (offset + step * 5) % len(videos)
-                if not np.array_equal(model.features(videos[index]),
-                                      reference[index]):
+                features = model.features(videos[index])
+                seen[index].add(id(features))
+                if not (np.array_equal(features, reference[index])
+                        and np.array_equal(videos[index].frame(5),
+                                           frames[index])):
                     wrong.append(index)
-                sizes.append(len(model._feature_cache))
+                sizes.append(len(frame_module._frames))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -330,16 +359,19 @@ class TestFeatureCacheBound:
         assert wrong == []
         assert len(sizes) == 8 * 60
         assert max(sizes) <= 4
+        assert all(len(ids) == 1 for ids in seen)
 
-    def test_clone_copies_the_bounded_cache(self, monkeypatch):
-        monkeypatch.setattr(FoundationModel, "FEATURE_CACHE_CAPACITY", 2)
+    def test_clone_copies_the_bounded_cache(self):
+        """A clone reads the features its source filled: they are on
+        the clip, so neither model holds a copy."""
         model = FoundationModel(make_rng(31, "identity"))
+        model_bytes = len(pickle.dumps(model))
         video = Video(_spec(0, video_id="clone"))
         features = model.features(video)
         clone = model.clone()
         assert clone.features(video) is features
-        clone.clear_feature_cache()
-        assert len(model._feature_cache) == 1
+        assert len(pickle.dumps(model)) == model_bytes
+        assert len(pickle.dumps(clone)) == model_bytes
 
 
 # ----------------------------------------------------------------------
