@@ -26,8 +26,6 @@ optimiser steps the trunk.
 
 from __future__ import annotations
 
-from typing import Hashable
-
 import numpy as np
 
 from repro.errors import ModelError
@@ -111,15 +109,6 @@ class FoundationModel(Module):
     # Features / embedding
     # ------------------------------------------------------------------
 
-    def output_identity(self, video: Video) -> Hashable:
-        """What this model's outputs for ``video`` depend on besides
-        its weights: the clip's content hash.  Two videos with equal
-        identities get bitwise-equal outputs from every stage method,
-        so the serving chain cache keys on it.  A subclass whose
-        outputs read more of the video (the off-the-shelf proxies seed
-        their noise from its id) must add that here."""
-        return video.content_hash
-
     def features(self, video: Video) -> np.ndarray:
         """Patch features of a video's keyframe pair.
 
@@ -127,9 +116,9 @@ class FoundationModel(Module):
         (:func:`~repro.model.features.video_features`), not the model:
         a model holds no per-clip state, and every model reading a
         clip -- each CV fold's fresh one, a clone -- computes its
-        features at most once.  A clip is its content: two clips with
-        the same id and render seed but different content never share
-        features.
+        features at most once.  They are computed from the clip's own
+        frames, which the working set keys on its content hash, so no
+        two clips with different specs ever share features.
         """
         return video_features(video, self.grid)
 

@@ -68,12 +68,6 @@ class OffTheShelfModel(FoundationModel):
         self.profile = profile
         self._noise_seed = derive_seed(seed, f"noise:{profile.name}")
 
-    def output_identity(self, video: Video) -> tuple[str, str]:
-        """The content hash and the video id: the per-query noise is
-        seeded from the id, so two ids with equal content are two
-        different queries."""
-        return video.content_hash, video.video_id
-
     def _query_noise(self, kind: str, video: Video, size: int,
                      query_seed: int = 0) -> np.ndarray:
         scope = f"{kind}:{video.video_id}:{video.spec.seed}:{query_seed}"

@@ -13,7 +13,7 @@ Public surface:
   cache, built from a capacity;
 - :class:`StageCaches` / :class:`CacheStats` and
   :func:`video_content_hash` -- the chain-result LRU an executor owns,
-  its counters, and the content digest its request keys start from;
+  its counters, and the content digest that is its request key;
 - :class:`ServiceStats` / :class:`ServiceStatsSnapshot`;
 - :class:`ReplicaPool` / :class:`Deployment` /
   :class:`PoolStatsSnapshot` -- the sharded replica pool (one

@@ -9,26 +9,22 @@ chain run.  Every cached value was produced by the one chain core that
 serial :meth:`~repro.cot.chain.StressChainPipeline.predict` also runs,
 so replaying it is bitwise-identical to recomputing it.
 
-The key of a request (:meth:`StageCaches.content_key`) names every
-input the chain's answer depends on besides the weights:
+The key of a request (:meth:`StageCaches.content_key`) is the video's
+content hash, which names every input the chain's answer depends on
+besides the weights: it digests every
+:class:`~repro.video.frame.VideoSpec` field and the frame size, so
+also the ids that the renderer's capture noise, the off-the-shelf
+proxies' per-query noise, test-time refinement's reflection draws and
+verification negatives, and a retriever's example draw read.
 
-- the serving model's
-  :meth:`~repro.model.foundation.FoundationModel.output_identity` of
-  the video: its content hash, plus the video id for a model whose
-  outputs also read the id (the off-the-shelf proxies seed their
-  per-query noise from it);
-- the video id again when the pipeline's own streams read it: test-time
-  refinement seeds its reflection draws from the id, and a retriever
-  its example draw.
-
-The content hash digests the :class:`~repro.video.frame.VideoSpec`
-rather than rendered pixels: rendering is fully deterministic given
-the spec (including its render seed), so the spec *is* the content in
-latent form, and hashing ~1 KB of latent state instead of ~150 KB of
-pixels keeps the hit path far cheaper than a model call.  The
-:class:`~repro.video.frame.Video` computes it once
-(:attr:`~repro.video.frame.Video.content_hash`), so the router, the
-chain cache and the frame working set all read one digest.
+The content hash digests the spec rather than rendered pixels:
+rendering is fully deterministic given the spec (including its render
+seed), so the spec *is* the content in latent form, and hashing ~1 KB
+of latent state instead of ~150 KB of pixels keeps the hit path far
+cheaper than a model call.  The :class:`~repro.video.frame.Video`
+computes it once (:attr:`~repro.video.frame.Video.content_hash`), so
+the router, the chain cache and the frame working set all read one
+digest.
 
 A cache holds the answers of one pipeline, so it belongs to the
 executor that fills it: a :class:`~repro.serving.executor
@@ -92,17 +88,11 @@ class StageCaches:
         self._misses = 0
         self._evictions = 0
 
-    def content_key(self, video: Video, pipeline) -> Hashable:
-        """The key of a request for ``video`` to ``pipeline``: the
-        serving model's :meth:`~repro.model.foundation.FoundationModel
-        .output_identity` of it (``video.content_hash`` unless the
-        model's outputs also depend on the video id), paired with the
-        id when the pipeline's own streams read it (test-time
-        refinement, retrieval).  In-flight dedup groups on it too."""
-        identity = pipeline.model.output_identity(video)
-        if pipeline.test_time_refine or pipeline.retriever is not None:
-            return (identity, video.video_id)
-        return identity
+    def content_key(self, video: Video) -> str:
+        """The key of a request for ``video``: its content hash, which
+        digests every spec field, so equal keys get bitwise-equal
+        answers from any pipeline.  In-flight dedup groups on it too."""
+        return video.content_hash
 
     def get(self, key: Hashable) -> Any | None:
         """The cached value, or ``None`` on a miss (values are never

@@ -121,14 +121,13 @@ class ChainBatchExecutor:
         request keys answered (batch occupancy minus in-flight
         duplicates).
         """
-        pipeline = self.pipeline
         cache = self._cache
         outcomes: list[object] = [None] * len(videos)
         groups: dict[Hashable, list[int]] = {}
         with span("serve.execute_batch", size=len(videos)) as sp:
             for i, video in enumerate(videos):
                 try:
-                    key = cache.content_key(video, pipeline)
+                    key = cache.content_key(video)
                 except Exception as exc:  # noqa: BLE001 - per-request failure
                     outcomes[i] = exc
                     continue
@@ -187,7 +186,7 @@ class ChainBatchExecutor:
         cached (it was produced by the chain core, so it is the
         bitwise-normal response), flagged ``degraded=True``.
         """
-        core = self._cache.get(self._cache.content_key(video, self.pipeline))
+        core = self._cache.get(self._cache.content_key(video))
         return None if core is None else _materialize(core, degraded=True)
 
     def swap(self, source, loaded=None) -> None:

@@ -18,8 +18,8 @@ and circuit breaker:
   ``REPRO_POOL_REPLICAS`` via :func:`repro.config.settings`.
 - **Routing is consistent-hash on content.**  Every request is routed
   by its video's :attr:`~repro.video.frame.Video.content_hash` (the
-  one digest the chain cache and the frame working set also read)
-  over a vnode hash ring, so one clip's repeats always land on
+  one digest the chain cache keys on and the frame working set also
+  reads) over a vnode hash ring, so one clip's repeats always land on
   the same replica and that replica's LRU cache stays hot -- random
   routing would shred the hit rate across replicas.  Adding or
   removing a replica remaps only the ring arcs it owns, not the whole
@@ -27,8 +27,8 @@ and circuit breaker:
 - **Versioned hot-swap.**  :meth:`ReplicaPool.deploy` loads a
   :class:`~repro.model.registry.ModelRegistry` version's verified
   artifact once, hands its path (each forked child loads it) and that
-  one loaded copy (every replica's parent side keys on it) to a
-  canary subset first, and
+  one loaded copy (against which each child's fingerprint is checked)
+  to a canary subset first, and
   :meth:`Deployment.promote` rolls the rest forward or, if a canary's
   circuit breaker tripped, rolls the canaries back.
 """
@@ -334,7 +334,7 @@ class ReplicaPool:
         ``version``: its verified artifact path, which each forked
         child loads itself, so weights never cross a pipe, and that
         path loaded once here, which every replica's parent side
-        shares (its chain keys read the model)."""
+        shares (each child's fingerprint is checked against it)."""
         path = registry.verified_artifact(version)
         return (path, version, _as_pipeline(path))
 
@@ -342,8 +342,8 @@ class ReplicaPool:
 
     def route(self, video: Video) -> int:
         """The replica index ``video`` shards to: a function of its
-        content hash alone, so repeats (under any id) always land on
-        the same replica."""
+        content hash alone, so repeats of a clip always land on the
+        same replica."""
         return self._ring.route(video.content_hash)
 
     def submit(self, video: Video, deadline_ms: float | None = None):

@@ -38,10 +38,8 @@ class VerificationPool:
     never a model attribute: concurrent servers share one model, so a
     model-level memo would outlive the weights it was computed under
     and be visible across requests.  Logits are keyed on
-    :attr:`Video.content_hash`, which makes the reuse exact for any
-    model whose AU logits depend on a clip's content alone -- every
-    trainable :class:`FoundationModel`, though not the off-the-shelf
-    proxies, whose per-query noise is keyed on the video id.
+    :attr:`Video.content_hash`, which digests every spec field, ids
+    included, so the reuse is exact for every model.
     """
 
     def __init__(self, model: FoundationModel, videos: list[Video]):

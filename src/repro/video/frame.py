@@ -13,11 +13,9 @@ A clip keeps what its consumers derive from pixels, not the pixels:
 - **Frames** live in one small process-wide working set, an LRU of the
   last :data:`FRAME_WORKING_SET` rendered frames.  A frame is a pure
   function of the spec and the frame size, so its key is the content
-  hash, the video id (the render noise is seeded from it, though the
-  content hash leaves it out) and the frame index, and clips with
-  equal specs share it.  A consumer that reads a clip's frames back to
-  back hits it; one that comes back after other clips re-renders,
-  bitwise the same.
+  hash and the frame index, and clips with equal specs share it.  A
+  consumer that reads a clip's frames back to back hits it; one that
+  comes back after other clips re-renders, bitwise the same.
 - **Derived values** -- the model's keyframe features, the baselines'
   per-frame and landmark features, the SLIC map -- are small and
   weight-independent, so each is computed once and kept on the clip
@@ -53,7 +51,7 @@ DEFAULT_NUM_FRAMES: int = 12
 #: baseline's per-frame features -- to render each frame once.
 FRAME_WORKING_SET: int = 32
 
-_frames: OrderedDict[tuple[str, str, int], np.ndarray] = OrderedDict()
+_frames: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
 _frames_lock = threading.Lock()
 
 
@@ -192,7 +190,7 @@ class Video:
             raise IndexError(
                 f"frame index {index} out of range [0, {self.num_frames})"
             )
-        key = (self.content_hash, self.video_id, index)
+        key = (self.content_hash, index)
         with _frames_lock:
             cached = _frames.get(key)
             if cached is not None:
@@ -270,8 +268,9 @@ class Video:
         worker, so :meth:`segmentation` returns it without segmenting.
 
         ``labels`` must be :meth:`segmentation` of a clip with this
-        clip's :attr:`content_hash`: SLIC is a pure function of the
-        pixels, so that map is the one this clip would compute.
+        clip's :attr:`content_hash`: equal hashes imply equal pixels,
+        and SLIC is a pure function of the pixels, so that map is the
+        one this clip would compute.
         """
         self._derived[("slic", num_segments)] = _compact_labels(labels)
 
@@ -306,16 +305,23 @@ def _rebuild_video(spec: VideoSpec, frame_size: int) -> Video:
 
 
 def video_content_hash(video: Video) -> str:
-    """Hex digest of everything that determines the video's pixels.
+    """Hex digest of everything that determines the video's pixels and
+    every answer about it.
 
-    Digests the latent spec -- per-frame AU intensities, identity
-    embedding, capture parameters, render seed -- plus the renderer's
-    frame size.  Rendering is deterministic given exactly these inputs
-    (see :class:`Video`), so equal digests imply pixel-identical clips.
-    The ``video_id`` is not part of the content.
+    Digests every :class:`VideoSpec` field -- ids, per-frame AU
+    intensities, identity embedding, capture parameters, render seed
+    -- plus the renderer's frame size.  Rendering is deterministic
+    given exactly these inputs (see :class:`Video`; the capture noise
+    is seeded from the video id), so equal digests imply
+    pixel-identical clips, and no consumer needs to pair the digest
+    with an id.  Strings are digested length-prefixed, as UTF-8.
     """
     spec = video.spec
     digest = hashlib.sha1()
+    for text in (spec.video_id, spec.subject_id):
+        data = text.encode("utf-8")
+        digest.update(struct.pack("<q", len(data)))
+        digest.update(data)
     au = np.ascontiguousarray(spec.au_intensities, dtype=np.float64)
     digest.update(struct.pack("<qq", *au.shape))
     digest.update(au.tobytes())

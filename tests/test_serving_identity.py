@@ -1,15 +1,24 @@
-"""One content identity: what the serving caches and the router key on.
+"""One content identity: what the serving caches, the router and the
+training memos key on.
+
+``Video.content_hash`` digests every ``VideoSpec`` field and the frame
+size, so it is the one key every consumer needs:
 
 - Clips that share ``video_id`` and render seed but differ in content
   each get their own answer, bitwise equal to their own serial
   ``predict``, through a service and through one- and two-replica
   pools (the two replicas are forked children); the pool routes on
   the content hash alone.
-- Ids that share content each get their own answer from a model whose
-  outputs depend on the id (the off-the-shelf proxies seed their
-  per-query noise from it), and from a pipeline whose own streams read
-  the id (test-time refinement, retrieval), also when the twins leave
-  in one batch.
+- Twins -- one spec under two ids -- are two clips: the renderer seeds
+  each frame's capture noise from the id.  Each twin gets its own
+  answer from a plain model, from an off-the-shelf proxy (which also
+  seeds its per-query noise from the id) and from a pipeline whose
+  own streams read the id (test-time refinement, retrieval), also when
+  the twins leave in one batch; and its own SLIC map and AU logits
+  from the training memos.
+- A clip that differs from an earlier one only in its subject gets its
+  own answer under test-time refinement, which draws its verification
+  negatives from the other subjects' clips.
 - Serving many distinct clips grows neither the model nor the frame
   working set, and no served clip keeps a frame.
 - Every served request gets its own dialogue session, also when the
@@ -27,6 +36,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.config import NUM_WORKERS_ENV
 from repro.cot.chain import StressChainPipeline
 from repro.datasets.base import Sample
 from repro.model.foundation import FoundationModel
@@ -37,6 +47,8 @@ from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.pool import ReplicaPool, _HashRing
+from repro.training.self_refine import _prefetch_segmentations
+from repro.training.verification import VerificationPool
 from repro.video import frame as frame_module
 from repro.video.frame import (
     FRAME_WORKING_SET,
@@ -44,7 +56,7 @@ from repro.video.frame import (
     VideoSpec,
     clear_frame_working_set,
 )
-from tests.test_video_frame import retained_arrays
+from tests.test_video_frame import CountingRenderer, retained_arrays
 
 #: Marks a test that builds a pool of more than one replica: each
 #: replica is a forked child process.
@@ -125,13 +137,15 @@ class TestSameIdDifferentContent:
         ring = _HashRing(2)
         with ReplicaPool(_pipeline(), num_replicas=2) as pool:
             routes = [pool.route(Video(spec)) for spec in self.SPECS]
-            # Same content under another id routes the same way.
-            renamed = [pool.route(Video(replace(spec, video_id="other")))
-                       for spec in self.SPECS]
+            # A renamed clip is another clip: it routes by its own hash.
+            renamed_videos = [Video(replace(spec, video_id="other"))
+                              for spec in self.SPECS]
+            renamed = [pool.route(video) for video in renamed_videos]
         expected = [ring.route(Video(spec).content_hash)
                     for spec in self.SPECS]
         assert routes == expected
-        assert renamed == expected
+        assert renamed == [ring.route(video.content_hash)
+                           for video in renamed_videos]
         assert set(routes) == {0, 1}
 
     def test_one_replica_routes_everything_to_zero(self):
@@ -140,13 +154,58 @@ class TestSameIdDifferentContent:
 
 
 # ----------------------------------------------------------------------
-# Same content, different ids, on a model whose outputs read the id
+# One spec under two ids
 # ----------------------------------------------------------------------
 
 
+class TestPlainModelTwinIds:
+    """The renderer seeds each frame's capture noise from the video id,
+    so twins differ in pixels even to a model whose outputs read
+    nothing else: each gets its own answer, SLIC map and AU logits."""
+
+    SPECS = [replace(_spec(index, seed=600 + index), video_id=f"plain-{tag}")
+             for index in range(10) for tag in (f"{index}a", f"{index}b")]
+
+    def test_service_answers_each_twin(self):
+        pipeline = _pipeline()
+        with StressService(pipeline) as service:
+            assert _mismatches(_through(service), pipeline,
+                               self.SPECS) == 0
+
+    @pytest.mark.parametrize("num_replicas", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_pool_answers_each_twin(self, num_replicas):
+        pipeline = _pipeline()
+        with ReplicaPool(pipeline, num_replicas=num_replicas) as pool:
+            assert _mismatches(_through(pool), pipeline, self.SPECS) == 0
+
+    def test_predict_many_answers_each_twin(self):
+        pipeline = _pipeline()
+        assert _mismatches(pipeline.predict_many, pipeline,
+                           self.SPECS) == 0
+
+    def test_verification_pool_logits_are_each_twins_own(self):
+        model = _pipeline().model
+        videos = [Video(spec) for spec in self.SPECS]
+        pool = VerificationPool(model, videos)
+        for video in videos:
+            assert np.array_equal(pool.au_logits(video),
+                                  model.au_logits(video))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_prefetched_segmentations_are_each_twins_own(self, monkeypatch):
+        assert threading.active_count() == 1, "a thread leaked into the test"
+        monkeypatch.setenv(NUM_WORKERS_ENV, "2")
+        videos = [Video(spec) for spec in self.SPECS]
+        assert _prefetch_segmentations(videos) == len(videos)
+        for video in videos:
+            assert np.array_equal(video.segmentation(),
+                                  Video(video.spec).segmentation())
+
+
 class TestOffTheShelfTwinIds:
-    """``OffTheShelfModel`` seeds its per-query noise from the video id,
-    so two ids with equal content are two different queries."""
+    """``OffTheShelfModel`` also seeds its per-query noise from the
+    video id, so twins are two different queries."""
 
     SPECS = [replace(_spec(index, seed=500 + index), video_id=f"twin-{tag}")
              for index in range(20) for tag in (f"{index}a", f"{index}b")]
@@ -155,17 +214,10 @@ class TestOffTheShelfTwinIds:
     def gpt4o(self):
         return load_offtheshelf("gpt-4o")
 
-    def test_twins_share_content(self):
+    def test_twins_differ_in_content(self):
         first, second = Video(self.SPECS[0]), Video(self.SPECS[1])
-        assert first.content_hash == second.content_hash
+        assert first.content_hash != second.content_hash
         assert first.video_id != second.video_id
-
-    def test_output_identity_adds_the_id(self, gpt4o):
-        first, second = Video(self.SPECS[0]), Video(self.SPECS[1])
-        assert gpt4o.output_identity(first) != gpt4o.output_identity(second)
-        plain = FoundationModel(make_rng(3, "identity-plain"))
-        assert plain.output_identity(first) == first.content_hash
-        assert plain.output_identity(second) == first.content_hash
 
     @pytest.mark.parametrize("use_chain", [True, False])
     def test_service_answers_each_id(self, gpt4o, use_chain):
@@ -181,13 +233,6 @@ class TestOffTheShelfTwinIds:
         pipeline = StressChainPipeline(gpt4o)
         with ReplicaPool(pipeline, num_replicas=2) as pool:
             assert _mismatches(_through(pool), pipeline, self.SPECS) == 0
-
-    @needs_fork
-    def test_twins_still_route_together(self, gpt4o):
-        with ReplicaPool(StressChainPipeline(gpt4o),
-                         num_replicas=2) as pool:
-            routes = [pool.route(Video(spec)) for spec in self.SPECS]
-        assert routes[0::2] == routes[1::2]
 
 
 def _in_one_batch(service: StressService, videos: list[Video]) -> list:
@@ -212,9 +257,8 @@ def _in_one_batch(service: StressService, videos: list[Video]) -> list:
 
 class TestPipelineTwinIds:
     """Test-time refinement seeds its reflection draws from the video
-    id, and a retriever its example draw, so under either two ids with
-    equal content are two requests even on a model that cannot tell
-    them apart -- also when both leave in one batch."""
+    id, and a retriever its example draw: each twin gets its own
+    answer under either, also when both leave in one batch."""
 
     PAIRS = 12
     SPECS = [replace(_spec(index, seed=700 + index), video_id=f"pair-{tag}")
@@ -256,6 +300,23 @@ class TestPipelineTwinIds:
         # its twin: every id was computed.
         assert stats.batches == 2
         assert stats.deduplicated == 0
+
+    def test_subject_twin_served_after_its_twin(self, examples):
+        """Test-time refinement draws its verification negatives from
+        the other subjects' clips, so a clip that differs from an
+        earlier one only in its subject is another request (this pair's
+        label flips with the subject)."""
+        pipeline = self._pipeline("refine", examples)
+        first = replace(_spec(18, video_id="subject-twin-18", seed=818),
+                        subject_id="identity-subj-0")
+        second = replace(first, subject_id="identity-subj-2")
+        serial = [pipeline.predict(Video(spec)) for spec in (first, second)]
+        assert _signature(serial[0]) != _signature(serial[1])
+        with StressService(pipeline) as service:
+            served = [service.predict(Video(spec), timeout=60)
+                      for spec in (first, second)]
+        assert [_signature(result) for result in served] == \
+            [_signature(result) for result in serial]
 
 
 # ----------------------------------------------------------------------
@@ -307,16 +368,18 @@ class TestFeatureCacheBound:
     def test_lru_keeps_recent_entries(self, monkeypatch):
         monkeypatch.setattr(frame_module, "FRAME_WORKING_SET", 2)
         clear_frame_working_set()
-        first, second, third = (Video(_spec(i, video_id=f"lru-{i}"))
-                                for i in range(3))
+        renderer = CountingRenderer()
+        first, second, third = (Video(_spec(i, video_id=f"lru-{i}"),
+                                      renderer) for i in range(3))
         kept = first.frame(0)
         second.frame(0)
         assert first.frame(0) is kept   # refresh: second is oldest
         third.frame(0)
         assert len(frame_module._frames) == 2
-        assert (second.content_hash, second.video_id, 0) \
-            not in frame_module._frames
         assert first.frame(0) is kept
+        assert renderer.renders == [("lru-0", 0), ("lru-1", 0), ("lru-2", 0)]
+        second.frame(0)                 # evicted: rendered again
+        assert renderer.renders[3:] == [("lru-1", 0)]
 
     def test_threads_share_the_bounded_cache(self, monkeypatch):
         """Eight threads over twelve clips and four frame slots: the

@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,7 @@ from repro.serving import (
     StressService,
     video_content_hash,
 )
+from repro.video.face_synth import default_renderer
 from repro.video.frame import Video, VideoSpec
 
 
@@ -106,15 +107,37 @@ class TestContentHash:
             video_content_hash(_video("x", 1))
 
     def test_content_changes_change_key(self):
-        base = video_content_hash(_video("x", 1))
-        assert video_content_hash(_video("x", 2)) != base          # seed
-        assert video_content_hash(_video("x", 1, noise=0.1)) != base
+        """Changing any one spec field, or the frame size, changes the
+        hash: a field added to ``VideoSpec`` but not hashed fails here."""
+        video = _video("x", 1)
+        base = video_content_hash(video)
+        for field in fields(VideoSpec):
+            value = getattr(video.spec, field.name)
+            changed = replace(video.spec, **{field.name: _changed(value)})
+            assert video_content_hash(Video(changed)) != base, field.name
+        smaller = Video(video.spec, default_renderer(64))
+        assert video_content_hash(smaller) != base
 
-    def test_memoized_key_matches_direct_hash(self, pipeline):
+    def test_memoized_key_matches_direct_hash(self):
         caches = StageCaches(capacity=1)
         video = _video("memo", 3)
-        assert caches.content_key(video, pipeline) == video_content_hash(video)
-        assert caches.content_key(video, pipeline) == video_content_hash(video)
+        assert caches.content_key(video) == video_content_hash(video)
+        assert caches.content_key(video) == video_content_hash(video)
+
+
+def _changed(value):
+    """A valid ``VideoSpec`` field value other than ``value``."""
+    if isinstance(value, str):
+        return value + "-changed"
+    if isinstance(value, np.ndarray):
+        changed = value.copy()
+        changed.flat[0] = 0.25 if changed.flat[0] == 0.5 else 0.5
+        return changed
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return 0.25 if value == 0.5 else 0.5
+    raise TypeError(f"no change rule for {type(value).__name__}")
 
 
 class TestMicroBatcher:

@@ -18,7 +18,7 @@ from repro.model.foundation import FoundationModel
 from repro.rng import make_rng
 from repro.video import frame as frame_module
 from repro.video import segmentation
-from repro.video.face_synth import FaceRenderer
+from repro.video.face_synth import FaceRenderer, default_renderer
 from repro.video.frame import (
     DEFAULT_NUM_FRAMES,
     FRAME_WORKING_SET,
@@ -45,6 +45,20 @@ def retained_arrays(video: Video) -> list[np.ndarray]:
 
     return [array for name, value in vars(video).items()
             if name not in ("spec", "_renderer") for array in walk(value)]
+
+
+class CountingRenderer:
+    """The shared renderer, recording each frame it actually renders
+    (a working-set hit renders nothing)."""
+
+    def __init__(self) -> None:
+        self._inner = default_renderer()
+        self.frame_size = self._inner.frame_size
+        self.renders: list[tuple[str, int]] = []
+
+    def render(self, spec: VideoSpec, index: int) -> np.ndarray:
+        self.renders.append((spec.video_id, index))
+        return self._inner.render(spec, index)
 
 
 def _spec(**overrides):
@@ -160,14 +174,18 @@ class TestRetention:
 
     def test_working_set_is_bounded_and_lru(self):
         clear_frame_working_set()
-        clips = [Video(_spec(seed=seed)) for seed in range(3)]
+        renderer = CountingRenderer()
+        clips = [Video(_spec(seed=seed), renderer) for seed in range(3)]
         for clip in clips:
             clip.frames()
+        assert len(renderer.renders) == 3 * DEFAULT_NUM_FRAMES
         assert len(frame_module._frames) <= FRAME_WORKING_SET
-        # 36 frames rendered into 32 slots: the oldest four are gone,
-        # the newest are kept and handed out as the same array.
-        assert (clips[0].content_hash, "v0", 0) not in frame_module._frames
+        # 36 frames rendered into 32 slots: the newest are kept and
+        # handed out as the same array, the oldest four are gone.
         assert clips[2].frame(11) is clips[2].frame(11)
+        assert len(renderer.renders) == 3 * DEFAULT_NUM_FRAMES
+        clips[0].frame(0)
+        assert len(renderer.renders) == 3 * DEFAULT_NUM_FRAMES + 1
 
     def test_frames_are_shared_by_spec_and_read_only(self):
         first = Video(_spec()).frame(2)
@@ -177,11 +195,11 @@ class TestRetention:
 
     def test_twin_ids_get_their_own_frames(self):
         """The render noise is seeded from the video id, which the
-        content hash leaves out: a clip with the same content under
-        another id must not be handed this clip's pixels."""
+        content hash digests: a clip with the same spec under another
+        id must not be handed this clip's pixels."""
         first = Video(_spec())
         twin = Video(_spec(video_id="twin"))
-        assert twin.content_hash == first.content_hash
+        assert twin.content_hash != first.content_hash
         kept = first.frame(2)
         clear_frame_working_set()
         alone = twin.frame(2)
