@@ -62,7 +62,6 @@ from repro.errors import (
     ServiceOverloadedError,
     ServingError,
     TrainingError,
-    TransientError,
 )
 from repro.facs.descriptions import FacialDescription
 from repro.metrics.classification import evaluate_predictions
@@ -79,7 +78,6 @@ from repro.reliability import (
     BreakerConfig,
     Deadline,
     FaultPlan,
-    RetryPolicy,
     injected,
 )
 from repro.serving import (
@@ -122,7 +120,6 @@ __all__ = [
     "RegistryError",
     "ReplicaPool",
     "ReproError",
-    "RetryPolicy",
     "SelfRefineConfig",
     "ServiceClosedError",
     "ServiceConfig",
@@ -133,7 +130,6 @@ __all__ = [
     "StressPipeline",
     "StressService",
     "TrainingError",
-    "TransientError",
     "available_vendors",
     "build_instruction_pairs",
     "evaluate_predictions",

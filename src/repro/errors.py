@@ -26,7 +26,6 @@ __all__ = [
     "ServiceOverloadedError",
     "ServingError",
     "TrainingError",
-    "TransientError",
 ]
 
 
@@ -74,18 +73,10 @@ class ServiceOverloadedError(ServingError):
     """Backpressure: the request queue is at ``max_queue_depth``."""
 
 
-class TransientError(ReproError):
-    """A failure that is safe to retry: the operation itself is sound,
-    the attempt hit a passing condition (injected fault, transient
-    resource hiccup).  The reliability layer's retry/circuit-breaker
-    machinery classifies errors as retryable iff they derive from this
-    class; everything else in the taxonomy is treated as fatal."""
-
-
-class FaultInjectedError(TransientError):
+class FaultInjectedError(ReproError):
     """Raised by an armed :class:`~repro.reliability.faults.FaultPlan`
-    at a named fault site.  Retryable by design: injected faults model
-    transient infrastructure failures."""
+    at a named fault site.  It fails the operation that passed the
+    site, as the real failure the site stands for would."""
 
 
 class DeadlineExceededError(ServingError):

@@ -43,7 +43,7 @@ def run(options: ExperimentOptions | None = None,
             rows[label] = {f"Top-{k}": d for k, d in result.drops.items()}
         data[dataset_name] = rows
         blocks.append(format_table(
-            f"{experiment_id.capitalize()} ({dataset_name.upper()}): "
+            f"{title.partition(':')[0]} ({dataset_name.upper()}): "
             f"accuracy drop of each variant's own rationale, "
             f"scale={options.scale.name}",
             COLUMNS, rows,

@@ -1,4 +1,4 @@
-"""Reliability: fault injection, deadlines, retry/breaker, checkpoints.
+"""Reliability: fault injection, deadlines, the breaker, checkpoints.
 
 Nothing in a production service is allowed to fail *unpredictably*:
 this package gives every failure mode in the stack a deterministic,
@@ -11,10 +11,6 @@ testable shape (DESIGN.md section 12):
 - :mod:`repro.reliability.deadlines` -- monotonic-clock
   :class:`Deadline` objects; the micro-batcher sheds expired requests
   before any executor work.
-- :mod:`repro.reliability.retry` -- :class:`RetryPolicy`, a seeded
-  exponential-backoff schedule, and :func:`is_retryable`: errors retry
-  iff they derive from :class:`~repro.errors.TransientError`.  The
-  service runs the retry loop over each batch's failed requests.
 - :mod:`repro.reliability.breaker` -- sliding-window
   :class:`CircuitBreaker` with half-open probing; the service can run
   cache-only degraded mode while open.
@@ -31,7 +27,6 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     FaultInjectedError,
-    TransientError,
 )
 from repro.reliability.breaker import (
     CLOSED,
@@ -59,7 +54,6 @@ from repro.reliability.faults import (
     install_plan,
     uninstall_plan,
 )
-from repro.reliability.retry import RetryPolicy, is_retryable
 
 configure_from_env()
 
@@ -78,17 +72,14 @@ __all__ = [
     "FaultSpec",
     "HALF_OPEN",
     "OPEN",
-    "RetryPolicy",
     "STAGE_NAMES",
     "SiteCounts",
     "TrainingCheckpointer",
-    "TransientError",
     "active_plan",
     "configure_from_env",
     "fault_point",
     "injected",
     "install_plan",
-    "is_retryable",
     "training_fingerprint",
     "uninstall_plan",
 ]

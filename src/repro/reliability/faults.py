@@ -9,7 +9,6 @@ site                      where it fires
                           of every chain run)
 ``serve.execute``         :meth:`ChainBatchExecutor.run_batch`, once per
                           unique request key before its cache lookup
-``cache.get``             :meth:`StageCaches.get` (the serving chain cache)
 ``persistence.io``        :func:`save_model` / :func:`load_model` (and the
                           training checkpointer built on them)
 ``cv.fold``               each cross-validation fold, before its fit
@@ -27,7 +26,7 @@ the chaos suite assert exact invariants under chaos.
 
 Plans come from code (tests) or from the environment::
 
-    REPRO_FAULTS="serve.execute:rate=0.25;cache.get:rate=0.1,mode=delay,delay_ms=2"
+    REPRO_FAULTS="serve.execute:rate=0.25;model.forward:rate=0.1,mode=delay,delay_ms=2"
 
 Spec grammar: ``site:key=value[,key=value...]`` joined by ``;``.  Keys:
 ``rate`` (fault probability per hit, required), ``mode`` (``error`` |
@@ -52,7 +51,6 @@ from repro.rng import make_rng
 FAULT_SITES: tuple[str, ...] = (
     "model.forward",
     "serve.execute",
-    "cache.get",
     "persistence.io",
     "cv.fold",
 )

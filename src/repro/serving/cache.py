@@ -45,7 +45,6 @@ from typing import Any, Hashable
 
 from repro.errors import ConfigError
 from repro.observability import profiling
-from repro.reliability.faults import fault_point
 # video_content_hash stays importable from here: perfbench's ledger
 # wraps it under this module's name.  Keys read Video.content_hash.
 from repro.video.frame import Video, video_content_hash  # noqa: F401
@@ -73,9 +72,8 @@ class StageCaches:
 
     ``capacity=0`` disables the cache (every ``get`` misses, ``put``
     is a no-op), which is how the service runs in cache-off mode.
-    Each lookup passes the ``cache.get`` fault site, and its hit or
-    miss is also counted on the current span (the
-    ``serve.stage_cache_*`` profiling counters).
+    Each lookup's hit or miss is also counted on the current span
+    (the ``serve.stage_cache_*`` profiling counters).
     """
 
     def __init__(self, capacity: int):
@@ -97,7 +95,6 @@ class StageCaches:
     def get(self, key: Hashable) -> Any | None:
         """The cached value, or ``None`` on a miss (values are never
         ``None``)."""
-        fault_point("cache.get")
         with self._lock:
             try:
                 value = self._data[key]

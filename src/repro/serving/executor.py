@@ -138,8 +138,7 @@ class ChainBatchExecutor:
                 try:
                     # The serve.execute fault site fires per unique
                     # group: an injected fault fails exactly the
-                    # requests of that group (a transient, retryable
-                    # error), never the whole batch.
+                    # requests of that group, never the whole batch.
                     fault_point("serve.execute")
                     core = cache.get(key)
                 except Exception as exc:  # noqa: BLE001 - per-request failure

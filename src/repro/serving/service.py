@@ -29,11 +29,10 @@ Guarantees:
 - a request whose ``deadline_ms`` expires while queued is shed with
   :class:`~repro.errors.DeadlineExceededError` *before* any model
   work is spent on it;
-- transient executor failures (:class:`~repro.errors.TransientError`)
-  are retried per-request with seeded exponential backoff; sustained
-  failure trips a circuit breaker that fails fast (or serves
-  cache-only hits flagged ``degraded=True``) instead of hammering a
-  broken executor;
+- a request that fails in the executor fails alone, with its own
+  error, never its batch; sustained failure trips a circuit breaker
+  that fails fast (or serves cache-only hits flagged
+  ``degraded=True``) instead of hammering a broken executor;
 - ``close()`` drains in-flight work before returning and reports
   whether the drain actually completed;
 - the service only reads the pipeline's weights, so it may serve a
@@ -44,14 +43,12 @@ Guarantees:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.errors import CircuitOpenError, ConfigError
 from repro.observability.metrics import global_metrics
 from repro.reliability.breaker import CLOSED, BreakerConfig, CircuitBreaker
 from repro.reliability.deadlines import Deadline
-from repro.reliability.retry import RetryPolicy, is_retryable
 from repro.serving.batcher import MicroBatcher
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.stats import ServiceStats, ServiceStatsSnapshot
@@ -68,22 +65,19 @@ class ServiceConfig:
     ``cache_capacity`` sizes the LRU of chain results (0 disables
     it).
 
-    Deadlines, retry and the breaker default *off*, so the hot path
-    runs none of them unless a deployment opts in:
-    ``default_deadline_ms`` attaches a deadline to every submit that
-    does not bring its own; ``retry_policy`` retries transient
-    per-request executor failures with seeded backoff; ``breaker``
-    trips on sustained failure.  ``degraded_mode`` (on by default, and
-    only read once a breaker is open) lets an open breaker serve
-    cache-only hits (flagged ``degraded=True``) instead of failing
-    everything fast.
+    Deadlines and the breaker default *off*, so the hot path runs
+    neither unless a deployment opts in: ``default_deadline_ms``
+    attaches a deadline to every submit that does not bring its own;
+    ``breaker`` trips on sustained failure.  ``degraded_mode`` (on by
+    default, and only read once a breaker is open) lets an open
+    breaker serve cache-only hits (flagged ``degraded=True``) instead
+    of failing everything fast.
     """
 
     max_batch_size: int = 32
     max_queue_depth: int = 256
     cache_capacity: int = 4096
     default_deadline_ms: float | None = None
-    retry_policy: RetryPolicy | None = None
     breaker: BreakerConfig | None = None
     degraded_mode: bool = True
 
@@ -225,7 +219,7 @@ class StressService:
                 outcomes: list[object] = self._degraded_outcomes(videos)
                 unique = len(videos)
             else:
-                outcomes, unique = self._execute(videos)
+                outcomes, unique = self.executor.run_batch(videos)
                 if self._breaker is not None:
                     self._breaker.record_many(
                         not isinstance(outcome, BaseException)
@@ -237,32 +231,6 @@ class StressService:
             self._batcher.queue_depth())
         return outcomes
 
-    def _execute(self, videos: list[Video]) -> tuple[list[object], int]:
-        """One batch through the executor, retrying transient
-        per-request failures under the configured policy."""
-        outcomes, unique = self.executor.run_batch(videos)
-        policy = self.config.retry_policy
-        if policy is None:
-            return outcomes, unique
-        delays = policy.delays_s(scope=f"batch:{self._stats.batches}")
-        for attempt, delay_s in enumerate(delays, start=1):
-            retry_idx = [i for i, outcome in enumerate(outcomes)
-                         if isinstance(outcome, BaseException)
-                         and is_retryable(outcome)]
-            if not retry_idx:
-                break
-            self._stats.record_retries(len(retry_idx))
-            # The worker thread sleeps the backoff; the whole queue
-            # waits with it, which is the point -- a transient fault
-            # needs breathing room, not a hot retry loop.
-            if delay_s > 0:
-                time.sleep(delay_s)
-            retried, __ = self.executor.run_batch(
-                [videos[i] for i in retry_idx])
-            for i, outcome in zip(retry_idx, retried):
-                outcomes[i] = outcome
-        return outcomes, unique
-
     def _degraded_outcomes(self, videos: list[Video]) -> list[object]:
         """Breaker-open answers: cache-only hits when degraded mode is
         on, :class:`CircuitOpenError` otherwise."""
@@ -272,7 +240,9 @@ class StressService:
             if self.config.degraded_mode:
                 try:
                     result = self.executor.run_cached(video)
-                except Exception:  # noqa: BLE001 - cache fault -> miss
+                except Exception:  # noqa: BLE001 - per-request failure
+                    # A request whose key cannot be computed (not a
+                    # clip) gets the breaker's error, not its batch.
                     result = None
             if result is not None:
                 self._stats.record_degraded()

@@ -53,8 +53,6 @@ class ServiceStatsSnapshot:
     #: Requests answered from cache alone while the circuit breaker
     #: was open (their results carry ``degraded=True``).
     degraded: int = 0
-    #: Executor retry attempts performed beyond first tries.
-    retries: int = 0
     #: Circuit breaker state at snapshot time ("closed" when no
     #: breaker is configured).
     breaker_state: str = "closed"
@@ -93,7 +91,6 @@ class ServiceStats:
         self._batches = scope.counter("serving.batches")
         self._shed = scope.counter("serving.shed")
         self._degraded = scope.counter("serving.degraded")
-        self._retries = scope.counter("serving.retries")
         self._batch_size = scope.histogram("serving.batch_size")
         self._shed_wait = scope.histogram("serving.shed_wait_s")
         self._latency = scope.histogram("serving.latency_s", LATENCY_WINDOW)
@@ -122,11 +119,6 @@ class ServiceStats:
         self._queue_wait.observe_many(queue_waits)
         self._execute.observe(execute_s)
 
-    @property
-    def batches(self) -> int:
-        """Batches executed so far (names the retry jitter stream)."""
-        return self._batches.value
-
     def record_shed(self, queued_s: float) -> None:
         """One request shed on deadline expiry after ``queued_s`` in
         queue, before any executor work."""
@@ -136,11 +128,6 @@ class ServiceStats:
     def record_degraded(self) -> None:
         """One request answered cache-only while the breaker was open."""
         self._degraded.inc()
-
-    def record_retries(self, attempts: int) -> None:
-        """``attempts`` executor retries performed beyond first tries."""
-        if attempts > 0:
-            self._retries.inc(attempts)
 
     def record_completions(self, latencies_s: Sequence[float],
                            failed: Sequence[bool]) -> None:
@@ -187,6 +174,5 @@ class ServiceStats:
             execute_p95_s=execute.p95,
             shed=self._shed.value,
             degraded=self._degraded.value,
-            retries=self._retries.value,
             breaker_state=breaker_state,
         )

@@ -182,13 +182,13 @@ class TestConsumers:
     def test_faults_spec_flows_through(self, monkeypatch):
         from repro.reliability import faults
 
-        monkeypatch.setenv(FAULTS_ENV, "cache.get:rate=0.25;seed=9")
+        monkeypatch.setenv(FAULTS_ENV, "serve.execute:rate=0.25;seed=9")
         previous = faults.active_plan()
         try:
             plan = faults.configure_from_env()
             assert plan is not None
             assert plan.seed == 9
-            assert plan.sites == ("cache.get",)
+            assert plan.sites == ("serve.execute",)
         finally:
             if previous is not None:
                 faults.install_plan(previous)

@@ -5,10 +5,13 @@ registry wiring, the scale presets, caching, and one end-to-end
 micro-scale experiment.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentOptions, experiment_ids, run_experiment
+from repro.experiments import table4_chain_faithfulness as table4
 from repro.experiments.common import (
     SCALES,
     Scale,
@@ -102,3 +105,26 @@ class TestMicroExperiment:
         result = run_experiment("fig7", tiny_options)
         assert "similarity" in result.text
         assert "vision_gap" in result.data
+
+
+class TestFaithfulnessHeaders:
+    def test_tables_iv_and_vi_head_their_blocks_by_numeral(
+            self, monkeypatch):
+        """Tables IV and VI share one runner; each block is headed by
+        its own table's numeral ("Table IV (UVSD)"), like every other
+        table.  Training and the deletion metric are stubbed out: only
+        the text around them is under test."""
+        drops = SimpleNamespace(drops={1: 0.0, 2: 0.0, 3: 0.0})
+        monkeypatch.setattr(table4, "trained_model",
+                            lambda *args: (None, None, []))
+        monkeypatch.setattr(table4, "StressChainPipeline",
+                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(table4, "rationale_ranker", lambda *args: None)
+        monkeypatch.setattr(table4, "deletion_metric",
+                            lambda *args, **kwargs: drops)
+        for experiment_id, numeral in (("table4", "IV"), ("table6", "VI")):
+            text = run_experiment(experiment_id, ExperimentOptions()).text
+            headers = [block.splitlines()[0].partition(":")[0]
+                       for block in text.split("\n\n")]
+            assert headers == [f"Table {numeral} (UVSD)",
+                               f"Table {numeral} (RSL)"]

@@ -34,6 +34,7 @@ from repro.errors import (
     CircuitOpenError,
     ConfigError,
     DeploymentError,
+    FaultInjectedError,
     PoolError,
     ServiceClosedError,
 )
@@ -41,7 +42,6 @@ from repro.model.foundation import FoundationModel
 from repro.model.registry import ModelRegistry
 from repro.reliability.breaker import BreakerConfig
 from repro.reliability.faults import FaultPlan, FaultSpec, injected
-from repro.reliability.retry import RetryPolicy
 from repro.rng import make_rng
 from repro.serving import ServiceConfig, StressService
 from repro.serving import pool as pool_module
@@ -702,8 +702,7 @@ class TestDeadChild:
 @needs_fork
 class TestProcessBackend:
     """A forked replica is a StressService over a pipe executor, so it
-    has the in-process service's degraded mode, cache stats and
-    retry."""
+    has the in-process service's degraded mode and cache stats."""
 
     def test_open_breaker_serves_cached_clip_degraded(self):
         with ReplicaPool(_pipeline(), num_replicas=2) as pool:
@@ -730,22 +729,21 @@ class TestProcessBackend:
         assert cache["chain"].size == 3
         assert cache["chain"].hits == 3 and cache["chain"].misses == 3
 
-    def test_retry_policy_retries_a_transient_execute_fault(self):
+    def test_execute_fault_fails_only_its_request(self):
         video = _videos(1)[0]
         want = _pipeline().predict(video)
-        config = ServiceConfig(retry_policy=RetryPolicy(
-            max_attempts=2, base_delay_ms=0.1, max_delay_ms=0.5))
         # serve.execute fires in the parent, before the cache lookup:
-        # its first hit faults and the retry succeeds.
+        # its first hit faults that request, and the next one passes.
         plan = FaultPlan([FaultSpec(site="serve.execute", rate=1.0,
                                     max_faults=1)], seed=1)
-        with injected(plan), ReplicaPool(_pipeline(), num_replicas=2,
-                                         config=config) as pool:
+        with injected(plan), ReplicaPool(_pipeline(),
+                                         num_replicas=2) as pool:
+            with pytest.raises(FaultInjectedError):
+                pool.predict(video, timeout=60)
             got = pool.predict(video, timeout=60)
             snapshot = pool.stats().replicas[pool.route(video)]
         _assert_same_result(got, want)
-        assert snapshot.retries == 1
-        assert snapshot.failed == 0
+        assert (snapshot.failed, snapshot.completed) == (1, 1)
 
 
 class TestReplicaServiceSurface:

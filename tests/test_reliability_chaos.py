@@ -34,7 +34,6 @@ from repro.reliability.faults import (
     injected,
     uninstall_plan,
 )
-from repro.reliability.retry import RetryPolicy
 from repro.serving.executor import ChainBatchExecutor
 from repro.serving.service import ServiceConfig, StressService
 
@@ -67,14 +66,8 @@ class TestConcurrentChaos:
         plan = FaultPlan([
             FaultSpec(site="serve.execute", rate=0.15),
             FaultSpec(site="model.forward", rate=0.05),
-            FaultSpec(site="cache.get", rate=0.05, mode="delay",
-                      delay_ms=0.2),
         ], seed=1234)
-        config = ServiceConfig(
-            max_batch_size=4,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay_ms=0.1,
-                                     max_delay_ms=0.5, seed=5),
-        )
+        config = ServiceConfig(max_batch_size=4)
         futures, futures_lock = [], threading.Lock()
 
         with injected(plan), StressService(pipeline, config) as service:

@@ -18,7 +18,6 @@ from repro.reliability.faults import (
     uninstall_plan,
 )
 from repro.rng import make_rng
-from repro.serving.cache import StageCaches
 
 
 @pytest.fixture(autouse=True)
@@ -44,17 +43,17 @@ class TestFaultSpec:
 
     def test_duplicate_sites_rejected(self):
         with pytest.raises(ConfigError):
-            FaultPlan([FaultSpec(site="cache.get", rate=0.1),
-                       FaultSpec(site="cache.get", rate=0.2)])
+            FaultPlan([FaultSpec(site="model.forward", rate=0.1),
+                       FaultSpec(site="model.forward", rate=0.2)])
 
 
 class TestSpecParsing:
     def test_full_grammar(self):
         plan = FaultPlan.from_spec(
             "seed=9;serve.execute:rate=0.25;"
-            "cache.get:rate=1.0,mode=delay,delay_ms=0.5,max=3")
+            "model.forward:rate=1.0,mode=delay,delay_ms=0.5,max=3")
         assert plan.seed == 9
-        assert set(plan.sites) == {"serve.execute", "cache.get"}
+        assert set(plan.sites) == {"serve.execute", "model.forward"}
 
     def test_missing_rate_rejected(self):
         with pytest.raises(ConfigError):
@@ -119,10 +118,11 @@ class TestDeterminism:
         assert counts.hits == 10 and counts.faults == 2
 
     def test_sites_draw_independent_streams(self):
-        # The cache.get stream must not perturb serve.execute's.
+        # The model.forward stream must not perturb serve.execute's.
         lone = FaultPlan([FaultSpec(site="serve.execute", rate=0.3)], seed=1)
         paired = FaultPlan([FaultSpec(site="serve.execute", rate=0.3),
-                            FaultSpec(site="cache.get", rate=0.3)], seed=1)
+                            FaultSpec(site="model.forward", rate=0.3)],
+                           seed=1)
         lone_faults, paired_faults = 0, 0
         for _ in range(100):
             try:
@@ -130,7 +130,7 @@ class TestDeterminism:
             except FaultInjectedError:
                 lone_faults += 1
             try:
-                paired.check("cache.get")
+                paired.check("model.forward")
             except FaultInjectedError:
                 pass
             try:
@@ -153,13 +153,13 @@ class TestArming:
             assert active_plan() is inner
         assert active_plan() is outer
 
-    def test_delay_mode_does_not_raise(self):
-        plan = FaultPlan([FaultSpec(site="cache.get", rate=1.0,
+    def test_delay_mode_does_not_raise(self, sample_video):
+        model = FoundationModel(make_rng(0, "fault-site"))
+        plan = FaultPlan([FaultSpec(site="model.forward", rate=1.0,
                                     mode="delay", delay_ms=0.1)])
         with injected(plan):
-            cache = StageCaches(4)
-            assert cache.get("missing") is None
-        assert plan.counts()["cache.get"].faults > 0
+            assert model.embed_video(sample_video).shape[0] == 1
+        assert plan.counts()["model.forward"].faults > 0
 
 
 class TestCompiledSites:
@@ -171,14 +171,6 @@ class TestCompiledSites:
                 model.embed_video(sample_video)
         # Disarmed: same call succeeds.
         assert model.embed_video(sample_video).shape[0] == 1
-
-    def test_cache_get_site(self):
-        cache = StageCaches(4)
-        cache.put("k", 1)
-        with injected(FaultPlan([FaultSpec(site="cache.get", rate=1.0)])):
-            with pytest.raises(FaultInjectedError):
-                cache.get("k")
-        assert cache.get("k") == 1
 
     def test_persistence_site(self, tmp_path):
         model = FoundationModel(make_rng(0, "fault-site"))

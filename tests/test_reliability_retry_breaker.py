@@ -1,4 +1,4 @@
-"""Retry policy and circuit breaker unit tests."""
+"""Circuit breaker unit tests."""
 
 import sys
 import threading
@@ -6,12 +6,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import (
-    ConfigError,
-    FaultInjectedError,
-    ModelError,
-    TransientError,
-)
+from repro.errors import ConfigError
 from repro.reliability.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -19,7 +14,6 @@ from repro.reliability.breaker import (
     BreakerConfig,
     CircuitBreaker,
 )
-from repro.reliability.retry import RetryPolicy, is_retryable
 
 
 class FakeClock:
@@ -31,66 +25,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-# ----------------------------------------------------------------------
-# Retry
-# ----------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=1.0)
-
-    @pytest.mark.parametrize(
-        "field", ["base_delay_ms", "max_delay_ms", "multiplier"])
-    def test_nan_rejected(self, field):
-        # nan < 0 is False: a NaN delay would reach time.sleep on the
-        # first retry and raise there instead of the transient error.
-        with pytest.raises(ConfigError, match=field):
-            RetryPolicy(**{field: float("nan")})
-
-    @pytest.mark.parametrize(
-        "field", ["base_delay_ms", "max_delay_ms", "multiplier"])
-    def test_inf_stays_legal(self, field):
-        policy = RetryPolicy(**{field: float("inf")})
-        assert getattr(policy, field) == float("inf")
-
-    def test_delays_deterministic_per_scope(self):
-        policy = RetryPolicy(max_attempts=5, seed=3)
-        assert policy.delays_s("batch:1") == policy.delays_s("batch:1")
-        assert policy.delays_s("batch:1") != policy.delays_s("batch:2")
-
-    def test_delays_bounded(self):
-        policy = RetryPolicy(max_attempts=8, base_delay_ms=1.0,
-                             multiplier=4.0, max_delay_ms=10.0, jitter=0.1)
-        delays = policy.delays_s()
-        assert len(delays) == 7
-        for d in delays:
-            assert 0.0 < d <= 0.010 * 1.1
-        # The schedule grows until the cap bites.
-        assert delays[0] < delays[2]
-
-    def test_single_attempt_has_no_delays(self):
-        assert RetryPolicy(max_attempts=1).delays_s() == []
-
-
-class TestIsRetryable:
-    def test_classification_rule(self):
-        assert is_retryable(FaultInjectedError("x"))
-        assert is_retryable(TransientError("x"))
-        assert not is_retryable(ModelError("x"))
-        assert not is_retryable(ValueError("x"))
-
-
-# ----------------------------------------------------------------------
-# Breaker
-# ----------------------------------------------------------------------
 
 
 def _tripped_breaker(clock, **overrides):

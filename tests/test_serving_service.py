@@ -17,6 +17,7 @@ import pytest
 
 from repro.cot.chain import StressChainPipeline
 from repro.errors import (
+    CircuitOpenError,
     ConfigError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -24,6 +25,7 @@ from repro.errors import (
 from repro.model.foundation import FoundationModel
 from repro.cot.chain import ChainResult
 from repro.observability.metrics import MetricsRegistry
+from repro.reliability.breaker import OPEN, BreakerConfig
 from repro.reliability.deadlines import Deadline
 from repro.reliability.faults import (
     FAULT_SITES,
@@ -419,6 +421,40 @@ class TestStressService:
             [_signature(other.predict(v)) for v in videos]
 
 
+class TestPerRequestFailure:
+    """A request whose key cannot be computed (not a clip) fails
+    alone: the clip batched with it is answered whether the breaker is
+    closed (the executor runs the batch) or open (degraded mode
+    answers from cache)."""
+
+    @pytest.mark.parametrize("breaker_open", [False, True])
+    def test_bad_request_fails_alone(self, pipeline, breaker_open):
+        video = _video("alone", 91)
+        config = ServiceConfig(breaker=BreakerConfig(
+            window=8, min_volume=8, open_duration_s=60.0))
+        with StressService(pipeline, config) as svc:
+            want = svc.predict(video, timeout=30)  # warms the cache
+            if breaker_open:
+                svc.breaker.record_many([False] * 8)
+                assert svc.breaker.state == OPEN
+            # Hold the worker in a first batch so the clip and the bad
+            # request queue behind it and leave together.
+            with svc._swap_lock:
+                held = svc.submit(video)
+                while svc.queue_depth():
+                    time.sleep(0.001)
+                good, bad = svc.submit(video), svc.submit(object())
+            held.result(30)
+            got = good.result(30)
+            error = bad.exception(30)
+            stats = svc.stats()
+        assert isinstance(error, CircuitOpenError if breaker_open
+                          else AttributeError)
+        assert got.degraded is breaker_open
+        assert _signature(got)[:-1] == _signature(want)[:-1]
+        assert (stats.batches, stats.failed) == (3, 1)
+
+
 def _signature(result) -> tuple:
     return (result.prob_stressed, result.label, result.rationale.au_ids,
             result.session.transcript(), result.degraded)
@@ -474,9 +510,9 @@ class TestChainCacheHitPath:
         assert calls == ["fault_point"]
 
     def test_warm_hit_passes_each_serving_site_once_per_key(self):
-        """A warm batch passes ``serve.execute`` and ``cache.get`` once
-        per unique key and reaches no model stage: four requests over
-        two warm clips make two hits at each site and none elsewhere."""
+        """A warm batch passes ``serve.execute`` once per unique key
+        and reaches no model stage: four requests over two warm clips
+        make two hits there and none elsewhere."""
         pipeline, calls = self._counting_pipeline()
         first, second = _video("sites-a", 76), _video("sites-b", 77)
         executor = ChainBatchExecutor(pipeline)
@@ -492,7 +528,7 @@ class TestChainCacheHitPath:
         assert len(calls) == embeds
         hits = {site: counts.hits for site, counts in plan.counts().items()}
         assert hits == {site: 0 for site in FAULT_SITES} | {
-            "serve.execute": 2, "cache.get": 2}
+            "serve.execute": 2}
 
     def test_zero_capacity_serves_bitwise_serial(self, pipeline):
         videos = [_video("cap0-a", 72), _video("cap0-b", 73)]
