@@ -8,6 +8,8 @@ used: per-frame patch grids (CNN-style), landmark point samples
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.facs.regions import REGIONS
@@ -24,22 +26,31 @@ def frame_patch_features(frame: np.ndarray, grid: int = FRAME_GRID) -> np.ndarra
     return (patch_means(frame, grid) - 0.5) * 4.0
 
 
+@lru_cache(maxsize=8)
+def _landmark_lattice(size: int,
+                      points_per_region: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the landmark lattice for ``size``-pixel
+    frames, region by region in ``REGIONS`` order (read-only)."""
+    rows, cols = [], []
+    for region in REGIONS.values():
+        rows.append(np.linspace(region.row_start, region.row_stop - 1,
+                                points_per_region) * size / 96.0)
+        cols.append(np.linspace(region.col_start, region.col_stop - 1,
+                                points_per_region) * size / 96.0)
+    lattice = (np.concatenate(rows).astype(int), np.concatenate(cols).astype(int))
+    for index in lattice:
+        index.flags.writeable = False
+    return lattice
+
+
 def landmark_point_features(frame: np.ndarray,
                             points_per_region: int = 7) -> np.ndarray:
     """Pixel samples around each facial region's landmark lattice --
     the 49-point facial geometry Gao et al. feed their SVM.  Point
     samples (vs patch averages) are inherently noisy, which is the
     bottleneck that keeps geometry-only methods mid-field."""
-    size = frame.shape[0]
-    values = []
-    for region in REGIONS.values():
-        rows = np.linspace(region.row_start, region.row_stop - 1,
-                           points_per_region) * size / 96.0
-        cols = np.linspace(region.col_start, region.col_stop - 1,
-                           points_per_region) * size / 96.0
-        for r, c in zip(rows.astype(int), cols.astype(int)):
-            values.append(frame[r, c])
-    return (np.asarray(values) - 0.5) * 4.0
+    rows, cols = _landmark_lattice(frame.shape[0], points_per_region)
+    return (frame[rows, cols] - 0.5) * 4.0
 
 
 def _per_frame(video: Video) -> tuple[np.ndarray, np.ndarray]:

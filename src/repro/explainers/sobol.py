@@ -17,7 +17,6 @@ fastest of the paper's post-hoc baselines.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from repro.explainers.base import (
     Explainer,
@@ -51,6 +50,10 @@ class SobolExplainer(Explainer):
 
     def attribute(self, frame: np.ndarray, labels: np.ndarray,
                   predict_fn: PredictFn, seed: int = 0) -> SegmentAttribution:
+        # Imported here: scipy.stats costs a process most of a second
+        # and tens of MiB, and only this explainer needs it.
+        from scipy.stats import qmc
+
         num_segments = self._num_segments(labels)
         sampler = qmc.Sobol(d=2 * num_segments, scramble=True,
                             seed=derive_seed(seed, "sobol"))

@@ -14,6 +14,12 @@ The "physics" of the synthetic world -- the base face, identity bases
 and AU deformation patterns -- are generated once from a fixed world
 seed that is deliberately *not* configurable: every dataset and model
 in the library shares the same visual world.
+
+The world's smoothing is :func:`_gaussian_filter`, a NumPy copy of
+``scipy.ndimage.gaussian_filter`` that reproduces it bit for bit: the
+world, and so every rendered frame, every cache key's pixels and every
+pinned result, stays what it was when SciPy built it, while rendering
+no longer needs SciPy loaded.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.facs.action_units import AU_IDS, NUM_AUS
 from repro.facs.regions import FRAME_SIZE, REGIONS, region_for_au
@@ -38,11 +43,40 @@ _AU_GAIN: float = 0.38
 _IDENTITY_GAIN: float = 0.06
 
 
+def _gaussian_filter(image: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(image, sigma)`` of a 2-D float64
+    image, bit for bit.
+
+    SciPy's defaults are mirrored exactly: radius ``int(4 * sigma +
+    0.5)``, weights ``exp(-x**2 / (2 sigma**2))`` over their sum,
+    ``reflect`` edges (NumPy's ``symmetric`` pad), axis 0 then axis 1.
+    So is its accumulation order for a symmetric kernel: the centre tap
+    first, then ``(left + right) * weight`` from the farthest pair to
+    the nearest.  Any other order rounds differently.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    weights = weights / weights.sum()
+    out = image
+    for __ in range(2):  # filter axis 0, then (transposed) axis 1
+        length = out.shape[0]
+        padded = np.pad(out, ((radius, radius), (0, 0)), mode="symmetric")
+        acc = padded[radius:radius + length] * weights[radius]
+        for j in range(radius, 0, -1):
+            acc += (padded[radius - j:radius - j + length]
+                    + padded[radius + j:radius + j + length]) * weights[radius - j]
+        out = acc.T
+    # C order: a reduction over the result (its mean) sums in memory
+    # order, as it does over SciPy's output.
+    return np.ascontiguousarray(out)
+
+
 def _smooth_pattern(rng: np.random.Generator, shape: tuple[int, int],
                     sigma: float) -> np.ndarray:
     """A zero-mean, unit-peak smooth random pattern."""
     raw = rng.standard_normal(shape)
-    smooth = gaussian_filter(raw, sigma=sigma)
+    smooth = _gaussian_filter(raw, sigma)
     smooth -= smooth.mean()
     peak = np.abs(smooth).max()
     if peak > 0:
@@ -67,7 +101,7 @@ def _base_face(size: int) -> np.ndarray:
         image[mask] -= 0.18
     # Slight nose shading.
     image[REGIONS["nose"].mask(size)] -= 0.08
-    return gaussian_filter(image, sigma=1.2 * scale)
+    return _gaussian_filter(image, 1.2 * scale)
 
 
 class FaceRenderer:

@@ -9,7 +9,7 @@ centres initialised on a regular grid and a restricted 2S x 2S search
 window, followed by a connectivity-enforcement pass that absorbs
 orphaned fragments into their largest neighbour.
 
-Both passes run as whole-array NumPy/SciPy operations, yet return the
+Both passes run as whole-array NumPy operations, yet return the
 label map of the plain per-pixel loops bit for bit (the loops are kept
 as the test oracle in ``tests/slic_reference.py``): see
 :func:`slic_segments` and :func:`_enforce_connectivity` for why each
@@ -139,9 +139,6 @@ def slic_segments(
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     """Relabel so every segment is a single 4-connected component and
     labels are contiguous starting at 0."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     height, width = labels.shape
     # Connected components of equal original label, over the graph of
     # equal-label 4-neighbour pairs, numbered by first raster
@@ -151,15 +148,13 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     same_right = labels[:, :-1] == labels[:, 1:]
     heads = np.concatenate((index[:-1, :][same_down], index[:, :-1][same_right]))
     tails = np.concatenate((index[1:, :][same_down], index[:, 1:][same_right]))
-    graph = coo_matrix(
-        (np.ones(heads.size, dtype=np.int8), (heads, tails)),
-        shape=(labels.size, labels.size),
-    )
-    next_label, found = connected_components(graph, directed=False)
-    __, first_pixel = np.unique(found, return_index=True)
-    rank = np.empty(next_label, dtype=np.int64)
-    rank[np.argsort(first_pixel)] = np.arange(next_label)
-    component = rank[found].reshape(height, width)
+    root = _component_roots(labels.size, heads, tails)
+    is_root = root == index.ravel()
+    next_label = int(np.count_nonzero(is_root))
+    # A root is its component's first raster pixel, so ranking the
+    # roots in pixel order numbers components by first occurrence.
+    rank = np.cumsum(is_root) - 1
+    component = rank[root].reshape(height, width)
     # Absorb tiny fragments into a neighbouring component.
     min_size = max(4, labels.size // (next_label * 4) if next_label else 4)
     sizes = np.bincount(component.ravel(), minlength=next_label)
@@ -175,6 +170,35 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     # Make labels contiguous.
     __, contiguous = np.unique(component, return_inverse=True)
     return contiguous.reshape(labels.shape).astype(np.int64, copy=False)
+
+
+def _component_roots(size: int, heads: np.ndarray,
+                     tails: np.ndarray) -> np.ndarray:
+    """Smallest pixel index of each pixel's connected component, over
+    the undirected edges ``heads[i] -- tails[i]`` on ``size`` pixels.
+
+    Every pixel starts as its own root.  Each round hooks the larger
+    root of every edge whose ends still have different roots onto the
+    smaller one (``np.minimum.at``), then jumps pointers
+    (``root = root[root]``) until every pixel points at a root.  A root
+    only ever moves to a smaller index of its own component, so when no
+    edge is left between two roots, each component has one root: its
+    smallest index.
+    """
+    root = np.arange(size)
+    while True:
+        head_root, tail_root = root[heads], root[tails]
+        apart = head_root != tail_root
+        if not apart.any():
+            return root
+        head_root, tail_root = head_root[apart], tail_root[apart]
+        np.minimum.at(root, np.maximum(head_root, tail_root),
+                      np.minimum(head_root, tail_root))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
 
 
 def _dominant_neighbour(component: np.ndarray, mask: np.ndarray) -> int | None:

@@ -5,7 +5,11 @@ import pytest
 
 from repro.baselines import baseline_zoo, make_baseline
 from repro.baselines.base import SupervisedBaseline
+from repro.baselines.features import landmark_point_features
+from repro.datasets import generate_uvsd
 from repro.errors import ModelError
+from repro.experiments.common import SCALES
+from repro.facs.regions import REGIONS
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +72,37 @@ class TestInterface:
     def test_names_are_distinct(self):
         names = [make_baseline(key).name for key in baseline_zoo()]
         assert len(set(names)) == len(names)
+
+
+def _landmark_loop(frame, points_per_region=7):
+    """The per-point loop :func:`landmark_point_features` replaced,
+    kept as its oracle."""
+    size = frame.shape[0]
+    values = []
+    for region in REGIONS.values():
+        rows = np.linspace(region.row_start, region.row_stop - 1,
+                           points_per_region) * size / 96.0
+        cols = np.linspace(region.col_start, region.col_stop - 1,
+                           points_per_region) * size / 96.0
+        for r, c in zip(rows.astype(int), cols.astype(int)):
+            values.append(frame[r, c])
+    return (np.asarray(values) - 0.5) * 4.0
+
+
+class TestLandmarkPointFeatures:
+    def test_equal_to_the_loop_on_every_quick_uvsd_keyframe(self):
+        scale = SCALES["quick"]
+        data = generate_uvsd(0, scale.uvsd_samples, scale.uvsd_subjects)
+        for sample in data.samples:
+            for frame in sample.video.keyframes:
+                got = landmark_point_features(frame)
+                want = _landmark_loop(frame)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [16, 48, 97])
+    @pytest.mark.parametrize("points_per_region", [1, 3, 7])
+    def test_equal_to_the_loop_at_other_sizes(self, size, points_per_region):
+        frame = np.random.default_rng(size).uniform(size=(size, size))
+        got = landmark_point_features(frame, points_per_region)
+        assert got.tobytes() == _landmark_loop(frame, points_per_region).tobytes()

@@ -1,11 +1,18 @@
 """Tests for the synthetic face renderer."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.facs.action_units import AU_IDS
-from repro.facs.regions import region_for_au
-from repro.video.face_synth import FaceRenderer, default_renderer
+from repro.facs.regions import FRAME_SIZE, region_for_au
+from repro.video.face_synth import (
+    FaceRenderer,
+    _gaussian_filter,
+    default_renderer,
+)
 from repro.video.frame import IDENTITY_DIM, VideoSpec
 
 
@@ -78,3 +85,57 @@ class TestRenderer:
         renderer = default_renderer()
         diff = np.abs(renderer.render(occluded, 0) - renderer.render(clean, 0))
         assert (diff > 0.01).sum() > 20
+
+
+def _assert_matches_scipy(image, sigma):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    got = _gaussian_filter(image, sigma)
+    want = ndimage.gaussian_filter(image, sigma=sigma)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+
+
+class TestGaussianFilter:
+    """``_gaussian_filter`` is ``scipy.ndimage.gaussian_filter`` bit for
+    bit; the renderer's world depends on every bit."""
+
+    @pytest.mark.parametrize("size", [16, 24, 32, 48, 64, 80, 96, 112, 128])
+    @pytest.mark.parametrize("factor", [1.2, 2.0, 5.0])
+    def test_renderer_sigmas_match_scipy(self, size, factor):
+        # The renderer smooths with 1.2, 2.0 and 2.0 * 2.5 times its
+        # scale (base face, AU patterns, identity bases).
+        image = np.random.default_rng(size).standard_normal((size, size))
+        _assert_matches_scipy(image, factor * size / FRAME_SIZE)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        sigma=st.floats(0.05, 12.0),
+    )
+    def test_property_random_inputs_match_scipy(self, seed, height, width,
+                                                sigma):
+        # Includes radii wider than the image: edges reflect repeatedly.
+        image = np.random.default_rng(seed).uniform(-1, 1, (height, width))
+        _assert_matches_scipy(image, sigma)
+
+
+#: SHA-256 of the renderer world (base face, identity bases, AU
+#: patterns and anchors), recorded when SciPy's gaussian_filter built
+#: it.  Every rendered frame, and so every pinned result, rests on it.
+_WORLD_SHA256 = {
+    48: "7bb94f73096eb5a076da041aa7e3aed37d5795bf674977a3680b876012f8beb6",
+    96: "9aefbea62cb687c71def29fd1b630ff1a1931904e69cd356be94085174fc5d93",
+}
+
+
+@pytest.mark.parametrize("frame_size", sorted(_WORLD_SHA256))
+def test_renderer_world_is_pinned(frame_size):
+    renderer = FaceRenderer(frame_size)
+    digest = hashlib.sha256()
+    for array in (renderer._base, renderer._identity_basis,
+                  renderer._au_patterns):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr(sorted(renderer._au_anchors.items())).encode())
+    assert digest.hexdigest() == _WORLD_SHA256[frame_size]

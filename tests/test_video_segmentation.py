@@ -19,6 +19,42 @@ from repro.video.segmentation import (
 from tests import slic_reference
 
 
+def _snake(height: int, width: int) -> np.ndarray:
+    """A one-pixel-wide serpentine of label 1 on 0: every second row,
+    joined at alternating ends.  Its raster order runs against the
+    path, so labelling it takes long pointer chains."""
+    labels = np.zeros((height, width), dtype=np.int64)
+    labels[::2] = 1
+    for row in range(1, height, 2):
+        labels[row, -1 if row % 4 == 1 else 0] = 1
+    return labels
+
+
+@st.composite
+def _label_maps(draw):
+    """Label maps for the connectivity oracle: 1xN, Nx1 and 2-D shapes
+    of random, single, all-distinct and snake labels."""
+    height, width = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(2, 30), st.integers(2, 30)),
+    ))
+    kind = draw(st.sampled_from(["random", "single", "distinct", "snake"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.integers(0, draw(st.integers(1, 6)), (height, width))
+    if kind == "single":
+        return np.full((height, width), draw(st.integers(0, 99)),
+                       dtype=np.int64)
+    if kind == "distinct":
+        return np.arange(height * width, dtype=np.int64).reshape(height, width)
+    labels = _snake(height, width)
+    labels = np.rot90(labels, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        labels = labels[:, ::-1]
+    return np.ascontiguousarray(labels)
+
+
 def _gradient_image(size=48):
     rows, cols = np.mgrid[0:size, 0:size]
     return (rows + cols) / (2.0 * (size - 1))
@@ -145,6 +181,11 @@ class TestOracle:
             slic_reference.slic_segments(
                 image, num_segments, compactness, num_iters),
         )
+
+    @given(labels=_label_maps())
+    def test_property_connectivity_matches_oracle(self, labels):
+        _assert_matches_oracle(_enforce_connectivity(labels),
+                               slic_reference._enforce_connectivity(labels))
 
     def test_split_label_becomes_two_segments(self):
         labels = np.zeros((6, 6), dtype=np.int64)
