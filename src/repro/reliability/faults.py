@@ -8,7 +8,9 @@ site                      where it fires
 ``model.forward``         :meth:`FoundationModel.embed_video` (the trunk pass
                           of every chain run)
 ``serve.execute``         :meth:`ChainBatchExecutor.run_batch`, once per
-                          unique request key before its cache lookup
+                          unique request key before its cache lookup;
+                          and once per chain-cache hit answered at
+                          submit (:meth:`ChainBatchExecutor.run_hit`)
 ``persistence.io``        :func:`save_model` / :func:`load_model` (and the
                           training checkpointer built on them)
 ``cv.fold``               each cross-validation fold, before its fit

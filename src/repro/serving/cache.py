@@ -34,6 +34,12 @@ replica's executor keeps it in the parent process too, so a hit never
 crosses the pipe and only misses reach the child.  Entries are frozen
 and carry their dialogue turns already rendered, so a hit builds no
 text and requests can share an entry.
+
+The service looks a request up once, inside ``submit``
+(:meth:`StageCaches.hit`), and answers a hit there, in the caller's
+thread: a cached answer needs no batch, so it never waits behind one.
+Only misses reach the batcher, whose :meth:`StageCaches.get` counts
+them; so every request counts once, as a hit or as a miss.
 """
 
 from __future__ import annotations
@@ -106,6 +112,19 @@ class StageCaches:
                 self._hits += 1
         profiling.count(profiling.STAGE_CACHE_MISS if value is None
                         else profiling.STAGE_CACHE_HIT)
+        return value
+
+    def hit(self, key: Hashable) -> Any | None:
+        """:meth:`get` that leaves a miss uncounted: the service's
+        submit-time lookup, whose misses go on to a batch whose
+        :meth:`get` counts them, so each request counts once."""
+        with self._lock:
+            value = self._data.get(key)
+            if value is None:
+                return None
+            self._data.move_to_end(key)
+            self._hits += 1
+        profiling.count(profiling.STAGE_CACHE_HIT)
         return value
 
     def put(self, key: Hashable, value: Any) -> None:

@@ -7,10 +7,11 @@ it:
 - serial :meth:`~repro.cot.chain.StressChainPipeline.predict` runs it
   directly (see :func:`predict_uncached`): no content hash, no cache
   lookup, and one trunk pass per call;
-- :class:`ChainBatchExecutor` answers each unique request key of a
-  batch with one lookup in its chain cache
-  (:class:`~repro.serving.cache.StageCaches`), and runs the core over
-  the misses only (a forked pool replica runs them in its child, see
+- :class:`ChainBatchExecutor` answers a warm clip at submit with one
+  lookup in its chain cache (:class:`~repro.serving.cache.StageCaches`,
+  :meth:`ChainBatchExecutor.run_hit`), answers each unique request
+  key of a batch the same way, and runs the core over the misses only
+  (a forked pool replica runs them in its child, see
   :mod:`repro.serving.pool`), so served results are
   **bitwise-identical** to serial ``predict`` by construction.
 
@@ -175,6 +176,27 @@ class ChainBatchExecutor:
             except Exception as exc:  # noqa: BLE001 - per-request failure
                 cores.append(exc)
         return cores
+
+    def run_hit(self, video: Video) -> ChainResult | None:
+        """A warm clip's answer, in the calling thread: the cached
+        chain result for ``video``'s request key, or ``None`` when the
+        request needs a batch -- a miss (left uncounted, see
+        :meth:`StageCaches.hit`), or a request whose key cannot be
+        computed, which its batch then fails alone.
+
+        A hit passes the ``serve.execute`` fault site, as its batch
+        would have, so an injected fault raises here.
+        """
+        cache = self._cache
+        try:
+            key = cache.content_key(video)
+        except Exception:  # noqa: BLE001 - the batch reports it
+            return None
+        core = cache.hit(key)
+        if core is None:
+            return None
+        fault_point("serve.execute")
+        return _materialize(core)
 
     def run_cached(self, video: Video) -> ChainResult | None:
         """Cache-only answer: the stored chain result for ``video``'s

@@ -1,7 +1,8 @@
 """The online stress-detection service.
 
 :class:`StressService` is the deployment front of the library: it
-accepts concurrent ``predict`` requests, coalesces them through the
+accepts concurrent ``predict`` requests, answers those whose chain
+result is cached inside ``submit``, coalesces the rest through the
 dynamic micro-batcher into the :class:`ChainBatchExecutor`, and
 returns full :class:`~repro.cot.chain.ChainResult` objects -- label,
 probability, *and* the rationale chain, because a served prediction
@@ -23,9 +24,12 @@ Guarantees:
 
 - responses are bitwise-identical to serial ``pipeline.predict`` (the
   serving equivalence suite enforces this per request);
-- the queue is bounded -- submits past ``max_queue_depth`` raise
-  :class:`~repro.errors.ServiceOverloadedError` instead of growing
-  latency without bound;
+- a chain-cache hit is answered in the caller's thread while the
+  circuit breaker (if any) is closed: ``submit`` returns its future
+  already resolved, so a warm clip never waits behind a batch;
+- the queue is bounded -- misses submitted past ``max_queue_depth``
+  raise :class:`~repro.errors.ServiceOverloadedError` instead of
+  growing latency without bound (a hit takes no queue slot);
 - a request whose ``deadline_ms`` expires while queued is shed with
   :class:`~repro.errors.DeadlineExceededError` *before* any model
   work is spent on it;
@@ -43,9 +47,11 @@ Guarantees:
 from __future__ import annotations
 
 import threading
+import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 
-from repro.errors import CircuitOpenError, ConfigError
+from repro.errors import CircuitOpenError, ConfigError, ServiceClosedError
 from repro.observability.metrics import global_metrics
 from repro.reliability.breaker import CLOSED, BreakerConfig, CircuitBreaker
 from repro.reliability.deadlines import Deadline
@@ -137,17 +143,27 @@ class StressService:
     # ------------------------------------------------------------------
 
     def submit(self, video: Video, deadline_ms: float | None = None):
-        """Enqueue one request; returns a ``Future[ChainResult]``.
+        """Answer or enqueue one request; returns a
+        ``Future[ChainResult]``.
+
+        While the breaker is absent or closed, a chain-cache hit is
+        answered here, in the caller's thread: the returned future is
+        already resolved (with the hit's error if an injected
+        ``serve.execute`` fault fails it).  Everything else -- a miss,
+        a request whose key cannot be computed, any request while the
+        breaker is open or half-open -- is enqueued for a batch.
 
         ``deadline_ms`` bounds how long the caller will wait: a request
         still queued when its deadline expires is shed with
         :class:`~repro.errors.DeadlineExceededError` before execution
         (falls back to ``config.default_deadline_ms`` when ``None``).
+        A hit never queues, so it is never shed.
 
         Raises
         ------
         ServiceOverloadedError
-            If the queue already holds ``max_queue_depth`` requests.
+            If the request must queue and the queue already holds
+            ``max_queue_depth`` requests.
         ServiceClosedError
             If the service has been closed.
         """
@@ -155,6 +171,13 @@ class StressService:
             deadline_ms = self.config.default_deadline_ms
         deadline = (Deadline.after_ms(deadline_ms)
                     if deadline_ms is not None else None)
+        # A closed breaker's allow() has no side effect, so a hit may
+        # skip it; an open or half-open one decides in the batch.
+        breaker = self._breaker
+        if breaker is None or breaker.state == CLOSED:
+            future = self._answer_hit(video)
+            if future is not None:
+                return future
         return self._batcher.submit(video, deadline=deadline)
 
     def predict(self, video: Video, timeout: float | None = None,
@@ -212,6 +235,40 @@ class StressService:
         self.close()
 
     # ------------------------------------------------------------------
+
+    def _answer_hit(self, video: Video) -> Future | None:
+        """A warm clip's already-resolved future, answered in the
+        caller's thread, or ``None`` when the request needs a batch.
+
+        It records what a batch records for a hit: the submit, one
+        completion, and the breaker outcome (an injected
+        ``serve.execute`` fault fails the future).  It takes no swap
+        lock, which a whole miss batch holds: a swap clears the cache
+        before :meth:`swap_pipeline` returns, so no hit after it
+        answers from the old pipeline.
+        """
+        if self._batcher.closed:
+            raise ServiceClosedError(
+                "service is shut down; no new requests accepted")
+        started = time.monotonic()
+        try:
+            outcome = self.executor.run_hit(video)
+        except Exception as exc:  # noqa: BLE001 - fails this request alone
+            outcome = exc
+        if outcome is None:
+            return None
+        failed = isinstance(outcome, BaseException)
+        if self._breaker is not None:
+            self._breaker.record(not failed)
+        self._stats.record_submitted()
+        self._stats.record_completions([time.monotonic() - started],
+                                       [failed])
+        future: Future = Future()
+        if failed:
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
+        return future
 
     def _process_batch(self, videos: list[Video]) -> list[object]:
         with self._swap_lock:

@@ -178,15 +178,15 @@ class TestForkSafeTraces:
                        for r in records if r["name"] == "fork.child")
         assert child == [(item, step) for item in items
                          for step in range(100)]
-        # Each served request is routed once in the parent and executed
-        # once in a child (the children's batch spans add up to every
-        # request), and each clip's chain runs once there: its repeat
-        # is a chain-cache hit, which runs no chain.
+        # Each served request is routed once in the parent.  A clip's
+        # first request reaches a batch, whose miss runs the chain once
+        # in a child; its repeat is a chain-cache hit, answered at
+        # submit, so it reaches no batch and runs no chain.
         names = [r["name"] for r in records]
         assert len({video.content_hash for video in videos}) == len(videos)
         assert names.count("pool.route") == 2 * len(videos)
         assert sum(r["attrs"]["size"] for r in records
-                   if r["name"] == "serve.execute_batch") == 2 * len(videos)
+                   if r["name"] == "serve.execute_batch") == len(videos)
         assert names.count("chain.assess") == len(videos)
 
 

@@ -326,6 +326,44 @@ class TestConcurrency:
         assert sum(replica.cache["chain"].misses
                    for replica in snapshot.replicas) == len(videos)
 
+    @pytest.mark.parametrize("num_replicas", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_warm_clip_is_answered_while_a_miss_batch_is_held(
+            self, num_replicas):
+        """No head-of-line wait for a hit: while a replica's worker is
+        held inside a batch of misses (in process, or in the pipe call
+        to a forked replica's child), a warm clip routed to that
+        replica is answered by the time ``submit`` returns, bitwise
+        equal to serial ``predict``."""
+        with ReplicaPool(_pipeline(), num_replicas=num_replicas) as pool:
+            warm, cold = _routed_to(pool, 0, 2, offset=600)
+            reference = {video.video_id: _pipeline().predict(video)
+                         for video in (warm, cold)}
+            pool.predict(warm, timeout=60)
+            executor = pool._replicas[0].executor
+            run_misses = executor._run_misses
+            busy, release = threading.Event(), threading.Event()
+
+            def gated(videos):
+                busy.set()
+                release.wait(60)
+                return run_misses(videos)
+
+            executor._run_misses = gated
+            held = pool.submit(cold)
+            try:
+                assert busy.wait(60)
+                future = pool.submit(Video(warm.spec))
+                done = future.done()
+                held_pending = not held.done()
+            finally:
+                release.set()
+            got, got_held = future.result(60), held.result(60)
+        assert done, "the warm clip waited behind the held batch"
+        assert held_pending
+        _assert_same_result(got, reference[warm.video_id])
+        _assert_same_result(got_held, reference[cold.video_id])
+
 
 # ----------------------------------------------------------------------
 # Hot-swap deploys

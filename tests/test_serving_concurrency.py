@@ -15,8 +15,9 @@ feature cache fills through an atomic ``setdefault``, and the input a
 ``Linear`` layer keeps is read only by training's backward pass).
 Every response also gets its own dialogue session.
 
-Concurrent hot load is coalesced: requests that queue together leave
-in one batch, and warmed clips cost no model work.
+Requests that queue together leave in one batch, and a warmed clip is
+answered at submit: it costs no model work and never waits for a
+batch.
 """
 
 from __future__ import annotations
@@ -190,20 +191,8 @@ def test_concurrent_requests_do_not_interleave_sessions(pipeline):
     assert len({id(session) for __, session in collected}) == len(collected)
 
 
-def test_concurrent_hot_load_is_coalesced_without_model_work():
-    """32 clients over 8 warmed clips, queued behind a held batch,
-    leave in at most two batches, run no trunk pass, and each get
-    serial ``predict``'s answer bitwise.
-
-    Clients that cannot all reach the queue at once -- for example
-    because something serializes ``predict`` -- fail the queue-depth
-    check after ``QUEUE_TIMEOUT_S`` instead of hanging the test.
-    """
-    num_clients = 32
-    pipeline = StressChainPipeline(
-        FoundationModel(make_rng(47, "serving-concurrency")))
-    videos = _videos(8, base_seed=700)
-    serial = {v.video_id: pipeline.predict(v) for v in videos}
+def _counted_embeds(pipeline) -> list[str]:
+    """Record the id of every clip ``pipeline``'s trunk embeds."""
     embeds: list[str] = []
     embed_video = pipeline.model.embed_video
 
@@ -212,6 +201,42 @@ def test_concurrent_hot_load_is_coalesced_without_model_work():
         return embed_video(video)
 
     pipeline.model.embed_video = counted_embed
+    return embeds
+
+
+def _hold_worker(service):
+    """Gate ``service``'s executor: the next batch holds the worker
+    until the returned ``release`` event is set; ``busy`` is set once
+    it does."""
+    busy, release = threading.Event(), threading.Event()
+    run_batch = service.executor.run_batch
+
+    def gated_run_batch(batch):
+        busy.set()
+        release.wait(JOIN_TIMEOUT_S)
+        return run_batch(batch)
+
+    service.executor.run_batch = gated_run_batch
+    return busy, release
+
+
+def test_concurrent_hot_load_is_answered_without_model_work():
+    """32 clients over 8 warmed clips are all answered while a cold
+    clip's batch holds the worker: a chain-cache hit is answered at
+    submit, so it never waits behind a batch.  No client runs a trunk
+    pass or a batch, and each gets serial ``predict``'s answer bitwise.
+
+    A hit that queued behind the held batch would keep its client
+    waiting; such clients fail the join check after
+    ``QUEUE_TIMEOUT_S`` instead of hanging the test.
+    """
+    num_clients = 32
+    pipeline = StressChainPipeline(
+        FoundationModel(make_rng(47, "serving-concurrency")))
+    videos = _videos(8, base_seed=700)
+    cold = _videos(1, base_seed=710)[0]
+    serial = {v.video_id: pipeline.predict(v) for v in videos}
+    embeds = _counted_embeds(pipeline)
     results: list[object] = [None] * num_clients
 
     def client(index: int) -> None:
@@ -222,15 +247,72 @@ def test_concurrent_hot_load_is_coalesced_without_model_work():
         for video in videos:
             service.predict(video, timeout=JOIN_TIMEOUT_S)
         warm_embeds = len(embeds)
-        busy, release = threading.Event(), threading.Event()
-        run_batch = service.executor.run_batch
+        busy, release = _hold_worker(service)
+        held = service.submit(cold)
+        assert busy.wait(JOIN_TIMEOUT_S)
+        before = service.stats()
+        threads = [threading.Thread(target=client, args=(i,))
+                   for i in range(num_clients)]
+        for thread in threads:
+            thread.start()
+        try:
+            give_up = time.monotonic() + QUEUE_TIMEOUT_S
+            for thread in threads:
+                thread.join(max(0.0, give_up - time.monotonic()))
+            answered = sum(not thread.is_alive() for thread in threads)
+            held_pending = not held.done()
+            during, queued = service.stats(), service.queue_depth()
+            held_embeds = len(embeds)
+        finally:
+            release.set()
+            held.result(JOIN_TIMEOUT_S)
+            for thread in threads:
+                thread.join(JOIN_TIMEOUT_S)
+        assert not any(thread.is_alive() for thread in threads), \
+            "client thread deadlocked"
 
-        def gated_run_batch(batch):
-            busy.set()
-            release.wait(JOIN_TIMEOUT_S)
-            return run_batch(batch)
+    assert answered == num_clients, "warm clips waited behind the batch"
+    assert held_pending and queued == 0
+    assert during.batches == before.batches
+    assert during.requests - before.requests == num_clients
+    assert during.completed - before.completed == num_clients
+    assert (during.cache["chain"].hits - before.cache["chain"].hits
+            == num_clients)
+    assert warm_embeds == len(videos)
+    assert held_embeds == warm_embeds
+    for index, result in enumerate(results):
+        want = serial[videos[index % len(videos)].video_id]
+        assert result.label == want.label
+        assert result.prob_stressed == want.prob_stressed
+        assert tuple(result.rationale) == tuple(want.rationale)
+        assert result.session.transcript() == want.session.transcript()
+        assert result.degraded is False
 
-        service.executor.run_batch = gated_run_batch
+
+def test_concurrent_queued_load_is_coalesced():
+    """With the chain cache off every request queues: 32 clients over
+    8 clips, queued behind a held batch, leave in at most two batches,
+    each of which runs one chain per distinct clip, and each client
+    gets serial ``predict``'s answer bitwise.
+
+    Clients that cannot all reach the queue at once -- for example
+    because something serializes ``predict`` -- fail the queue-depth
+    check after ``QUEUE_TIMEOUT_S`` instead of hanging the test.
+    """
+    num_clients = 32
+    pipeline = StressChainPipeline(
+        FoundationModel(make_rng(47, "serving-concurrency")))
+    videos = _videos(8, base_seed=720)
+    serial = {v.video_id: pipeline.predict(v) for v in videos}
+    embeds = _counted_embeds(pipeline)
+    results: list[object] = [None] * num_clients
+
+    def client(index: int) -> None:
+        results[index] = service.predict(videos[index % len(videos)],
+                                         timeout=JOIN_TIMEOUT_S)
+
+    with StressService(pipeline, ServiceConfig(cache_capacity=0)) as service:
+        busy, release = _hold_worker(service)
         held = service.submit(videos[0])
         assert busy.wait(JOIN_TIMEOUT_S)
         batches_before = service.stats().batches
@@ -255,16 +337,15 @@ def test_concurrent_hot_load_is_coalesced_without_model_work():
 
     assert queued == num_clients, "clients did not reach the queue together"
     # The held batch, then the queued requests in at most two more.
-    assert stats.batches - batches_before - 1 <= 2
-    assert warm_embeds == len(videos)
-    assert len(embeds) == warm_embeds
+    queued_batches = stats.batches - batches_before - 1
+    assert queued_batches <= 2
+    # One trunk pass for the held clip, then one per distinct clip of
+    # each queued batch: the 32 requests are deduplicated in flight.
+    assert len(embeds) <= 1 + queued_batches * len(videos)
     for index, result in enumerate(results):
         want = serial[videos[index % len(videos)].video_id]
-        assert result.label == want.label
         assert result.prob_stressed == want.prob_stressed
-        assert tuple(result.rationale) == tuple(want.rationale)
         assert result.session.transcript() == want.session.transcript()
-        assert result.degraded is False
 
 
 def test_unlocked_concurrent_predict_on_one_pipeline_is_serial_identical():

@@ -2,7 +2,8 @@
 
 Covers the chain cache's LRU (bounds, eviction, counters, disable mode), the
 content hash, the micro-batcher's flush/backpressure/shutdown
-behaviour, config validation, and the service stats surface.
+behaviour, config validation, the service stats surface, and the hit
+path that answers a warm clip inside ``submit``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.cot.chain import StressChainPipeline
 from repro.errors import (
     CircuitOpenError,
     ConfigError,
+    FaultInjectedError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
@@ -27,10 +30,12 @@ from repro.cot.chain import ChainResult
 from repro.observability.metrics import MetricsRegistry
 from repro.reliability.breaker import OPEN, BreakerConfig
 from repro.reliability.deadlines import Deadline
+from repro.reliability import faults
 from repro.reliability.faults import (
     FAULT_SITES,
     FaultPlan,
     FaultSpec,
+    SiteCounts,
     fault_point,
     injected,
 )
@@ -296,10 +301,12 @@ class TestDeadline:
     def test_never_expiring_deadline_is_checked_once_per_request(
             self, pipeline, monkeypatch):
         """A deadline that never expires costs one ``expired`` check
-        per request, at batch collection, however the queue batches:
-        17 warm requests with an hour's budget, 16 of them queued
-        behind a held batch of one, make 17 checks."""
-        videos = [_video(f"deadline-cost-{i}", 90 + i) for i in range(4)]
+        per queued request, at batch collection, however the queue
+        batches: 17 cold requests with an hour's budget, 16 of them
+        queued behind a held batch of one, make 17 checks.  A warm
+        clip is answered at submit and makes none."""
+        warm = [_video(f"deadline-cost-{i}", 90 + i) for i in range(4)]
+        cold = [_video(f"deadline-cold-{i}", 95 + i) for i in range(5)]
         checks = []
         expired = Deadline.expired
 
@@ -311,7 +318,7 @@ class TestDeadline:
         hour_ms = 3_600_000.0
         with StressService(pipeline,
                            ServiceConfig(max_batch_size=4)) as svc:
-            for video in videos:
+            for video in warm:
                 svc.predict(video, timeout=30)
             assert checks == []
             busy, release = threading.Event(), threading.Event()
@@ -323,12 +330,14 @@ class TestDeadline:
                 return run_batch(batch)
 
             svc.executor.run_batch = gated
-            futures = [svc.submit(videos[0], deadline_ms=hour_ms)]
+            futures = [svc.submit(cold[4], deadline_ms=hour_ms)]
             assert busy.wait(30)
-            futures += [svc.submit(videos[i % 4], deadline_ms=hour_ms)
+            futures += [svc.submit(cold[i % 4], deadline_ms=hour_ms)
                         for i in range(16)]
+            hits = [svc.submit(video, deadline_ms=hour_ms) for video in warm]
+            assert all(future.done() for future in hits)
             release.set()
-            results = [future.result(30) for future in futures]
+            results = [future.result(30) for future in futures + hits]
         assert all(isinstance(result, ChainResult) for result in results)
         assert len(checks) == len(futures)
 
@@ -437,16 +446,28 @@ class TestPerRequestFailure:
             if breaker_open:
                 svc.breaker.record_many([False] * 8)
                 assert svc.breaker.state == OPEN
+                held_clip, clip = video, video
+            else:
+                # A closed breaker answers a warm clip at submit, so
+                # the held and the queued clip are cold ones.
+                held_clip, clip = _video("alone-held", 92), _video(
+                    "alone-cold", 93)
+                want = pipeline.predict(clip)
             # Hold the worker in a first batch so the clip and the bad
             # request queue behind it and leave together.
             with svc._swap_lock:
-                held = svc.submit(video)
+                held = svc.submit(held_clip)
                 while svc.queue_depth():
                     time.sleep(0.001)
-                good, bad = svc.submit(video), svc.submit(object())
+                good, bad = svc.submit(clip), svc.submit(object())
+                warm = svc.submit(video)
+                # A warm clip waits behind the held batch only when
+                # the breaker decides in the batch.
+                assert warm.done() is not breaker_open
             held.result(30)
             got = good.result(30)
             error = bad.exception(30)
+            warm.result(30)
             stats = svc.stats()
         assert isinstance(error, CircuitOpenError if breaker_open
                           else AttributeError)
@@ -573,3 +594,136 @@ class TestChainCacheHitPath:
             got = svc.predict(video, timeout=30)
             assert svc.stats().cache["chain"].misses == before + 1
         assert _signature(got) == _signature(other.predict(video))
+
+
+class TestSubmitHitPath:
+    """A warm clip is answered inside ``submit`` while the breaker is
+    closed: its future is resolved on return, it counts once, and it
+    reaches no batch."""
+
+    def _counts(self, svc) -> tuple[int, ...]:
+        stats = svc.stats()
+        chain = stats.cache["chain"]
+        return (stats.requests, stats.completed, stats.failed,
+                stats.batches, chain.hits, chain.misses)
+
+    def test_warm_submit_counts_once_and_runs_no_batch(self, pipeline):
+        video = _video("hit-count", 111)
+        with StressService(pipeline) as svc:
+            svc.predict(video, timeout=30)
+            before = self._counts(svc)
+            future = svc.submit(Video(video.spec))
+            assert future.done()
+            after = self._counts(svc)
+        assert [b - a for a, b in zip(before, after)] == [1, 1, 0, 0, 1, 0]
+        assert _signature(future.result()) == \
+            _signature(pipeline.predict(video))
+
+    def test_cold_submit_counts_one_miss(self, pipeline):
+        video = _video("miss-count", 112)
+        with StressService(pipeline) as svc:
+            before = self._counts(svc)
+            svc.predict(video, timeout=30)
+            after = self._counts(svc)
+        assert [b - a for a, b in zip(before, after)] == [1, 1, 0, 1, 0, 1]
+
+    def test_closed_service_refuses_a_warm_clip(self, pipeline):
+        video = _video("hit-closed", 113)
+        svc = StressService(pipeline)
+        svc.predict(video, timeout=30)
+        svc.close()
+        before = self._counts(svc)
+        with pytest.raises(ServiceClosedError):
+            svc.submit(video)
+        assert self._counts(svc) == before
+
+    def test_full_queue_still_answers_a_warm_clip(self, pipeline):
+        """A hit takes no queue slot: with the worker held and the
+        queue full, a miss is refused and a warm clip is answered."""
+        warm, cold = _video("full-warm", 117), _video("full-cold", 118)
+        config = ServiceConfig(max_batch_size=1, max_queue_depth=1)
+        with StressService(pipeline, config) as svc:
+            svc.predict(warm, timeout=30)
+            with svc._swap_lock:
+                held = svc.submit(cold)
+                while svc.queue_depth():
+                    time.sleep(0.001)
+                queued = svc.submit(cold)
+                with pytest.raises(ServiceOverloadedError):
+                    svc.submit(cold)
+                hit = svc.submit(warm)
+                assert hit.done()
+            for future in (held, queued):
+                future.result(30)
+            rejected = svc.stats().rejected
+        assert rejected == 1
+        assert _signature(hit.result()) == _signature(pipeline.predict(warm))
+
+    def test_request_that_is_not_a_clip_fails_alone_in_a_batch(
+            self, pipeline):
+        with StressService(pipeline) as svc:
+            before = self._counts(svc)
+            error = svc.submit(object()).exception(30)
+            after = self._counts(svc)
+        assert isinstance(error, AttributeError)
+        assert [b - a for a, b in zip(before, after)] == [1, 0, 1, 1, 0, 0]
+
+    def test_injected_fault_fails_a_warm_submit_and_trips_the_breaker(
+            self, pipeline):
+        """At rate 1.0 the ``serve.execute`` site fails a hit at
+        submit, and the breaker records it: after the warm-up success,
+        one failure reaches the 0.5 threshold of a window of two."""
+        video = _video("hit-fault", 114)
+        config = ServiceConfig(breaker=BreakerConfig(
+            window=2, failure_threshold=0.5, min_volume=2,
+            open_duration_s=60.0))
+        plan = FaultPlan([FaultSpec(site="serve.execute", rate=1.0)])
+        with StressService(pipeline, config) as svc:
+            svc.predict(video, timeout=30)
+            before = self._counts(svc)
+            with injected(plan):
+                future = svc.submit(video)
+            assert future.done()
+            after = self._counts(svc)
+            state = svc.breaker.state
+        assert isinstance(future.exception(), FaultInjectedError)
+        assert [b - a for a, b in zip(before, after)] == [1, 0, 1, 0, 1, 0]
+        assert plan.counts()["serve.execute"] == SiteCounts(hits=1, faults=1)
+        assert state == OPEN
+
+
+class TestInjectedDelay:
+    """``serve.execute:mode=delay`` delays a request where it passes
+    the site: a warm hit in the submitting thread, a miss inside its
+    batch on the worker.  Both still answer bitwise."""
+
+    def test_delay_lands_where_each_request_passes_the_site(
+            self, pipeline, monkeypatch):
+        sleeps = []
+        real_sleep = time.sleep
+
+        def recorded_sleep(seconds):
+            sleeps.append((threading.current_thread().name, seconds))
+            real_sleep(seconds)
+
+        monkeypatch.setattr(faults, "time",
+                            SimpleNamespace(sleep=recorded_sleep))
+        warm, cold = _video("delay-warm", 115), _video("delay-cold", 116)
+        plan = FaultPlan.from_spec(
+            "serve.execute:rate=1.0,mode=delay,delay_ms=20")
+        with StressService(pipeline) as svc:
+            svc.predict(warm, timeout=30)
+            with injected(plan):
+                started = time.perf_counter()
+                hit = svc.submit(warm)
+                hit_s = time.perf_counter() - started
+                assert hit.done()
+                miss = svc.predict(cold, timeout=30)
+            failed = svc.stats().failed
+        assert sleeps == [(threading.current_thread().name, 0.02),
+                          ("stress-service", 0.02)]
+        assert hit_s >= 0.02
+        assert plan.counts()["serve.execute"] == SiteCounts(hits=2, faults=2)
+        assert failed == 0
+        assert _signature(hit.result()) == _signature(pipeline.predict(warm))
+        assert _signature(miss) == _signature(pipeline.predict(cold))
