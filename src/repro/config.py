@@ -19,8 +19,7 @@ prediction).
 ======================== =====================================================
 variable                 meaning
 ======================== =====================================================
-``REPRO_NUM_WORKERS``    default worker count for parallel evaluation
-``REPRO_PARALLEL_BACKEND`` default evaluation backend (serial|thread|process)
+``REPRO_NUM_WORKERS``    worker count of training's forked SLIC pass
 ``REPRO_TRACE``          path: install the JSONL span exporter at import
 ``REPRO_FAULTS``         fault-plan spec: arm deterministic fault injection
 ``REPRO_POOL_REPLICAS``  default replica count for ``ReplicaPool``
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 
 __all__ = [
-    "BACKEND_ENV",
     "ENV_VARS",
     "FAULTS_ENV",
     "HYPOTHESIS_PROFILE_ENV",
@@ -49,11 +47,9 @@ __all__ = [
     "settings",
 ]
 
-#: Environment variable naming the default evaluation worker count.
+#: Environment variable naming the worker count of training's forked
+#: SLIC pass.
 NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
-#: Environment variable naming the default evaluation backend.
-BACKEND_ENV = "REPRO_PARALLEL_BACKEND"
 
 #: Environment variable naming the JSONL trace output path.
 TRACE_ENV = "REPRO_TRACE"
@@ -72,9 +68,8 @@ HYPOTHESIS_PROFILE_ENV = "REPRO_HYPOTHESIS_PROFILE"
 #: :class:`Settings` fields stay in sync.
 ENV_VARS: dict[str, tuple[str, str]] = {
     NUM_WORKERS_ENV: (
-        "default worker count for parallel evaluation", "cpu count"),
-    BACKEND_ENV: (
-        "default evaluation backend: serial | thread | process", "serial"),
+        "worker count of training's forked SLIC pass (1 keeps it in "
+        "process)", "cpu count"),
     TRACE_ENV: (
         "path of the JSONL span trace (installs the exporter at import)",
         "unset (tracing off)"),
@@ -122,14 +117,10 @@ class Settings:
     """One immutable snapshot of every ``REPRO_*`` variable.
 
     ``None`` means the variable is unset and the consuming layer should
-    apply its own default (CPU count, serial backend, tracing off, ...).
-    Backend *names* are carried verbatim; choice validation stays with
-    the consuming resolver so an unknown name fails with the same error
-    wherever it is supplied (env or argument).
+    apply its own default (CPU count, one replica, tracing off, ...).
     """
 
     num_workers: int | None = None
-    parallel_backend: str | None = None
     trace_path: str | None = None
     faults_spec: str | None = None
     pool_replicas: int | None = None
@@ -150,7 +141,6 @@ class Settings:
         return cls(
             num_workers=(_parse_positive_int(NUM_WORKERS_ENV, num_workers)
                          if num_workers is not None else None),
-            parallel_backend=env.get(BACKEND_ENV) or None,
             trace_path=env.get(TRACE_ENV) or None,
             faults_spec=env.get(FAULTS_ENV) or None,
             pool_replicas=(_parse_positive_int(POOL_REPLICAS_ENV,

@@ -95,8 +95,10 @@ class CheckpointError(ReproError):
 
 
 class PoolError(ServingError):
-    """The replica pool was used in an unsupported way (bad replica
-    count, closed pool, unknown replica backend)."""
+    """The replica pool cannot serve as asked: a replica count below
+    1, a count above 1 without ``os.fork``, a replica whose child
+    process has exited, a child serving another fingerprint after a
+    swap, or a registry with no versions."""
 
 
 class RegistryError(ModelError):

@@ -5,12 +5,9 @@ module runs any fit/predict pair over the folds produced by
 :func:`repro.datasets.base.kfold_splits` and averages the macro
 metrics.
 
-Folds are mutually independent -- each derives its own seeds from its
-fold index -- so they can run concurrently on any
-:mod:`repro.evaluation.parallel` backend.  The parallel path executes
-exactly the per-fold computation the serial loop would, in the same
-fold order, so the returned metrics are bitwise-identical whatever the
-backend or worker count.
+Folds run one after another, in fold order, in the calling process.
+Each derives its own seeds from its fold index, so a fold's metrics do
+not depend on which folds ran before it.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.datasets.base import StressDataset, kfold_splits
-from repro.evaluation.parallel import parallel_map
 from repro.observability.metrics import global_metrics
 from repro.observability.tracing import span
 from repro.reliability.faults import fault_point
@@ -40,21 +36,11 @@ def cross_validate(
     dataset: StressDataset,
     num_folds: int = 10,
     seed: int = 0,
-    backend: str | None = None,
-    num_workers: int | None = None,
 ) -> tuple[ClassificationMetrics, list[ClassificationMetrics]]:
-    """Run k-fold CV; returns (mean metrics, per-fold metrics).
-
-    ``backend`` selects the fold executor (``"serial"``, ``"thread"``
-    or ``"process"``; default from ``REPRO_PARALLEL_BACKEND``, else
-    serial) and ``num_workers`` the concurrency (default from
-    ``REPRO_NUM_WORKERS``, else the CPU count).
-    """
+    """Run k-fold CV; returns (mean metrics, per-fold metrics)."""
     splits = kfold_splits(dataset, num_folds, seed)
 
     def run_fold(fold_index: int) -> ClassificationMetrics:
-        # The span nests under eval.cross_validate on the serial
-        # backend and roots its own trace on worker threads/processes.
         with span("eval.fold", fold=fold_index, dataset=dataset.name):
             # The cv.fold fault site: chaos tests fail a chosen fold to
             # verify a fold error surfaces instead of corrupting means.
@@ -70,7 +56,6 @@ def cross_validate(
 
     with span("eval.cross_validate", dataset=dataset.name,
               folds=len(splits)):
-        per_fold = parallel_map(run_fold, range(len(splits)),
-                                backend=backend, num_workers=num_workers)
+        per_fold = [run_fold(index) for index in range(len(splits))]
     global_metrics().counter("evaluation.folds").inc(len(splits))
     return mean_metrics(per_fold), per_fold

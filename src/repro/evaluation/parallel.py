@@ -1,28 +1,18 @@
-"""Parallel execution backends for the evaluation stack.
+"""The fork map that training's SLIC prefetch fans out over.
 
-The cross-validation harness fans independent folds out over a
-configurable executor.  Three backends are provided:
+:func:`parallel_map` deals items round-robin to forked children.
+Children inherit the parent's memory image, so arbitrary closures run
+without being picklable; only *results* cross the process boundary.
+Results come back in item order, so the output equals the serial
+loop's whatever the worker count.  With one worker, or without
+``os.fork``, it is that loop.
 
-- ``"serial"`` -- a plain loop (the reference path);
-- ``"thread"`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`,
-  useful when the fold work releases the GIL (NumPy kernels) or shares
-  large read-only state such as a frozen off-the-shelf model;
-- ``"process"`` -- a fork-based pool (POSIX only).  Children inherit
-  the parent's memory image, so arbitrary closures -- the fit
-  functions in :mod:`repro.evaluation.protocol` are closures -- run
-  without being picklable; only *results* cross the process boundary.
-
-Every backend evaluates exactly the same per-item computation and
-returns results in submission order, so outputs are bitwise-identical
-across backends and worker counts: parallelism changes *when* a fold
-runs, never *what* it computes.  Each fold derives its own seeds from
-its fold index, so no stream is shared across concurrently-running
-items.
+Cross-validation folds do not come through here: ``cross_validate``
+runs them one after another in the calling process.
 
 Worker count resolution: an explicit ``num_workers`` argument wins,
 then the ``REPRO_NUM_WORKERS`` environment variable (read through
-:func:`repro.config.settings`), then the machine's CPU count.  The
-default backend may likewise be set with ``REPRO_PARALLEL_BACKEND``.
+:func:`repro.config.settings`), then the machine's CPU count.
 """
 
 from __future__ import annotations
@@ -33,42 +23,19 @@ import signal
 import tempfile
 import traceback
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, TypeVar
 
-from repro.config import BACKEND_ENV, NUM_WORKERS_ENV, settings
+from repro.config import NUM_WORKERS_ENV, settings
 from repro.errors import ConfigError
 from repro.observability import tracing
 
 T = TypeVar("T")
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
     "NUM_WORKERS_ENV",
     "parallel_map",
-    "resolve_backend",
     "resolve_num_workers",
 ]
-
-#: Recognised backend names.
-BACKENDS = ("serial", "thread", "process")
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick the execution backend: explicit argument, then the
-    ``REPRO_PARALLEL_BACKEND`` environment variable, then serial."""
-    if backend is None:
-        backend = settings().parallel_backend or "serial"
-    if backend not in BACKENDS:
-        raise ConfigError(
-            f"unknown parallel backend {backend!r}; known: {BACKENDS}"
-        )
-    if backend == "process" and not hasattr(os, "fork"):
-        # Fork is the mechanism that lets closures cross into workers;
-        # without it the honest fallback is threads.
-        return "thread"
-    return backend
 
 
 def resolve_num_workers(num_workers: int | None = None) -> int:
@@ -86,25 +53,21 @@ def resolve_num_workers(num_workers: int | None = None) -> int:
 def parallel_map(
     fn: Callable[[Any], T],
     items: Sequence[Any],
-    backend: str | None = None,
     num_workers: int | None = None,
 ) -> list[T]:
-    """Apply ``fn`` to every item, possibly concurrently.
+    """Apply ``fn`` to every item, in forked children when there are
+    at least two workers and ``os.fork`` exists, else in a loop.
 
     Results come back in item order regardless of completion order.
-    A worker exception is re-raised in the caller (for the process
-    backend, with the child's traceback attached).
+    A worker exception is re-raised in the caller (from a child, as a
+    ``RuntimeError`` carrying the child's traceback).
     """
-    backend = resolve_backend(backend)
     items = list(items)
     if not items:
         return []
     workers = min(resolve_num_workers(num_workers), len(items))
-    if backend == "serial" or workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
     return _fork_map(fn, items, workers)
 
 

@@ -31,8 +31,6 @@ def evaluate_offtheshelf(
     seed: int = 0,
     use_chain: bool = False,
     test_time_refine: bool = False,
-    backend: str | None = None,
-    num_workers: int | None = None,
 ) -> ClassificationMetrics:
     """Zero-shot LFM evaluation (Table I rows 1-3; Table VIII with
     ``use_chain`` / ``test_time_refine``).
@@ -53,8 +51,7 @@ def evaluate_offtheshelf(
         )
         return lambda sample: pipeline.predict(sample.video).label
 
-    mean, __ = cross_validate(fit, dataset, num_folds, seed,
-                              backend=backend, num_workers=num_workers)
+    mean, __ = cross_validate(fit, dataset, num_folds, seed)
     return mean
 
 
@@ -63,8 +60,6 @@ def evaluate_baseline(
     dataset: StressDataset,
     num_folds: int = 10,
     seed: int = 0,
-    backend: str | None = None,
-    num_workers: int | None = None,
 ) -> ClassificationMetrics:
     """Supervised-baseline evaluation (Table I middle block)."""
 
@@ -73,8 +68,7 @@ def evaluate_baseline(
         baseline.fit(train, seed=derive_seed(seed, f"{key}:{fold_index}"))
         return lambda sample: baseline.predict(sample.video)
 
-    mean, __ = cross_validate(fit, dataset, num_folds, seed,
-                              backend=backend, num_workers=num_workers)
+    mean, __ = cross_validate(fit, dataset, num_folds, seed)
     return mean
 
 
@@ -85,8 +79,6 @@ def evaluate_ours(
     num_folds: int = 10,
     seed: int = 0,
     config: SelfRefineConfig | None = None,
-    backend: str | None = None,
-    num_workers: int | None = None,
 ) -> ClassificationMetrics:
     """Full-pipeline evaluation (Table I last row; Tables III/V
     variants via ``variant``)."""
@@ -103,6 +95,5 @@ def evaluate_ours(
         )
         return lambda sample: pipeline.predict(sample.video).label
 
-    mean, __ = cross_validate(fit, dataset, num_folds, seed,
-                              backend=backend, num_workers=num_workers)
+    mean, __ = cross_validate(fit, dataset, num_folds, seed)
     return mean

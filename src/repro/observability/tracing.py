@@ -22,9 +22,9 @@ Design constraints (DESIGN.md section 11):
   tracing cannot perturb any seeded stream -- the golden chain
   fixtures stay bitwise identical under ``REPRO_TRACE``.
 - **Thread-local nesting.**  Each thread keeps its own span stack, so
-  the micro-batcher worker, fold worker threads, and forked children
-  all trace independently; a span's ``parent`` is whatever span was
-  open on the *same* thread.
+  the micro-batcher worker, client threads, and forked children all
+  trace independently; a span's ``parent`` is whatever span was open
+  on the *same* thread.
 
 Exporters are pluggable: :class:`JsonlExporter` appends one JSON
 object per finished span (enabled automatically when the

@@ -95,10 +95,10 @@ class ChainBatchExecutor:
 
     One thread drives an executor (the micro-batcher worker, or an
     offline ``predict_many`` loop), but other threads may read its
-    pipeline at the same time (thread fold workers of
-    ``evaluate_offtheshelf``): the chain core only reads weights, and
-    a clip's features fill through an atomic ``setdefault`` on the
-    clip (:meth:`~repro.video.frame.Video.derive`).
+    pipeline at the same time (a client's own ``pipeline.predict``):
+    the chain core only reads weights, and a clip's features fill
+    through an atomic ``setdefault`` on the clip
+    (:meth:`~repro.video.frame.Video.derive`).
 
     The executor owns its chain cache: it builds it from
     ``cache_capacity`` (0 disables it) and never hands it out, because

@@ -436,7 +436,7 @@ def _prefetch_segmentations(videos: list[Video],
     if len(clips) < 2:  # one map gains nothing from a worker
         return 0
     maps = parallel_map(lambda same: same[0].segmentation(num_segments),
-                        clips, backend="process", num_workers=workers)
+                        clips, num_workers=workers)
     for same, labels in zip(clips, maps):
         for video in same:
             video.install_segmentation(labels, num_segments)

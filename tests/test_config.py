@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 from repro.config import (
-    BACKEND_ENV,
     ENV_VARS,
     FAULTS_ENV,
     HYPOTHESIS_PROFILE_ENV,
@@ -26,7 +25,6 @@ class TestDefaults:
         got = Settings.from_env({})
         assert got == Settings()
         assert got.num_workers is None
-        assert got.parallel_backend is None
         assert got.trace_path is None
         assert got.faults_spec is None
         assert got.pool_replicas is None
@@ -34,7 +32,7 @@ class TestDefaults:
 
     def test_empty_string_counts_as_unset(self):
         got = Settings.from_env({
-            BACKEND_ENV: "", TRACE_ENV: "", FAULTS_ENV: "",
+            TRACE_ENV: "", FAULTS_ENV: "",
             HYPOTHESIS_PROFILE_ENV: "",
             NUM_WORKERS_ENV: "", POOL_REPLICAS_ENV: "",
         })
@@ -45,14 +43,12 @@ class TestParsing:
     def test_full_environment(self):
         got = Settings.from_env({
             NUM_WORKERS_ENV: "4",
-            BACKEND_ENV: "thread",
             TRACE_ENV: "/tmp/trace.jsonl",
             FAULTS_ENV: "serve.execute:rate=0.5",
             POOL_REPLICAS_ENV: "3",
             HYPOTHESIS_PROFILE_ENV: "ci",
         })
         assert got.num_workers == 4
-        assert got.parallel_backend == "thread"
         assert got.trace_path == "/tmp/trace.jsonl"
         assert got.faults_spec == "serve.execute:rate=0.5"
         assert got.pool_replicas == 3
@@ -148,15 +144,6 @@ class TestRawAccess:
 
 class TestConsumers:
     """The three pre-pool consumers resolve through the shared reader."""
-
-    def test_parallel_backend_flows_through(self, monkeypatch):
-        from repro.evaluation.parallel import resolve_backend
-
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend() == "thread"
-        monkeypatch.setenv(BACKEND_ENV, "nonsense")
-        with pytest.raises(ConfigError):
-            resolve_backend()
 
     def test_num_workers_flows_through(self, monkeypatch):
         from repro.evaluation.parallel import resolve_num_workers

@@ -158,7 +158,7 @@ class TestForkSafeTraces:
                     pass
             items = list(range(6))
             assert parallel_map(_traced_child_work, items,
-                                backend="process", num_workers=2) == items
+                                num_workers=2) == items
             for index in range(5, 10):
                 with span("fork.parent", index=index):
                     pass

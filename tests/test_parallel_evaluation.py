@@ -1,9 +1,11 @@
-"""Parallel evaluation: bitwise determinism and config resolution.
+"""The fork map, and folds that run one way.
 
-Parallelism must change *when* a fold runs, never *what* it computes:
-``cross_validate`` has to return bitwise-identical metrics for every
-backend and worker count.  ``ClassificationMetrics`` is a frozen
-dataclass of floats, so plain ``==`` is exactly that assertion.
+``parallel_map`` is the fork map training's SLIC prefetch fans out
+over: it returns results in item order, runs closures, re-raises a
+child's failure and reaps every child it started.  Cross-validation
+does not use it: ``cross_validate`` and the three ``evaluate_*``
+protocols run their folds one after another in the calling process,
+and no argument or environment variable selects another way.
 """
 
 import os
@@ -12,23 +14,23 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.config import ENV_VARS, NUM_WORKERS_ENV, env_value
 from repro.errors import ConfigError
 from repro.evaluation import (
     cross_validate,
     evaluate_baseline,
+    evaluate_offtheshelf,
+    evaluate_ours,
     parallel_map,
-    resolve_backend,
     resolve_num_workers,
 )
-from repro.evaluation.parallel import BACKEND_ENV, NUM_WORKERS_ENV
 
 
 def _cheap_fit(train, fold_index):
     """Threshold on mean AU intensity, calibrated on the train labels.
 
-    Touches only the latent AU curves (no frame rendering), so the
-    determinism matrix below stays fast while still producing
-    non-trivial float metrics.
+    Touches only the latent AU curves (no frame rendering), so a fold
+    costs next to nothing while still producing non-trivial metrics.
     """
     intensities = np.array([
         sample.video.spec.au_intensities.mean() for sample in train
@@ -41,62 +43,28 @@ def _cheap_fit(train, fold_index):
     )
 
 
-class TestBitwiseDeterminism:
-    @pytest.fixture(scope="class")
-    def serial_result(self, micro_uvsd):
-        return cross_validate(_cheap_fit, micro_uvsd, num_folds=5,
-                              backend="serial")
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    @pytest.mark.parametrize("num_workers", [1, 2, 4])
-    def test_cross_validate_matches_serial(self, micro_uvsd, serial_result,
-                                           backend, num_workers):
-        mean, per_fold = cross_validate(
-            _cheap_fit, micro_uvsd, num_folds=5,
-            backend=backend, num_workers=num_workers,
-        )
-        serial_mean, serial_folds = serial_result
-        assert mean == serial_mean
-        assert per_fold == serial_folds
-
-    def test_evaluate_baseline_matches_serial(self, micro_uvsd):
-        serial = evaluate_baseline("fdassnn", micro_uvsd, num_folds=3,
-                                   backend="serial")
-        parallel = evaluate_baseline("fdassnn", micro_uvsd, num_folds=3,
-                                     backend="process", num_workers=2)
-        assert serial == parallel
-
-
 class TestParallelMap:
     def test_preserves_item_order(self):
-        out = parallel_map(lambda x: x * x, range(9),
-                           backend="thread", num_workers=3)
+        # Three forked workers are dealt items round-robin; the results
+        # still come back in item order.
+        out = parallel_map(lambda x: x * x, range(9), num_workers=3)
         assert out == [x * x for x in range(9)]
 
     def test_process_backend_forks(self):
         if not hasattr(os, "fork"):
             pytest.skip("no fork on this platform")
-        pids = parallel_map(lambda _: os.getpid(), range(4),
-                            backend="process", num_workers=2)
+        pids = parallel_map(lambda _: os.getpid(), range(4), num_workers=2)
         assert all(pid != os.getpid() for pid in pids)
 
     def test_process_backend_runs_closures(self):
         # The whole point of the fork pool: closures (unpicklable)
         # work as worker functions.
         offset = 10
-        out = parallel_map(lambda x: x + offset, range(5),
-                           backend="process", num_workers=2)
+        out = parallel_map(lambda x: x + offset, range(5), num_workers=2)
         assert out == [10, 11, 12, 13, 14]
 
     def test_empty_items(self):
-        assert parallel_map(lambda x: x, [], backend="process") == []
-
-    def test_thread_worker_exception_propagates(self):
-        def boom(x):
-            raise ValueError(f"bad item {x}")
-
-        with pytest.raises(ValueError, match="bad item"):
-            parallel_map(boom, range(4), backend="thread", num_workers=2)
+        assert parallel_map(lambda x: x, []) == []
 
     def test_process_worker_exception_propagates(self):
         if not hasattr(os, "fork"):
@@ -106,7 +74,7 @@ class TestParallelMap:
             raise ValueError(f"bad item {x}")
 
         with pytest.raises(RuntimeError, match="bad item"):
-            parallel_map(boom, range(4), backend="process", num_workers=2)
+            parallel_map(boom, range(4), num_workers=2)
 
     def test_failed_fork_reaps_started_children(self, monkeypatch,
                                                 tmp_path):
@@ -127,8 +95,7 @@ class TestParallelMap:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(os, "fork", fork_once)
         with pytest.raises(OSError, match="injected"):
-            parallel_map(lambda x: x, range(4), backend="process",
-                         num_workers=2)
+            parallel_map(lambda x: x, range(4), num_workers=2)
         monkeypatch.undo()
         with pytest.raises(ChildProcessError):
             os.waitpid(pids[0], os.WNOHANG)
@@ -136,24 +103,45 @@ class TestParallelMap:
 
 
 class TestConfigResolution:
-    def test_backend_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "serial"
+    def test_backend_defaults_to_serial(self, micro_uvsd, monkeypatch):
+        """Serial is the only way folds run: every fold runs in the
+        caller's process, in fold order, even with the deleted backend
+        variable asking for processes and workers to spare."""
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
+        monkeypatch.setenv(NUM_WORKERS_ENV, "2")
+        calls = []
+
+        def fit(train, fold_index):
+            calls.append((os.getpid(), fold_index))
+            return _cheap_fit(train, fold_index)
+
+        cross_validate(fit, micro_uvsd, num_folds=4)
+        assert calls == [(os.getpid(), index) for index in range(4)]
 
     def test_backend_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend() == "thread"
+        """``REPRO_PARALLEL_BACKEND`` is gone: it is not a registered
+        variable, so it is not read, even set."""
+        monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
+        assert "REPRO_PARALLEL_BACKEND" not in ENV_VARS
+        with pytest.raises(ConfigError, match="unknown configuration"):
+            env_value("REPRO_PARALLEL_BACKEND")
 
-    def test_explicit_backend_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend("serial") == "serial"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ConfigError):
-            resolve_backend("celery")
-        monkeypatch.setenv(BACKEND_ENV, "mpi")
-        with pytest.raises(ConfigError):
-            resolve_backend()
+    def test_unknown_backend_rejected(self, micro_uvsd, instruction_pairs,
+                                      micro_config):
+        """Every backend is unknown now: ``backend=`` is not a
+        parameter of any CV entry point."""
+        with pytest.raises(TypeError, match="backend"):
+            cross_validate(_cheap_fit, micro_uvsd, num_folds=2,
+                           backend="thread")
+        with pytest.raises(TypeError, match="backend"):
+            evaluate_offtheshelf("gpt-4o", micro_uvsd, num_folds=2,
+                                 backend="thread")
+        with pytest.raises(TypeError, match="backend"):
+            evaluate_baseline("fdassnn", micro_uvsd, num_folds=2,
+                              backend="thread")
+        with pytest.raises(TypeError, match="backend"):
+            evaluate_ours(micro_uvsd, instruction_pairs, num_folds=2,
+                          config=micro_config, backend="thread")
 
     def test_num_workers_env_var(self, monkeypatch):
         monkeypatch.setenv(NUM_WORKERS_ENV, "3")
@@ -174,15 +162,3 @@ class TestConfigResolution:
         monkeypatch.delenv(NUM_WORKERS_ENV)
         with pytest.raises(ConfigError):
             resolve_num_workers(0)
-
-    def test_env_workers_reach_cross_validate(self, micro_uvsd,
-                                              monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "2")
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        mean, per_fold = cross_validate(_cheap_fit, micro_uvsd, num_folds=4)
-        monkeypatch.delenv(NUM_WORKERS_ENV)
-        monkeypatch.setenv(BACKEND_ENV, "serial")
-        serial_mean, serial_folds = cross_validate(_cheap_fit, micro_uvsd,
-                                                   num_folds=4)
-        assert mean == serial_mean
-        assert per_fold == serial_folds

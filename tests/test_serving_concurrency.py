@@ -7,12 +7,13 @@ timeout), no dropped or duplicated responses, every response bitwise
 identical to a serial run, and backpressure errors raised *only* when
 the queue genuinely exceeded ``max_queue_depth``.
 
-Also the model-level contract the thread replica pool and
-``evaluate_offtheshelf(backend="thread")`` rely on: unlocked
-concurrent ``pipeline.predict`` calls on one shared pipeline return
-bitwise-serial results, because inference only reads weights (the
-feature cache fills through an atomic ``setdefault``, and the input a
-``Linear`` layer keeps is read only by training's backward pass).
+Also the model-level contract serving promises when several threads
+read one pipeline (executors over it, or callers of its own
+``predict``): unlocked concurrent ``pipeline.predict`` calls on one
+shared pipeline return bitwise-serial results, because inference only
+reads weights (the feature cache fills through an atomic
+``setdefault``, and the input a ``Linear`` layer keeps is read only by
+training's backward pass).
 Every response also gets its own dialogue session.
 
 Requests that queue together leave in one batch, and a warmed clip is
